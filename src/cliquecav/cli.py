@@ -4,7 +4,8 @@ Subcommands: kcore, analyze, cavities, smallest-cavity, random-er, fetch,
 verify. Every flag can also be supplied through an environment variable
 with the CLIQUECAV_ prefix (for example CLIQUECAV_BUDGET=1000000).
 
-Exit codes: 0 success, 2 computability gate failed, 3 enumeration
+Exit codes: 0 success, 1 error (unreadable input, incomplete cavity
+search, failed self-check), 2 computability gate failed, 3 enumeration
 truncated by the budget. Usage errors exit 2 via argparse.
 """
 
@@ -17,13 +18,12 @@ import io
 import json
 import os
 import sys
-import urllib.error
-import urllib.request
 from collections import Counter
 from pathlib import Path
 
 from .cavities import (
     CavityCertificate,
+    CavitySearchError,
     certificate_from_cliques,
     certificate_to_dot,
     certificates_to_json,
@@ -50,6 +50,7 @@ from .graph import (
     random_er,
     to_edge_text,
 )
+from .solver import NodeLimitExceeded
 
 ENV_PREFIX = "CLIQUECAV_"
 
@@ -160,14 +161,21 @@ def _search_cavities(cx: CliqueComplex, profile) -> list[CavityCertificate]:
     return certs
 
 
+class SelfCheckError(RuntimeError):
+    """A freshly found certificate failed re-verification."""
+
+
 def _self_verify(certs: list[CavityCertificate], cx: CliqueComplex) -> None:
+    matrices: dict[int, tuple] = {}
     by_order: dict[int, list[CavityCertificate]] = {}
     for cert in certs:
         prior = by_order.setdefault(cert.order, [])
-        bk, bk1 = _boundary_pair(cx, cert.order)
+        if cert.order not in matrices:
+            matrices[cert.order] = _boundary_pair(cx, cert.order)
+        bk, bk1 = matrices[cert.order]
         result = verify_certificate(cert, bk, bk1, prior)
         if not result:
-            raise RuntimeError(
+            raise SelfCheckError(
                 f"internal check failed: order-{cert.order} certificate "
                 f"violates the {result.failed} constraint"
             )
@@ -416,6 +424,10 @@ def cmd_fetch(args, parser) -> int:
     if dest.exists() and not args.force:
         print(f"{dest} already exists (use --force to re-fetch)")
         return EXIT_OK
+    # imported here: urllib costs every other subcommand tens of ms at start-up
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(args.url) as resp:
             payload = resp.read()
@@ -605,8 +617,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, parser)
     except FileNotFoundError as exc:
         return _fail(f"{exc.filename or exc}: no such file")
-    except ValueError as exc:
+    except (ValueError, NodeLimitExceeded, SelfCheckError) as exc:
         return _fail(str(exc))
+    except CavitySearchError as exc:
+        return _fail(f"{exc} ({len(exc.partial)} certificates of that order found)")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cliques import CliqueComplex
 
@@ -14,16 +14,10 @@ class Gf2Matrix:
     rows: int
     cols: int
     bits: list[int]
-    row_labels: list[int] = field(default_factory=list)
-    col_labels: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if len(self.bits) != self.rows:
             raise ValueError("bits length disagrees with row count")
-        if not self.row_labels:
-            self.row_labels = list(range(self.rows))
-        if not self.col_labels:
-            self.col_labels = list(range(self.cols))
         self._col_basis: dict[int, int] | None = None
 
     def entry(self, i: int, j: int) -> int:
@@ -44,12 +38,11 @@ class Gf2Matrix:
 class RankResult:
     rank: int
     pivot_cols: list[int]
-    reduced: Gf2Matrix
 
 
-def zero_cols_matrix(rows: int, row_labels: list[int] | None = None) -> Gf2Matrix:
+def zero_cols_matrix(rows: int) -> Gf2Matrix:
     """A rows x 0 matrix; stands in for the boundary above the top order."""
-    return Gf2Matrix(rows, 0, [0] * rows, row_labels or [], [])
+    return Gf2Matrix(rows, 0, [0] * rows)
 
 
 def build_boundary_matrix(cx: CliqueComplex, k: int) -> Gf2Matrix:
@@ -91,26 +84,17 @@ def basis_insert(basis: dict[int, int], v: int) -> bool:
 
 
 def gf2_rank(m: Gf2Matrix) -> RankResult:
-    """Row reduction with deterministic pivoting.
+    """Rank and pivot columns by forward elimination only.
 
-    pivot_cols is the left-to-right greedy independent column set (the
-    pivot columns of the unique reduced row-echelon form, which `reduced`
-    holds, one row per pivot in ascending pivot order).
+    pivot_cols is the left-to-right greedy independent column set, in
+    ascending order: the lowest set bits of the forward-eliminated rows.
+    They are the pivot columns of the reduced row-echelon form, which is
+    never built, since back-substitution leaves each row's lowest bit alone.
     """
     basis: dict[int, int] = {}
     for v in m.bits:
         basis_insert(basis, v)
-    # back-substitute so every pivot column is zero outside its own row
-    for low in sorted(basis, reverse=True):
-        vec = basis[low]
-        for other in basis:
-            if other < low and basis[other] & low:
-                basis[other] ^= vec
-    pivots = sorted(basis)
-    pivot_cols = [p.bit_length() - 1 for p in pivots]
-    reduced = Gf2Matrix(len(pivots), m.cols, [basis[p] for p in pivots],
-                        list(pivot_cols), list(m.col_labels))
-    return RankResult(len(pivots), pivot_cols, reduced)
+    return RankResult(len(basis), sorted(low.bit_length() - 1 for low in basis))
 
 
 def column_space_basis(m: Gf2Matrix) -> dict[int, int]:
@@ -148,7 +132,7 @@ def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
             acc ^= b.bits[low.bit_length() - 1]
             v ^= low
         bits.append(acc)
-    return Gf2Matrix(a.rows, b.cols, bits, list(a.row_labels), list(b.col_labels))
+    return Gf2Matrix(a.rows, b.cols, bits)
 
 
 @dataclass(frozen=True)
@@ -166,15 +150,40 @@ class HomologyProfile:
     euler_poincare_ok: bool
 
 
+def _edge_rank(cx: CliqueComplex) -> int:
+    """rank B_1 = n - beta_0: the edges a union-find spanning forest keeps."""
+    parent = {node: node for (node,) in cx.levels[0]}
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    rank = 0
+    for u, v in cx.levels[1]:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            rank += 1
+    return rank
+
+
 def homology_profile(cx: CliqueComplex) -> HomologyProfile:
-    """Compute all boundary ranks and Betti numbers of a complete complex."""
+    """Compute all boundary ranks and Betti numbers of a complete complex.
+
+    r_1 comes from a union-find over the edges; higher ranks from
+    forward elimination of B_k.
+    """
     if cx.truncated_at is not None:
         raise ValueError("truncated complex: Betti numbers undefined")
     top = len(cx.levels) - 1
     if top < 0:
         return HomologyProfile((), (), (), 0, True)
     r = [0] * (top + 1)
-    for k in range(1, top + 1):
+    if top >= 1:
+        r[1] = _edge_rank(cx)
+    for k in range(2, top + 1):
         r[k] = gf2_rank(build_boundary_matrix(cx, k)).rank
     beta = []
     for k in range(top + 1):

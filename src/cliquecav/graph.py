@@ -19,7 +19,8 @@ class Network:
     """Canonical undirected simple graph.
 
     Internal ids run 0..node_count-1 and follow sorted original labels
-    (numeric sort when every label parses as an integer, text sort otherwise),
+    (numeric sort when every label parses as an integer, with the text
+    breaking ties such as "1" and "01"; text sort otherwise),
     so all downstream tie-breaking is reproducible. Adjacency lists are
     strictly increasing, symmetric, self-loop free.
     """
@@ -63,7 +64,8 @@ class GateResult:
 def _label_sort_key(labels: Iterable[str]):
     labels = list(labels)
     try:
-        keys = {lab: int(lab) for lab in labels}
+        # int() maps "1" and "01", or "10" and "1_0", to one value; the text breaks the tie
+        keys = {lab: (int(lab), lab) for lab in labels}
     except ValueError:
         return lambda lab: lab
     return lambda lab: keys[lab]

@@ -62,6 +62,30 @@ def naive_rank(rows: list[int], seed: int) -> int:
     return rank
 
 
+def rref_oracle(rows: list[int]) -> tuple[int, list[int]]:
+    """Rank and pivot columns read off the full reduced row-echelon form.
+
+    Forward elimination keyed by lowest set bit, then back-substitution so
+    every pivot column is zero outside its own row; the pivot columns are
+    the lowest set bits of the reduced rows.
+    """
+    basis: dict[int, int] = {}
+    for v in rows:
+        while v:
+            low = v & -v
+            if low not in basis:
+                basis[low] = v
+                break
+            v ^= basis[low]
+    for low in sorted(basis, reverse=True):
+        vec = basis[low]
+        for other in basis:
+            if other < low and basis[other] & low:
+                basis[other] ^= vec
+    pivots = sorted((row & -row).bit_length() - 1 for row in basis.values())
+    return len(pivots), pivots
+
+
 def independent_column_scan(rows: list[int], cols: int) -> list[int]:
     """Columns kept by a left-to-right greedy independence scan."""
     col_vecs = []

@@ -2,6 +2,9 @@ import functools
 import hashlib
 import http.server
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -9,6 +12,8 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+from cliquecav import cli
+from cliquecav.cavities import VerifyResult, find_cavities
 from cliquecav.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,8 +25,6 @@ SAMPLE8 = str(DATA / "sample8.edges")
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    import os
-
     for key in [k for k in os.environ if k.startswith("CLIQUECAV_")]:
         monkeypatch.delenv(key)
 
@@ -331,3 +334,61 @@ def test_fetch_unreachable_url_fails(tmp_path, capsys):
     )
     assert rc == 1
     assert "fetch failed" in err
+
+
+def _run_subprocess(args, hash_seed):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CLIQUECAV_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    env["PYTHONHASHSEED"] = str(hash_seed)
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_labels_with_equal_int_values_are_hash_seed_independent(tmp_path):
+    # "1"/"01" and "10"/"1_0" parse to the same int; ids must not depend on set order
+    edges = tmp_path / "ties.edges"
+    edges.write_text("1 2\n2 01\n01 3\n3 1\n10 1_0\n1_0 4\n4 5\n5 10\n")
+    args = ["-m", "cliquecav.cli", "analyze", "--cavities", "--format", "json",
+            "--input", str(edges)]
+    outputs = {_run_subprocess(args, seed) for seed in (1, 2, 5)}
+    assert len(outputs) == 1
+    cavities = json.loads(outputs.pop())["cavities"]
+    assert [c["nodes"] for c in cavities] == [["01", "1", "2", "3"], ["4", "5", "10", "1_0"]]
+
+
+def test_cli_import_leaves_urllib_request_unloaded():
+    code = "import sys, cliquecav.cli; print('urllib.request' in sys.modules)"
+    assert _run_subprocess(["-c", code], 0).strip() == "False"
+
+
+def test_node_limit_exits_1_with_message(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "find_cavities", functools.partial(find_cavities, node_limit=1))
+    rc, out, err = run(capsys, "cavities", "--input", SAMPLE14)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: node limit 1 exceeded; search is incomplete\n"
+
+
+def test_cavity_search_error_reports_partial_count(monkeypatch, capsys):
+    # order 1 of sample14 has certificates of length 4 and 7
+    monkeypatch.setattr(cli, "find_cavities", functools.partial(find_cavities, length_ceiling=5))
+    rc, out, err = run(capsys, "analyze", "--cavities", "--input", SAMPLE14)
+    assert rc == 1
+    assert out == ""
+    assert "up to length 5" in err
+    assert "(1 certificates of that order found)" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_failed_self_check_exits_1_with_message(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_certificate", lambda *a: VerifyResult(False, "independence"))
+    rc, out, err = run(capsys, "cavities", "--verify", "--input", SAMPLE14)
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        "error: internal check failed: order-1 certificate violates the "
+        "independence constraint\n"
+    )

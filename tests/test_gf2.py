@@ -7,6 +7,7 @@ from cliquecav import (
     build_boundary_matrix,
     column_space_basis,
     enumerate_cliques,
+    generate_smallest_cavity_complex,
     gf2_rank,
     homology_profile,
     multiply,
@@ -15,7 +16,13 @@ from cliquecav import (
     rank_with_augmentation,
 )
 
-from oracles import bernoulli_graph, component_count, independent_column_scan, naive_rank
+from oracles import (
+    bernoulli_graph,
+    component_count,
+    independent_column_scan,
+    naive_rank,
+    rref_oracle,
+)
 
 # node-edge incidence of the 8-node sub-network: column = edge endpoints
 SUB8_EDGE_ENDPOINTS = [
@@ -112,16 +119,41 @@ def test_rank_is_permutation_invariant():
         assert gf2_rank(Gf2Matrix(m.rows, m.cols, shuffled)).rank == base
 
 
-def test_reduced_matrix_is_row_equivalent_and_canonical():
+def _differential_complexes(sample14):
+    yield "sample14", enumerate_cliques(sample14)
+    for k in range(1, 7):
+        yield f"cocktail k={k}", generate_smallest_cavity_complex(k)
+    for seed in range(6):
+        yield f"bernoulli seed={seed}", enumerate_cliques(bernoulli_graph(22, 0.35, seed))
+
+
+def test_forward_rank_matches_rref_oracle(sample14):
     rng = random.Random(11)
-    for _ in range(20):
-        m = _random_matrix(rng, max_dim=16)
+    for trial in range(100):
+        m = _random_matrix(rng)
+        rank, pivots = rref_oracle(m.bits)
         res = gf2_rank(m)
-        # every reduced row is a XOR combination of original rows and vice versa
-        assert naive_rank(m.bits + res.reduced.bits, 0) == res.rank
-        # reducing twice is a fixed point
-        again = gf2_rank(res.reduced)
-        assert again.reduced.bits == res.reduced.bits
+        assert (res.rank, list(res.pivot_cols)) == (rank, pivots), f"trial {trial}"
+    for name, cx in _differential_complexes(sample14):
+        for k in range(1, cx.top_order + 1):
+            bk = build_boundary_matrix(cx, k)
+            rank, pivots = rref_oracle(bk.bits)
+            res = gf2_rank(bk)
+            assert (res.rank, list(res.pivot_cols)) == (rank, pivots), f"{name}, B_{k}"
+
+
+def test_union_find_r1_matches_boundary_rank(sample14):
+    # isolated nodes 7 and 9, and components {1..4}, {5, 6}, {8, 10, 11}
+    scattered = network_from_edges(
+        [str(i) for i in range(1, 12)],
+        [("1", "2"), ("2", "3"), ("3", "1"), ("3", "4"), ("5", "6"),
+         ("8", "10"), ("10", "11"), ("11", "8")],
+    )
+    cases = [*_differential_complexes(sample14), ("scattered", enumerate_cliques(scattered))]
+    for name, cx in cases:
+        expected = gf2_rank(build_boundary_matrix(cx, 1)).rank
+        assert homology_profile(cx).r[1] == expected, name
+    assert homology_profile(enumerate_cliques(scattered)).beta[0] == 5
 
 
 def test_augmentation_cases(sample14):
