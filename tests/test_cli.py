@@ -21,6 +21,7 @@ DATA = ROOT / "data"
 SCHEMAS = ROOT / "docs" / "schemas"
 SAMPLE14 = str(DATA / "sample14.edges")
 SAMPLE8 = str(DATA / "sample8.edges")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(autouse=True)
@@ -84,6 +85,21 @@ def test_analyze_with_cavities_validates_schema(capsys):
     doc = json.loads(out)
     validate_schema(doc, "profile.schema.json")
     assert [c["length"] for c in doc["cavities"]] == [4, 7, 8]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("analyze-cavities", ["analyze", "--cavities", "--input", SAMPLE14]),
+        ("cavities", ["cavities", "--input", SAMPLE14]),
+        ("smallest-cavity-3", ["smallest-cavity", "3"]),
+    ],
+)
+def test_stdout_matches_golden(capsys, name, args, fmt):
+    rc, out, err = run(capsys, *args, "--format", fmt)
+    assert (rc, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
 def test_analyze_csv_layout(capsys):
