@@ -13,10 +13,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .cliques import Clique, CliqueComplex
-from .gf2 import Gf2Matrix, basis_insert, column_space_basis, gf2_rank
+from .gf2 import Gf2Matrix, basis_insert, bit_indices, column_space_basis, gf2_rank
 from .solver import DEFAULT_NODE_LIMIT, ZeroOneProgram, iter_solutions
 
 log = logging.getLogger(__name__)
@@ -58,13 +58,7 @@ class CavityCertificate:
     rank_evidence: int | None = None
 
     def support(self) -> list[int]:
-        out = []
-        v = self.indicator
-        while v:
-            low = v & -v
-            out.append(low.bit_length() - 1)
-            v ^= low
-        return out
+        return bit_indices(self.indicator)
 
 
 @dataclass(frozen=True)
@@ -136,46 +130,7 @@ def select_spanning_and_generators(bk: Gf2Matrix, bk1: Gf2Matrix) -> SpanningSel
 
 
 def _parity_rows(bk: Gf2Matrix) -> list[list[int]]:
-    rows = []
-    for bits in bk.bits:
-        row = []
-        v = bits
-        while v:
-            low = v & -v
-            row.append(low.bit_length() - 1)
-            v ^= low
-        if row:
-            rows.append(row)
-    return rows
-
-
-def find_cycle(
-    bk: Gf2Matrix,
-    v: int,
-    length: int,
-    row_sum_cap: int | None = None,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> int | None:
-    """Lexicographically first cycle through clique v with exactly `length` ones.
-
-    Solves: x_v = 1, B_k x = 0 (mod 2), sum x = length. Returns the
-    indicator bitmask, or None when no such cycle exists.
-    """
-    if not 0 <= v < bk.cols:
-        raise ValueError(f"clique index {v} out of range")
-    k = infer_order(bk)
-    if length < 2 ** (k + 1):
-        raise ValueError(f"length {length} below the order-{k} minimum {2 ** (k + 1)}")
-    program = ZeroOneProgram(
-        num_vars=bk.cols,
-        parity_rows=_parity_rows(bk),
-        fixed=[(v, 1)],
-        cardinality=length,
-        row_sum_cap=row_sum_cap,
-    )
-    for mask in iter_solutions(program, node_limit):
-        return mask
-    return None
+    return [bit_indices(bits) for bits in bk.bits if bits]
 
 
 def length_schedule(k: int, ceiling: int):
@@ -192,16 +147,17 @@ def find_cavities(
     bk1: Gf2Matrix,
     sel: SpanningSelection,
     cliques: Sequence[Clique],
-    row_sum_cap: int | None = None,
     node_limit: int = DEFAULT_NODE_LIMIT,
     length_ceiling: int | None = None,
 ) -> list[CavityCertificate]:
     """One minimal independent certificate per generator clique.
 
     Generators are processed in ascending index order. For each length on
-    the schedule, same-length candidate cycles are enumerated exhaustively
-    in lexicographic order and the first one that raises the rank of
-    (accepted certificates | B_{k+1} columns) is accepted.
+    the schedule, the cycles through the generator with exactly that many
+    ones are enumerated in lexicographic order, and the first one that
+    raises the rank of (accepted certificates | B_{k+1} columns) is
+    accepted. node_limit caps the solver's decision nodes per program;
+    the schedule stops at length_ceiling (default: the number of k-cliques).
     """
     k = sel.order
     if not sel.generator_cliques:
@@ -219,12 +175,11 @@ def find_cavities(
                 parity_rows=rows,
                 fixed=[(v, 1)],
                 cardinality=length,
-                row_sum_cap=row_sum_cap,
             )
             for mask in iter_solutions(program, node_limit):
                 if basis_insert(basis, mask):
                     nodes = set()
-                    for j in _mask_indices(mask):
+                    for j in bit_indices(mask):
                         nodes.update(cliques[j])
                     found = CavityCertificate(
                         order=k,
@@ -245,15 +200,6 @@ def find_cavities(
                 accepted,
             )
     return accepted
-
-
-def _mask_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def verify_certificate(
@@ -338,30 +284,29 @@ def certificates_to_json(
     return out
 
 
-def certificates_from_json(
-    doc: Sequence[dict],
+def certificate_from_json(
+    entry: dict,
     cx: CliqueComplex,
-    labels: Sequence[str],
-) -> list[CavityCertificate]:
-    """Rebuild certificates exported by certificates_to_json."""
-    index = {lab: i for i, lab in enumerate(labels)}
-    certs = []
-    for entry in doc:
-        order = entry["order"]
-        if not 0 <= order < len(cx.levels):
-            raise ValueError(f"certificate order {order} outside the complex")
-        members = [tuple(sorted(index[lab] for lab in c)) for c in entry["cliques"]]
-        generator = tuple(sorted(index[lab] for lab in entry["generator"]))
-        cert = certificate_from_cliques(cx.levels[order], order, members, generator)
-        if cert.length != entry["length"]:
-            raise ValueError(
-                f"certificate claims length {entry['length']} but lists {cert.length} cliques"
-            )
-        return_nodes = tuple(sorted(index[lab] for lab in entry["nodes"]))
-        if return_nodes != cert.node_set:
-            raise ValueError("certificate node list disagrees with its cliques")
-        certs.append(cert)
-    return certs
+    index: Mapping[str, int],
+) -> CavityCertificate:
+    """Rebuild one entry exported by certificates_to_json.
+
+    index maps node labels to ids (Network.label_index()); labels are read
+    through str(). Raises KeyError for a missing field or unknown label,
+    and ValueError for an order outside 1..top_order, a clique the complex
+    lacks, or a length or node list that disagrees with the cliques.
+    """
+    order = int(entry["order"])
+    if not 1 <= order <= cx.top_order:
+        raise ValueError(f"no order-{order} cliques in this network")
+    members = [tuple(sorted(index[str(u)] for u in c)) for c in entry["cliques"]]
+    generator = tuple(sorted(index[str(u)] for u in entry["generator"]))
+    cert = certificate_from_cliques(cx.levels[order], order, members, generator)
+    if cert.length != int(entry["length"]):
+        raise ValueError(f"claimed length {entry['length']}, listed {cert.length} cliques")
+    if tuple(sorted(index[str(u)] for u in entry["nodes"])) != cert.node_set:
+        raise ValueError("node list disagrees with the cliques")
+    return cert
 
 
 def certificate_to_dot(

@@ -4,9 +4,10 @@ Subcommands: kcore, analyze, cavities, smallest-cavity, random-er, fetch,
 verify. Every flag can also be supplied through an environment variable
 with the CLIQUECAV_ prefix (for example CLIQUECAV_BUDGET=1000000).
 
-Exit codes: 0 success, 1 error (unreadable input, incomplete cavity
-search, failed self-check), 2 computability gate failed, 3 enumeration
-truncated by the budget. Usage errors exit 2 via argparse.
+Exit codes: 0 success, 1 error (unreadable input, unwritable output,
+incomplete cavity search, failed self-check), 2 computability gate
+failed, 3 enumeration truncated by the budget. Usage errors exit 2 via
+argparse.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 from .cavities import (
     CavityCertificate,
     CavitySearchError,
-    certificate_from_cliques,
+    VerifyResult,
+    certificate_from_json,
     certificate_to_dot,
     certificates_to_json,
     find_cavities,
@@ -36,6 +39,7 @@ from .cliques import (
     complex_from_json,
     complex_to_json,
     enumerate_cliques,
+    euler_characteristic,
     generate_smallest_cavity_complex,
 )
 from .gf2 import build_boundary_matrix, homology_profile, zero_cols_matrix
@@ -115,16 +119,16 @@ def _load_network(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return load_edge_list(args.input)
 
 
-def _load_or_build_complex(net: Network, args: argparse.Namespace) -> CliqueComplex:
+def _load_or_build_complex(
+    net: Network, cache: str | None, budget: int, max_order: int | None = None
+) -> CliqueComplex:
     """Reuse the JSON cache when it matches the input; otherwise rebuild it.
 
-    The cache is only trusted for full, untruncated runs: a checksum
-    mismatch, a truncation marker, or an active --max-order forces a
-    recompute (and a rewrite when the fresh complex is cacheable).
+    The cache is only trusted for full, untruncated runs: a checksum or
+    levels_sha256 mismatch, a truncation marker, or an active --max-order
+    forces a recompute (and a rewrite when the fresh complex is cacheable).
     """
     checksum = edge_text_checksum(net)
-    cache = getattr(args, "cache", None)
-    max_order = getattr(args, "max_order", None)
     if cache and max_order is None and Path(cache).exists():
         try:
             doc = json.loads(Path(cache).read_text(encoding="utf-8"))
@@ -133,10 +137,17 @@ def _load_or_build_complex(net: Network, args: argparse.Namespace) -> CliqueComp
             cx, source = None, None
         if cx is not None and source == checksum and cx.truncated_at is None:
             return cx
-    cx = enumerate_cliques(net, budget=args.budget, max_order=max_order)
+    cx = enumerate_cliques(net, budget=budget, max_order=max_order)
     if cache and max_order is None and cx.truncated_at is None:
         text = json.dumps(complex_to_json(cx, checksum), indent=2, sort_keys=True)
-        Path(cache).write_text(text + "\n", encoding="utf-8")
+        # readers never see a half-written cache; no fsync, since a file torn
+        # by a crash fails its levels_sha256 check and is rebuilt
+        tmp = Path(cache).with_name(f"{Path(cache).name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(text + "\n", encoding="utf-8")
+            os.replace(tmp, cache)
+        finally:
+            tmp.unlink(missing_ok=True)
     return cx
 
 
@@ -149,37 +160,30 @@ def _boundary_pair(cx: CliqueComplex, k: int):
     return bk, bk1
 
 
-def _search_cavities(cx: CliqueComplex, profile) -> list[CavityCertificate]:
-    """All minimal cavity certificates, every order with beta_k > 0, k >= 1."""
-    certs: list[CavityCertificate] = []
-    for k in range(1, len(profile.beta)):
-        if profile.beta[k] == 0:
-            continue
-        bk, bk1 = _boundary_pair(cx, k)
-        sel = select_spanning_and_generators(bk, bk1)
-        certs.extend(find_cavities(bk, bk1, sel, cx.levels[k]))
-    return certs
+def _certificate_checker(cx: CliqueComplex) -> Callable[[CavityCertificate], VerifyResult]:
+    """verify_certificate for certificates checked in order.
+
+    Each order's boundary pair is built once, and a certificate is checked
+    against the earlier certificates of its order that passed.
+    """
+    pairs: dict[int, tuple] = {}
+    prior: dict[int, list[CavityCertificate]] = {}
+
+    def check(cert: CavityCertificate) -> VerifyResult:
+        if cert.order not in pairs:
+            pairs[cert.order] = _boundary_pair(cx, cert.order)
+            prior[cert.order] = []
+        bk, bk1 = pairs[cert.order]
+        result = verify_certificate(cert, bk, bk1, prior[cert.order])
+        if result:
+            prior[cert.order].append(cert)
+        return result
+
+    return check
 
 
 class SelfCheckError(RuntimeError):
     """A freshly found certificate failed re-verification."""
-
-
-def _self_verify(certs: list[CavityCertificate], cx: CliqueComplex) -> None:
-    matrices: dict[int, tuple] = {}
-    by_order: dict[int, list[CavityCertificate]] = {}
-    for cert in certs:
-        prior = by_order.setdefault(cert.order, [])
-        if cert.order not in matrices:
-            matrices[cert.order] = _boundary_pair(cx, cert.order)
-        bk, bk1 = matrices[cert.order]
-        result = verify_certificate(cert, bk, bk1, prior)
-        if not result:
-            raise SelfCheckError(
-                f"internal check failed: order-{cert.order} certificate "
-                f"violates the {result.failed} constraint"
-            )
-        prior.append(cert)
 
 
 def _emit_dot_files(certs, cx: CliqueComplex, labels, directory: str) -> list[str]:
@@ -270,28 +274,54 @@ def cmd_kcore(args, parser) -> int:
     return EXIT_OK if gate.computable else EXIT_GATE
 
 
-def cmd_analyze(args, parser) -> int:
-    """Full pipeline: gate, census, ranks, Betti numbers, optional cavities."""
-    if args.emit_dot and not args.cavities:
-        parser.error("--emit-dot requires --cavities")
+def _pipeline(args, parser, cavities: bool):
+    """Load, gate, census (through the cache) and profile; with cavities,
+    also search every order with beta_k > 0, self-check (--verify) and
+    write DOT files (--emit-dot).
+
+    Returns an exit code when the gate or the clique budget stops the run,
+    otherwise (net, cx, profile, certs).
+    """
     net = _load_network(args, parser)
     gate = computability_gate(k_core_decomposition(net), args.budget, args.threshold)
     if not gate.computable and not args.force:
         print(f"not computable: {gate.reason} (use --force to override)", file=sys.stderr)
         return EXIT_GATE
-    cx = _load_or_build_complex(net, args)
+    cx = _load_or_build_complex(net, args.cache, args.budget, args.max_order)
     if cx.truncated_at is not None:
         print(cx.warning, file=sys.stderr)
         print(f"counts so far: {list(cx.counts)}", file=sys.stderr)
         return EXIT_TRUNCATED
     profile = homology_profile(cx)
     certs: list[CavityCertificate] = []
-    if args.cavities:
-        certs = _search_cavities(cx, profile)
+    if cavities:
+        for k in range(1, len(profile.beta)):
+            if profile.beta[k]:
+                bk, bk1 = _boundary_pair(cx, k)
+                sel = select_spanning_and_generators(bk, bk1)
+                certs.extend(find_cavities(bk, bk1, sel, cx.levels[k]))
         if args.verify:
-            _self_verify(certs, cx)
+            check = _certificate_checker(cx)
+            for cert in certs:
+                result = check(cert)
+                if not result:
+                    raise SelfCheckError(
+                        f"internal check failed: order-{cert.order} certificate "
+                        f"violates the {result.failed} constraint"
+                    )
         if args.emit_dot:
             _emit_dot_files(certs, cx, net.node_labels, args.emit_dot)
+    return net, cx, profile, certs
+
+
+def cmd_analyze(args, parser) -> int:
+    """Full pipeline: gate, census, ranks, Betti numbers, optional cavities."""
+    if args.emit_dot and not args.cavities:
+        parser.error("--emit-dot requires --cavities")
+    result = _pipeline(args, parser, args.cavities)
+    if isinstance(result, int):
+        return result
+    net, cx, profile, certs = result
     if args.format == "json":
         doc = {
             "m": list(profile.m),
@@ -322,22 +352,10 @@ def cmd_analyze(args, parser) -> int:
 
 def cmd_cavities(args, parser) -> int:
     """Cavity certificates only (the analyze pipeline minus the profile)."""
-    net = _load_network(args, parser)
-    gate = computability_gate(k_core_decomposition(net), args.budget, args.threshold)
-    if not gate.computable and not args.force:
-        print(f"not computable: {gate.reason} (use --force to override)", file=sys.stderr)
-        return EXIT_GATE
-    cx = _load_or_build_complex(net, args)
-    if cx.truncated_at is not None:
-        print(cx.warning, file=sys.stderr)
-        print(f"counts so far: {list(cx.counts)}", file=sys.stderr)
-        return EXIT_TRUNCATED
-    profile = homology_profile(cx)
-    certs = _search_cavities(cx, profile)
-    if args.verify:
-        _self_verify(certs, cx)
-    if args.emit_dot:
-        _emit_dot_files(certs, cx, net.node_labels, args.emit_dot)
+    result = _pipeline(args, parser, True)
+    if isinstance(result, int):
+        return result
+    net, cx, _, certs = result
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -382,7 +400,7 @@ def cmd_smallest_cavity(args, parser) -> int:
     k = args.order
     cx = generate_smallest_cavity_complex(k)
     counts = list(cx.counts)
-    chi = sum((-1) ** j * m for j, m in enumerate(counts))
+    chi = euler_characteristic(cx).chi
     notes = census_notes(k, counts)
     if args.format == "json":
         _print_json({"k": k, "m": counts, "chi": chi, "discrepancy_notes": notes})
@@ -459,38 +477,26 @@ def cmd_fetch(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     """Re-check exported certificates against a network, one verdict per line."""
     net = _load_network(args, parser)
-    cx = _load_or_build_complex(net, args)
+    cx = _load_or_build_complex(net, args.cache, args.budget)
     if cx.truncated_at is not None:
         print(cx.warning, file=sys.stderr)
         return EXIT_TRUNCATED
     doc = json.loads(Path(args.certificates).read_text(encoding="utf-8"))
+    if not isinstance(doc, list):
+        return _fail(f"{args.certificates}: a certificate file must hold a JSON list")
     index = net.label_index()
-    matrices: dict[int, tuple] = {}
-    prior: dict[int, list[CavityCertificate]] = {}
+    check = _certificate_checker(cx)
     failures = 0
     for i, entry in enumerate(doc, 1):
         try:
-            order = int(entry["order"])
-            if not 1 <= order <= cx.top_order:
-                raise ValueError(f"no order-{order} cliques in this network")
-            members = [tuple(sorted(index[str(u)] for u in c)) for c in entry["cliques"]]
-            generator = tuple(sorted(index[str(u)] for u in entry["generator"]))
-            cert = certificate_from_cliques(cx.levels[order], order, members, generator)
-            if cert.length != int(entry["length"]):
-                raise ValueError(
-                    f"claimed length {entry['length']}, listed {cert.length} cliques"
-                )
+            cert = certificate_from_json(entry, cx, index)
         except (KeyError, TypeError, ValueError) as exc:
             print(f"cert {i}: FAIL (membership: {exc})")
             failures += 1
             continue
-        if order not in matrices:
-            matrices[order] = _boundary_pair(cx, order)
-        bk, bk1 = matrices[order]
-        result = verify_certificate(cert, bk, bk1, prior.setdefault(order, []))
+        result = check(cert)
         if result:
-            print(f"cert {i}: PASS (order {order}, length {cert.length})")
-            prior[order].append(cert)
+            print(f"cert {i}: PASS (order {cert.order}, length {cert.length})")
         else:
             print(f"cert {i}: FAIL ({result.failed})")
             failures += 1
@@ -604,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[_common_parent()], help="re-check exported certificates")
     p.add_argument("certificates", help="certificate JSON file")
     p.add_argument("--cache", default=_env("CACHE"))
-    p.add_argument("--max-order", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -617,7 +622,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, parser)
     except FileNotFoundError as exc:
         return _fail(f"{exc.filename or exc}: no such file")
-    except (ValueError, NodeLimitExceeded, SelfCheckError) as exc:
+    except (OSError, ValueError, NodeLimitExceeded, SelfCheckError) as exc:
         return _fail(str(exc))
     except CavitySearchError as exc:
         return _fail(f"{exc} ({len(exc.partial)} certificates of that order found)")

@@ -9,6 +9,8 @@ lexicographic order.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -205,17 +207,32 @@ def cross_polytope_count(k: int, j: int) -> int:
     return 2 ** (j + 1) * comb(k + 1, j + 1)
 
 
+def _levels_sha256(levels: list) -> str:
+    """sha256 of the levels written as compact JSON."""
+    return hashlib.sha256(json.dumps(levels, separators=(",", ":")).encode()).hexdigest()
+
+
 def complex_to_json(cx: CliqueComplex, source_checksum: str) -> dict:
-    """Cache document: {"counts", "levels", "truncated_at", "source_checksum"}."""
+    """Cache document: {"counts", "levels", "levels_sha256", "truncated_at",
+    "source_checksum"}."""
+    levels = [[list(c) for c in level] for level in cx.levels]
     return {
         "counts": list(cx.counts),
-        "levels": [[list(c) for c in level] for level in cx.levels],
+        "levels": levels,
+        "levels_sha256": _levels_sha256(levels),
         "truncated_at": cx.truncated_at,
         "source_checksum": source_checksum,
     }
 
 
 def complex_from_json(doc: dict) -> tuple[CliqueComplex, str]:
+    """Inverse of complex_to_json.
+
+    Raises ValueError when the levels do not hash to levels_sha256 or the
+    counts disagree with them, so an edited or torn cache is never used.
+    """
+    if _levels_sha256(doc["levels"]) != doc["levels_sha256"]:
+        raise ValueError("cache levels do not match levels_sha256")
     levels = tuple(tuple(tuple(c) for c in level) for level in doc["levels"])
     counts = tuple(doc["counts"])
     if counts != tuple(len(l) for l in levels):

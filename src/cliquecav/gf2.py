@@ -4,7 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cliques import CliqueComplex
+from .cliques import CliqueComplex, euler_characteristic
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of a nonnegative int, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass
@@ -27,10 +37,8 @@ class Gf2Matrix:
         """Transpose: one int per column, bit i = row i."""
         cols = [0] * self.cols
         for i, v in enumerate(self.bits):
-            while v:
-                low = v & -v
-                cols[low.bit_length() - 1] |= 1 << i
-                v ^= low
+            for j in bit_indices(v):
+                cols[j] |= 1 << i
         return cols
 
 
@@ -66,10 +74,6 @@ def build_boundary_matrix(cx: CliqueComplex, k: int) -> Gf2Matrix:
             face = cell[:drop] + cell[drop + 1 :]
             bits[face_index[face]] |= 1 << j
     return Gf2Matrix(len(faces), len(cells), bits)
-
-
-def _lowbit_index(v: int) -> int:
-    return (v & -v).bit_length() - 1
 
 
 def basis_insert(basis: dict[int, int], v: int) -> bool:
@@ -126,11 +130,8 @@ def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     bits = []
     for row in a.bits:
         acc = 0
-        v = row
-        while v:
-            low = v & -v
-            acc ^= b.bits[low.bit_length() - 1]
-            v ^= low
+        for j in bit_indices(row):
+            acc ^= b.bits[j]
         bits.append(acc)
     return Gf2Matrix(a.rows, b.cols, bits)
 
@@ -192,6 +193,6 @@ def homology_profile(cx: CliqueComplex) -> HomologyProfile:
         if b < 0:
             raise AssertionError(f"negative Betti number at order {k}")
         beta.append(b)
-    chi = sum(m if k % 2 == 0 else -m for k, m in enumerate(cx.counts))
+    chi = euler_characteristic(cx).chi
     chi_beta = sum(b if k % 2 == 0 else -b for k, b in enumerate(beta))
     return HomologyProfile(tuple(cx.counts), tuple(r), tuple(beta), chi, chi_beta == chi)

@@ -93,7 +93,7 @@ def network_from_edges(labels: Iterable[str], label_pairs: Iterable[tuple[str, s
     return Network(len(ordered), tuple(ordered), adjacency, edge_count)
 
 
-def load_edge_list(source: str | Path | IO[str], skip_header_lines: int = 0) -> Network:
+def load_edge_list(source: str | Path | IO[str]) -> Network:
     """Parse an edge-list text source into a canonical Network.
 
     One edge per line, two whitespace- or comma-separated labels; extra
@@ -108,8 +108,6 @@ def load_edge_list(source: str | Path | IO[str], skip_header_lines: int = 0) -> 
         text = Path(source).read_text()
     pairs: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if lineno <= skip_header_lines:
-            continue
         line = raw.strip()
         if not line or line.startswith(COMMENT_PREFIXES):
             continue
@@ -120,13 +118,9 @@ def load_edge_list(source: str | Path | IO[str], skip_header_lines: int = 0) -> 
     return network_from_edges((), pairs)
 
 
-def to_edge_lines(net: Network) -> list[str]:
-    """Canonical serialization: sorted 'u v' label pairs, u before v in id order."""
-    return [f"{net.node_labels[u]} {net.node_labels[v]}" for u, v in net.edges()]
-
-
 def to_edge_text(net: Network) -> str:
-    lines = to_edge_lines(net)
+    """Canonical serialization: sorted 'u v' label lines, u before v in id order."""
+    lines = [f"{net.node_labels[u]} {net.node_labels[v]}" for u, v in net.edges()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

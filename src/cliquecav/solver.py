@@ -3,9 +3,8 @@
 Depth-first branch and bound over variables in ascending index order,
 value 0 before 1, so the first solution found is the lexicographically
 smallest assignment and enumeration streams solutions in lexicographic
-order. Parity rows are propagated natively in GF(2); an optional per-row
-ones cap models one binary slack variable per row (cap 2 restricts each
-row total to {0, 2}).
+order. Parity rows are propagated natively in GF(2), and an exact
+cardinality bounds the search by counting ones.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Iterator
+from typing import Iterator
 
 log = logging.getLogger(__name__)
 
@@ -31,21 +30,14 @@ class ZeroOneProgram:
 
     parity_rows: index groups each required to hold an even number of ones.
     fixed: (var, value) pins applied before branching.
-    cardinality: exact number of ones required among the first
-        cardinality_vars variables (all variables when cardinality_vars
-        is None).
-    exclusion_cuts: exact supports (bitmasks) rejected as solutions.
-    row_sum_cap: optional cap on ones per parity row; cap 2 is the binary
-        slack formulation.
+    cardinality: exact number of ones required among all variables, or
+        None for no count constraint.
     """
 
     num_vars: int
     parity_rows: list[list[int]] = field(default_factory=list)
     fixed: list[tuple[int, int]] = field(default_factory=list)
     cardinality: int | None = None
-    cardinality_vars: int | None = None
-    exclusion_cuts: list[int] = field(default_factory=list)
-    row_sum_cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_vars < 0:
@@ -65,10 +57,6 @@ class ZeroOneProgram:
                 raise ValueError(f"pinned value must be 0 or 1, got {x}")
         if self.cardinality is not None and self.cardinality < 0:
             raise ValueError("cardinality must be nonnegative")
-        if self.cardinality_vars is not None and not 0 <= self.cardinality_vars <= self.num_vars:
-            raise ValueError("cardinality_vars out of range")
-        if self.row_sum_cap is not None and self.row_sum_cap < 0:
-            raise ValueError("row_sum_cap must be nonnegative")
 
 
 class _Frame:
@@ -84,48 +72,38 @@ class _Frame:
 class _Search:
     """One depth-first run over a program; owns all mutable state."""
 
-    def __init__(self, p: ZeroOneProgram, node_limit: int, trace: IO[str] | None) -> None:
+    def __init__(self, p: ZeroOneProgram, node_limit: int) -> None:
         self.n = p.num_vars
         self.rows = [list(row) for row in p.parity_rows]
         self.var_rows: list[list[int]] = [[] for _ in range(self.n)]
         for r, row in enumerate(self.rows):
             for v in row:
                 self.var_rows[v].append(r)
-        self.prefix = p.cardinality_vars if p.cardinality_vars is not None else self.n
         self.target = p.cardinality
-        self.cap = p.row_sum_cap
-        self.cuts = set(p.exclusion_cuts)
         self.pins = list(p.fixed)
         self.node_limit = node_limit
-        self.trace = trace
 
         self.value = [-1] * self.n
         self.trail: list[int] = []
         self.row_free = [len(row) for row in self.rows]
         self.row_par = [0] * len(self.rows)
-        self.row_ones = [0] * len(self.rows)
         self.odd_rows = 0
         self.ones = 0
-        self.free_prefix = self.prefix
+        self.free = self.n
         self.ones_mask = 0
         self.hint = 0
         self.nodes = 0
         # each new one can clear at most this many odd rows
         self.max_rows_per_var = max((len(rs) for rs in self.var_rows), default=0)
-        self.bound_active = self.target is not None and self.prefix == self.n
 
     def _conflict_by_counts(self) -> bool:
         if self.target is None:
             return False
         if self.ones > self.target:
             return True
-        if self.ones + self.free_prefix < self.target:
+        if self.ones + self.free < self.target:
             return True
-        if self.bound_active:
-            budget = self.target - self.ones
-            if self.odd_rows > self.max_rows_per_var * budget:
-                return True
-        return False
+        return self.odd_rows > self.max_rows_per_var * (self.target - self.ones)
 
     def _assign(self, var: int, val: int) -> bool:
         """Apply one assignment plus all propagation; False on conflict.
@@ -143,12 +121,9 @@ class _Search:
                 continue
             self.value[v] = x
             self.trail.append(v)
-            if v < self.prefix:
-                self.free_prefix -= 1
-                if x:
-                    self.ones += 1
-                    self.ones_mask |= 1 << v
-            elif x:
+            self.free -= 1
+            if x:
+                self.ones += 1
                 self.ones_mask |= 1 << v
             # finish the whole row pass before reporting a conflict: undo
             # reverses every row of v, so none may be left half-applied
@@ -158,10 +133,6 @@ class _Search:
                 if x:
                     self.row_par[r] ^= 1
                     self.odd_rows += 1 if self.row_par[r] else -1
-                    self.row_ones[r] += 1
-                    if self.cap is not None and self.row_ones[r] > self.cap:
-                        conflict = True
-                        continue
                 free = self.row_free[r]
                 if free == 0:
                     if self.row_par[r]:
@@ -169,10 +140,6 @@ class _Search:
                 elif free == 1:
                     lone = next(u for u in self.rows[r] if self.value[u] == -1)
                     queue.append((lone, self.row_par[r]))
-                elif self.cap is not None and self.row_ones[r] == self.cap:
-                    for u in self.rows[r]:
-                        if self.value[u] == -1:
-                            queue.append((u, 0))
             if conflict or self._conflict_by_counts():
                 return False
         return True
@@ -182,19 +149,15 @@ class _Search:
             v = self.trail.pop()
             x = self.value[v]
             self.value[v] = -1
-            if v < self.prefix:
-                self.free_prefix += 1
-                if x:
-                    self.ones -= 1
-                    self.ones_mask &= ~(1 << v)
-            elif x:
+            self.free += 1
+            if x:
+                self.ones -= 1
                 self.ones_mask &= ~(1 << v)
             for r in self.var_rows[v]:
                 self.row_free[r] += 1
                 if x:
                     self.odd_rows += -1 if self.row_par[r] else 1
                     self.row_par[r] ^= 1
-                    self.row_ones[r] -= 1
 
     def _next_unassigned(self) -> int | None:
         v = self.hint
@@ -204,10 +167,10 @@ class _Search:
         return v if v < self.n else None
 
     def _decision_values(self, var: int) -> tuple[int, ...]:
-        if self.target is not None and var < self.prefix:
+        if self.target is not None:
             if self.ones == self.target:
                 return (0,)
-            if self.ones + self.free_prefix == self.target:
+            if self.ones + self.free == self.target:
                 return (1,)
         return (0, 1)
 
@@ -221,7 +184,7 @@ class _Search:
             log.debug("searched %d nodes, depth state ones=%d", self.nodes, self.ones)
 
     def solutions(self) -> Iterator[int]:
-        if self.target is not None and self.target > self.free_prefix:
+        if self.target is not None and self.target > self.free:
             return
         root = len(self.trail)
         ok = True
@@ -237,21 +200,13 @@ class _Search:
         while True:
             if descend:
                 # exact-count shortcut: remaining variables are all zero
-                # (sound only when every variable counts toward the target)
-                if (
-                    self.target is not None
-                    and self.prefix == self.n
-                    and self.ones == self.target
-                    and self.odd_rows == 0
-                ):
-                    if self.ones_mask not in self.cuts:
-                        yield self.ones_mask
+                if self.target is not None and self.ones == self.target and self.odd_rows == 0:
+                    yield self.ones_mask
                     descend = False
                     continue
                 var = self._next_unassigned()
                 if var is None:
-                    if self.ones_mask not in self.cuts:
-                        yield self.ones_mask
+                    yield self.ones_mask
                     descend = False
                     continue
                 frame = _Frame(var, self._decision_values(var), len(self.trail))
@@ -268,10 +223,6 @@ class _Search:
             while frame.idx < len(frame.vals):
                 val = frame.vals[frame.idx]
                 self._count_node()
-                if self.trace is not None:
-                    self.trace.write(
-                        f"node={self.nodes} depth={len(stack)} x{frame.var}={val}\n"
-                    )
                 if self._assign(frame.var, val):
                     descend = True
                     break
@@ -281,22 +232,14 @@ class _Search:
                 stack.pop()
 
 
-def iter_solutions(
-    p: ZeroOneProgram,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    trace: IO[str] | None = None,
-) -> Iterator[int]:
+def iter_solutions(p: ZeroOneProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> Iterator[int]:
     """Stream every solution of p as a bitmask, in lexicographic order."""
-    return _Search(p, node_limit, trace).solutions()
+    return _Search(p, node_limit).solutions()
 
 
-def solve(
-    p: ZeroOneProgram,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    trace: IO[str] | None = None,
-) -> int | None:
+def solve(p: ZeroOneProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> int | None:
     """Lexicographically smallest feasible assignment, or None if infeasible."""
-    for mask in iter_solutions(p, node_limit, trace):
+    for mask in iter_solutions(p, node_limit):
         return mask
     return None
 
@@ -306,11 +249,7 @@ def enumerate_solutions(
     limit: int,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> list[int]:
-    """First `limit` solutions in lexicographic order.
-
-    Equivalent to repeatedly solving while adding an exclusion cut for
-    each solution found, but in one pass.
-    """
+    """First `limit` solutions in lexicographic order, from one search pass."""
     if limit <= 0:
         raise ValueError("limit must be positive")
     out: list[int] = []

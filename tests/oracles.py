@@ -135,26 +135,16 @@ def brute_solutions(p: ZeroOneProgram) -> list[int]:
         for j in row:
             m |= 1 << j
         row_masks.append(m)
-    cuts = set(p.exclusion_cuts)
 
     def feasible(mask: int) -> bool:
         for var, val in p.fixed:
             if (mask >> var) & 1 != val:
                 return False
-        if p.cardinality is not None:
-            span = p.cardinality_vars if p.cardinality_vars is not None else n
-            if (mask & ((1 << span) - 1)).bit_count() != p.cardinality:
-                return False
-        for rm in row_masks:
-            total = (mask & rm).bit_count()
-            if total & 1:
-                return False
-            # cap mode: each row models one binary slack, totals in {0, 2}
-            if p.row_sum_cap is not None and total > p.row_sum_cap:
-                return False
-        return mask not in cuts
+        if p.cardinality is not None and mask.bit_count() != p.cardinality:
+            return False
+        return all((mask & rm).bit_count() % 2 == 0 for rm in row_masks)
 
-    if p.cardinality is not None and (p.cardinality_vars in (None, n)):
+    if p.cardinality is not None:
         masks = []
         for combo in combinations(range(n), p.cardinality):
             m = 0

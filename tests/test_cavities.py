@@ -6,12 +6,11 @@ from cliquecav import (
     CavitySearchError,
     build_boundary_matrix,
     certificate_from_cliques,
+    certificate_from_json,
     certificate_to_dot,
-    certificates_from_json,
     certificates_to_json,
     enumerate_cliques,
     find_cavities,
-    find_cycle,
     generate_smallest_cavity_complex,
     gf2_rank,
     network_from_edges,
@@ -70,33 +69,6 @@ def test_selection_on_tree_has_no_generators():
     sel = select_spanning_and_generators(b1, b2)
     assert sel.generator_cliques == ()
     assert len(sel.tree_cols) == 3
-
-
-def test_find_cycle_cases(sample14):
-    cx = enumerate_cliques(sample14)
-    b1 = build_boundary_matrix(cx, 1)
-    # (7,8) is edge 13: unique 4-cycle through it
-    mask = find_cycle(b1, 13, 4)
-    assert mask == (1 << 8) | (1 << 9) | (1 << 11) | (1 << 13)
-    # (5,9) is edge 10: nothing below length 7
-    assert find_cycle(b1, 10, 4) is None
-    assert find_cycle(b1, 10, 5) is None
-    assert find_cycle(b1, 10, 6) is None
-    assert find_cycle(b1, 10, 7) is not None
-    with pytest.raises(ValueError, match="minimum"):
-        find_cycle(b1, 13, 3)
-    with pytest.raises(ValueError, match="range"):
-        find_cycle(b1, 26, 4)
-
-
-def test_find_cycle_on_tree_is_infeasible():
-    net = network_from_edges(
-        ["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("2", "4")]
-    )
-    b1 = build_boundary_matrix(enumerate_cliques(net), 1)
-    for v in range(3):
-        for length in (4, 6):
-            assert find_cycle(b1, v, length) is None
 
 
 def test_find_cavities_order1(sample14):
@@ -267,9 +239,37 @@ def test_certificate_json_round_trip(sample14):
     sel = select_spanning_and_generators(b1, b2)
     certs = find_cavities(b1, b2, sel, cx.levels[1])
     doc = certificates_to_json(certs, cx, sample14.node_labels)
-    again = certificates_from_json(doc, cx, sample14.node_labels)
+    index = sample14.label_index()
+    again = [certificate_from_json(entry, cx, index) for entry in doc]
     assert [c.indicator for c in again] == [c.indicator for c in certs]
     assert [c.generator for c in again] == [c.generator for c in certs]
+    assert [c.node_set for c in again] == [c.node_set for c in certs]
+    # labels are read through str(), so integer labels name the same nodes
+    first = dict(doc[0])
+    first["cliques"] = [[int(u) for u in c] for c in first["cliques"]]
+    first["generator"] = [int(u) for u in first["generator"]]
+    first["nodes"] = [int(u) for u in first["nodes"]]
+    assert certificate_from_json(first, cx, index).indicator == certs[0].indicator
+
+
+def test_certificate_from_json_rejects_bad_entries(sample14):
+    cx = enumerate_cliques(sample14)
+    b1, b2 = _pair(cx, 1)
+    sel = select_spanning_and_generators(b1, b2)
+    entry = certificates_to_json(find_cavities(b1, b2, sel, cx.levels[1]), cx,
+                                 sample14.node_labels)[0]
+    index = sample14.label_index()
+    for order in (0, cx.top_order + 1):
+        with pytest.raises(ValueError, match=f"no order-{order} cliques"):
+            certificate_from_json({**entry, "order": order}, cx, index)
+    with pytest.raises(ValueError, match="claimed length 5"):
+        certificate_from_json({**entry, "length": 5}, cx, index)
+    with pytest.raises(ValueError, match="node list"):
+        certificate_from_json({**entry, "nodes": entry["nodes"][:-1]}, cx, index)
+    with pytest.raises(KeyError):
+        certificate_from_json({**entry, "nodes": ["3", "6", "7", "99"]}, cx, index)
+    with pytest.raises(KeyError):
+        certificate_from_json({k: v for k, v in entry.items() if k != "nodes"}, cx, index)
 
 
 def test_certificate_from_cliques_rejects_unknown_clique(sample14):

@@ -163,6 +163,33 @@ def test_corrupt_cache_is_recomputed(tmp_path, capsys):
     validate_schema(json.loads(cache.read_text()), "complex.schema.json")
 
 
+def _drop_top_level(doc):
+    doc["levels"].pop()
+    doc["counts"].pop()
+
+
+def _replace_triangle_with_non_clique(doc):
+    doc["levels"][2][0] = [0, 1, 13]  # labels 1, 2, 14: not a triangle
+
+
+@pytest.mark.parametrize("corrupt", [_drop_top_level, _replace_triangle_with_non_clique])
+def test_edited_cache_with_matching_checksum_is_rebuilt(tmp_path, capsys, corrupt):
+    cache = tmp_path / "cx.json"
+    run(capsys, "analyze", "--input", SAMPLE14, "--cache", str(cache))
+    doc = json.loads(cache.read_text())
+    corrupt(doc)
+    cache.write_text(json.dumps(doc))
+    rc, out, err = run(
+        capsys, "analyze", "--input", SAMPLE14, "--format", "json", "--cache", str(cache)
+    )
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["beta"] == [1, 2, 1, 0]
+    rebuilt = json.loads(cache.read_text())
+    validate_schema(rebuilt, "complex.schema.json")
+    assert rebuilt["counts"] == [14, 26, 13, 1]
+    assert [p.name for p in tmp_path.iterdir()] == ["cx.json"]
+
+
 def test_stale_cache_for_other_network_is_recomputed(tmp_path, capsys):
     cache = tmp_path / "cx.json"
     run(capsys, "analyze", "--input", SAMPLE8, "--format", "json", "--cache", str(cache))
@@ -228,6 +255,32 @@ def test_verify_against_wrong_network_fails(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", "--input", SAMPLE8, str(certs))
     assert rc == 1
     assert "FAIL (membership" in out
+
+
+def test_verify_rejects_a_certificate_file_that_is_not_a_list(tmp_path, capsys):
+    certs = tmp_path / "five.json"
+    certs.write_text("5\n")
+    rc, out, err = run(capsys, "verify", "--input", SAMPLE14, str(certs))
+    assert (rc, out) == (1, "")
+    assert err == f"error: {certs}: a certificate file must hold a JSON list\n"
+
+
+def test_input_that_is_a_directory_exits_1(tmp_path, capsys):
+    rc, out, err = run(capsys, "analyze", "--input", str(tmp_path))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_emit_dot_onto_an_existing_file_exits_1(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    rc, out, err = run(
+        capsys, "analyze", "--input", SAMPLE14, "--cavities", "--emit-dot", str(target)
+    )
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "File exists" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_smallest_cavity_notes_and_schema(capsys):
