@@ -1,8 +1,9 @@
 """Command-line front door: gate, clique census, Betti numbers, cavities.
 
 Subcommands: kcore, analyze, cavities, smallest-cavity, random-er, fetch,
-verify. Every flag can also be supplied through an environment variable
-with the CLIQUECAV_ prefix (for example CLIQUECAV_BUDGET=1000000).
+verify. Command-line flags are the only configuration: no environment
+variable changes what a subcommand does, and each subcommand accepts only
+the flags it reads.
 
 Exit codes: 0 success, 1 error (unreadable input, unwritable output,
 incomplete cavity search, failed self-check), 2 computability gate
@@ -56,8 +57,6 @@ from .graph import (
 )
 from .solver import NodeLimitExceeded
 
-ENV_PREFIX = "CLIQUECAV_"
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_GATE = 2
@@ -89,56 +88,56 @@ DATASETS = {
 }
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _env_int(name: str, fallback: int) -> int:
-    v = _env(name)
-    return int(v) if v else fallback
-
-
-def _env_opt_int(name: str) -> int | None:
-    v = _env(name)
-    return int(v) if v else None
-
-
-def _env_flag(name: str) -> bool:
-    v = _env(name)
-    return v is not None and v.strip().lower() not in {"", "0", "false", "no"}
-
-
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_ERROR
 
 
-def _load_network(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Network:
-    if not args.input:
-        parser.error("--input is required (or set CLIQUECAV_INPUT)")
-    return load_edge_list(args.input)
+def _complex_fits(cx: CliqueComplex, net: Network) -> bool:
+    """Whether a cached complex can be the clique complex of net.
+
+    Level 0 must be the nodes and level 1 the edges; every level is
+    nonempty and strictly sorted, every clique a tuple of int ids, and the
+    k + 1 facets of a level-k clique lie in the level below (so, by
+    induction from the edges, every clique has k + 1 strictly increasing
+    ids). A clique left out of a level above 1 passes; only re-enumerating
+    finds it.
+    """
+    nodes = tuple((u,) for u in range(net.node_count))
+    edges = tuple(net.edges())
+    if cx.levels[:2] != tuple(level for level in (nodes, edges) if level):
+        return False
+    below: set = {()}
+    for k, level in enumerate(cx.levels):
+        for c in level:
+            if any(type(u) is not int for u in c):
+                return False
+            if any(c[:i] + c[i + 1 :] not in below for i in range(k + 1)):
+                return False
+        if not level or any(a >= b for a, b in zip(level, level[1:])):
+            return False
+        below = set(level)
+    return True
 
 
-def _load_or_build_complex(
-    net: Network, cache: str | None, budget: int, max_order: int | None = None
-) -> CliqueComplex:
+def _load_or_build_complex(net: Network, cache: str | None, budget: int) -> CliqueComplex:
     """Reuse the JSON cache when it matches the input; otherwise rebuild it.
 
-    The cache is only trusted for full, untruncated runs: a checksum or
-    levels_sha256 mismatch, a truncation marker, or an active --max-order
-    forces a recompute (and a rewrite when the fresh complex is cacheable).
+    The cache is trusted only for a complete run of this network whose
+    levels hash to levels_sha256 and pass _complex_fits; anything else is
+    recomputed and, when the fresh complex is complete, rewritten.
     """
     checksum = edge_text_checksum(net)
-    if cache and max_order is None and Path(cache).exists():
+    if cache and Path(cache).exists():
         try:
             doc = json.loads(Path(cache).read_text(encoding="utf-8"))
             cx, source = complex_from_json(doc)
+            if source == checksum and cx.truncated_at is None and _complex_fits(cx, net):
+                return cx
         except (OSError, ValueError, KeyError, TypeError):
-            cx, source = None, None
-        if cx is not None and source == checksum and cx.truncated_at is None:
-            return cx
-    cx = enumerate_cliques(net, budget=budget, max_order=max_order)
-    if cache and max_order is None and cx.truncated_at is None:
+            pass
+    cx = enumerate_cliques(net, budget=budget)
+    if cache and cx.truncated_at is None:
         text = json.dumps(complex_to_json(cx, checksum), indent=2, sort_keys=True)
         # readers never see a half-written cache; no fsync, since a file torn
         # by a crash fails its levels_sha256 check and is rebuilt
@@ -250,9 +249,8 @@ def _cert_lines(certs, cx: CliqueComplex, labels) -> list[str]:
 
 def cmd_kcore(args, parser) -> int:
     """Coreness histogram, k_max, and the computability verdict."""
-    net = _load_network(args, parser)
-    report = k_core_decomposition(net)
-    gate = computability_gate(report, args.budget, args.threshold)
+    report = k_core_decomposition(load_edge_list(args.input))
+    gate = computability_gate(report, args.threshold)
     histogram = sorted(Counter(report.coreness).items())
     if args.format == "json":
         _print_json(
@@ -274,7 +272,7 @@ def cmd_kcore(args, parser) -> int:
     return EXIT_OK if gate.computable else EXIT_GATE
 
 
-def _pipeline(args, parser, cavities: bool):
+def _pipeline(args, cavities: bool):
     """Load, gate, census (through the cache) and profile; with cavities,
     also search every order with beta_k > 0, self-check (--verify) and
     write DOT files (--emit-dot).
@@ -282,12 +280,12 @@ def _pipeline(args, parser, cavities: bool):
     Returns an exit code when the gate or the clique budget stops the run,
     otherwise (net, cx, profile, certs).
     """
-    net = _load_network(args, parser)
-    gate = computability_gate(k_core_decomposition(net), args.budget, args.threshold)
+    net = load_edge_list(args.input)
+    gate = computability_gate(k_core_decomposition(net), args.threshold)
     if not gate.computable and not args.force:
         print(f"not computable: {gate.reason} (use --force to override)", file=sys.stderr)
         return EXIT_GATE
-    cx = _load_or_build_complex(net, args.cache, args.budget, args.max_order)
+    cx = _load_or_build_complex(net, args.cache, args.budget)
     if cx.truncated_at is not None:
         print(cx.warning, file=sys.stderr)
         print(f"counts so far: {list(cx.counts)}", file=sys.stderr)
@@ -318,7 +316,7 @@ def cmd_analyze(args, parser) -> int:
     """Full pipeline: gate, census, ranks, Betti numbers, optional cavities."""
     if args.emit_dot and not args.cavities:
         parser.error("--emit-dot requires --cavities")
-    result = _pipeline(args, parser, args.cavities)
+    result = _pipeline(args, args.cavities)
     if isinstance(result, int):
         return result
     net, cx, profile, certs = result
@@ -352,7 +350,7 @@ def cmd_analyze(args, parser) -> int:
 
 def cmd_cavities(args, parser) -> int:
     """Cavity certificates only (the analyze pipeline minus the profile)."""
-    result = _pipeline(args, parser, True)
+    result = _pipeline(args, True)
     if isinstance(result, int):
         return result
     net, cx, _, certs = result
@@ -476,7 +474,7 @@ def cmd_fetch(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     """Re-check exported certificates against a network, one verdict per line."""
-    net = _load_network(args, parser)
+    net = load_edge_list(args.input)
     cx = _load_or_build_complex(net, args.cache, args.budget)
     if cx.truncated_at is not None:
         print(cx.warning, file=sys.stderr)
@@ -503,61 +501,37 @@ def cmd_verify(args, parser) -> int:
     return EXIT_OK if failures == 0 else EXIT_ERROR
 
 
-# Parent parsers are built fresh per subcommand: argparse's set_defaults
-# mutates the shared action objects, so reusing one parent would leak a
-# subcommand's default (e.g. cavities' json format) into all the others.
-def _common_parent(default_format: str = "table") -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", default=_env("INPUT"), help="edge-list file")
-    common.add_argument(
-        "--budget",
+# add_argument keywords of the flags that several subcommands share
+FLAGS = {
+    "--input": dict(required=True, help="edge-list file"),
+    "--budget": dict(
+        type=int, default=DEFAULT_BUDGET, help="per-order clique-count cap (default 10^7)"
+    ),
+    "--threshold": dict(
         type=int,
-        default=_env_int("BUDGET", DEFAULT_BUDGET),
-        help="per-order clique-count cap (default 10^7)",
-    )
-    common.add_argument(
-        "--threshold",
-        type=int,
-        default=_env_int("THRESHOLD", DEFAULT_CORENESS_THRESHOLD),
+        default=DEFAULT_CORENESS_THRESHOLD,
         help="computability gate on k_max (default 25)",
-    )
-    common.add_argument(
-        "--format",
-        choices=("json", "csv", "table"),
-        default=_env("FORMAT") or default_format,
-        help="output format",
-    )
-    return common
+    ),
+    "--format": dict(choices=("json", "csv", "table"), default="table", help="output format"),
+    "--cache": dict(help="clique-complex JSON cache file"),
+    "--emit-dot": dict(metavar="DIR", help="write one DOT file per cavity into DIR"),
+    "--force": dict(action="store_true", help="run even when the computability gate fails"),
+    "--verify": dict(
+        action="store_true", help="re-check every certificate before reporting it"
+    ),
+}
+PIPELINE_FLAGS = (
+    "--input", "--budget", "--threshold", "--format",
+    "--cache", "--emit-dot", "--force", "--verify",
+)
 
 
-def _pipeline_parent() -> argparse.ArgumentParser:
-    pipeline = argparse.ArgumentParser(add_help=False)
-    pipeline.add_argument(
-        "--max-order",
-        type=int,
-        default=_env_opt_int("MAX_ORDER"),
-        help="stop enumeration above this clique order",
-    )
-    pipeline.add_argument("--cache", default=_env("CACHE"), help="clique-complex JSON cache file")
-    pipeline.add_argument(
-        "--emit-dot",
-        default=_env("EMIT_DOT"),
-        metavar="DIR",
-        help="write one DOT file per cavity into DIR",
-    )
-    pipeline.add_argument(
-        "--force",
-        action="store_true",
-        default=_env_flag("FORCE"),
-        help="run even when the computability gate fails",
-    )
-    pipeline.add_argument(
-        "--verify",
-        action="store_true",
-        default=_env_flag("VERIFY"),
-        help="re-check every certificate before reporting it",
-    )
-    return pipeline
+def _subcommand(sub, name: str, func, summary: str, flags=()) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    for flag in flags:
+        p.add_argument(flag, **FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,50 +541,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("kcore", parents=[_common_parent()], help="coreness and computability gate")
-    p.set_defaults(func=cmd_kcore)
+    _subcommand(sub, "kcore", cmd_kcore, "coreness and computability gate",
+                ("--input", "--threshold", "--format"))
 
-    p = sub.add_parser(
-        "analyze", parents=[_common_parent(), _pipeline_parent()],
-        help="census, ranks, Betti numbers",
-    )
-    p.add_argument("--cavities", action="store_true", default=_env_flag("CAVITIES"),
-                   help="also search for minimal cavities")
-    p.set_defaults(func=cmd_analyze)
+    p = _subcommand(sub, "analyze", cmd_analyze, "census, ranks, Betti numbers", PIPELINE_FLAGS)
+    p.add_argument("--cavities", action="store_true", help="also search for minimal cavities")
 
-    # same flags as analyze, but structured output by default
-    p = sub.add_parser(
-        "cavities", parents=[_common_parent("json"), _pipeline_parent()],
-        help="minimal cavity certificates",
-    )
-    p.set_defaults(func=cmd_cavities)
+    # same flags as analyze without --cavities, and structured output by default
+    p = _subcommand(sub, "cavities", cmd_cavities, "minimal cavity certificates", PIPELINE_FLAGS)
+    p.set_defaults(format="json")
 
-    p = sub.add_parser(
-        "smallest-cavity", parents=[_common_parent()], help="generated smallest k-cavity complex"
-    )
+    p = _subcommand(sub, "smallest-cavity", cmd_smallest_cavity,
+                    "generated smallest k-cavity complex", ("--format",))
     p.add_argument("order", type=int, choices=range(1, 13), metavar="K",
                    help="cavity order, 1..12")
-    p.set_defaults(func=cmd_smallest_cavity)
 
-    p = sub.add_parser("random-er", help="write a seeded uniform G(n, m) edge list")
+    p = _subcommand(sub, "random-er", cmd_random_er, "write a seeded uniform G(n, m) edge list")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("dest")
-    p.add_argument("--seed", type=int, default=_env_int("SEED", 0))
-    p.set_defaults(func=cmd_random_er)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("fetch", help="download a dataset with checksum pinning")
+    p = _subcommand(sub, "fetch", cmd_fetch, "download a dataset with checksum pinning")
     p.add_argument("name", help="dataset name (known: " + ", ".join(sorted(DATASETS)) + ")")
     p.add_argument("--url", required=True)
-    p.add_argument("--dest", default=_env("DEST"))
-    p.add_argument("--sha256", default=_env("SHA256"), help="expected hex digest")
-    p.add_argument("--force", action="store_true", default=_env_flag("FORCE"))
-    p.set_defaults(func=cmd_fetch)
+    p.add_argument("--dest")
+    p.add_argument("--sha256", help="expected hex digest")
+    p.add_argument("--force", action="store_true", help="re-fetch over an existing file")
 
-    p = sub.add_parser("verify", parents=[_common_parent()], help="re-check exported certificates")
+    p = _subcommand(sub, "verify", cmd_verify, "re-check exported certificates",
+                    ("--input", "--budget", "--cache"))
     p.add_argument("certificates", help="certificate JSON file")
-    p.add_argument("--cache", default=_env("CACHE"))
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

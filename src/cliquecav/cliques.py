@@ -59,7 +59,9 @@ def enumerate_cliques(
         exceed it, that level is dropped, ``truncated_at`` is set to its
         order and a warning is attached; enumeration never returns a
         silently partial level.
-    max_order : stop after this order even if higher cliques exist.
+    max_order : stop after this order even if higher cliques exist. The
+        result is then the max_order-skeleton, whose top Betti number is
+        the skeleton's, not the full complex's.
 
     Returns
     -------

@@ -55,7 +55,6 @@ class CorenessReport:
 class GateResult:
     computable: bool
     reason: str
-    budget: int
 
     def __bool__(self) -> bool:
         return self.computable
@@ -162,21 +161,14 @@ def k_core_decomposition(net: Network) -> CorenessReport:
 
 
 def computability_gate(
-    report: CorenessReport,
-    budget: int = DEFAULT_BUDGET,
-    coreness_threshold: int = DEFAULT_CORENESS_THRESHOLD,
+    report: CorenessReport, coreness_threshold: int = DEFAULT_CORENESS_THRESHOLD
 ) -> GateResult:
-    """Full enumeration is allowed iff k_max stays within the coreness threshold.
-
-    The budget rides along as the per-order clique-count cap for enumeration.
-    """
-    if budget <= 0 or coreness_threshold <= 0:
-        raise ValueError("budget and coreness_threshold must be positive")
+    """Full enumeration is allowed iff k_max stays within the coreness threshold."""
+    if coreness_threshold <= 0:
+        raise ValueError("coreness_threshold must be positive")
     if report.k_max <= coreness_threshold:
-        return GateResult(True, f"k_max {report.k_max} within threshold {coreness_threshold}", budget)
-    return GateResult(
-        False, f"k_max {report.k_max} exceeds threshold {coreness_threshold}", budget
-    )
+        return GateResult(True, f"k_max {report.k_max} within threshold {coreness_threshold}")
+    return GateResult(False, f"k_max {report.k_max} exceeds threshold {coreness_threshold}")
 
 
 def random_er(n: int, m: int, seed: int) -> Network:

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import hashlib
 import http.server
@@ -14,7 +15,8 @@ from referencing import Registry, Resource
 
 from cliquecav import cli
 from cliquecav.cavities import VerifyResult, find_cavities
-from cliquecav.cli import main
+from cliquecav.cli import build_parser, main
+from cliquecav.cliques import CliqueComplex, complex_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -22,12 +24,6 @@ SCHEMAS = ROOT / "docs" / "schemas"
 SAMPLE14 = str(DATA / "sample14.edges")
 SAMPLE8 = str(DATA / "sample8.edges")
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for key in [k for k in os.environ if k.startswith("CLIQUECAV_")]:
-        monkeypatch.delenv(key)
 
 
 def run(capsys, *args):
@@ -190,6 +186,75 @@ def test_edited_cache_with_matching_checksum_is_rebuilt(tmp_path, capsys, corrup
     assert [p.name for p in tmp_path.iterdir()] == ["cx.json"]
 
 
+def _rehashed(doc):
+    """doc with levels_sha256 and counts recomputed for its edited levels."""
+    levels = tuple(tuple(tuple(c) for c in level) for level in doc["levels"])
+    cx = CliqueComplex(levels, tuple(len(level) for level in levels))
+    return complex_to_json(cx, doc["source_checksum"])
+
+
+def _missing_edge(doc):
+    # an edge in no triangle, so only the comparison with the network finds it
+    levels = doc["levels"]
+    in_triangles = {(t[i], t[j]) for t in levels[2] for i, j in ((0, 1), (0, 2), (1, 2))}
+    levels[1].remove(next(e for e in levels[1] if tuple(e) not in in_triangles))
+
+
+def _unsorted_level(doc):
+    triangles = doc["levels"][2]
+    triangles[0], triangles[1] = triangles[1], triangles[0]
+
+
+def _non_clique_in_sorted_place(doc):
+    doc["levels"][2][2] = [0, 1, 5]  # between (0, 1, 3) and (0, 2, 3); edge (1, 5) is absent
+
+
+def _empty_clique(doc):
+    doc["levels"][2].insert(0, [])
+
+
+def _empty_top_level(doc):
+    doc["levels"].append([])
+
+
+def _float_node_id(doc):
+    doc["levels"][2][0][0] = float(doc["levels"][2][0][0])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_replace_triangle_with_non_clique, _missing_edge, _unsorted_level,
+     _non_clique_in_sorted_place, _empty_clique, _empty_top_level, _float_node_id],
+)
+def test_cache_that_is_not_a_clique_complex_is_rebuilt(tmp_path, capsys, corrupt):
+    # levels_sha256 is recomputed, so only the structural check can catch the edit
+    cache = tmp_path / "cx.json"
+    run(capsys, "analyze", "--input", SAMPLE14, "--cache", str(cache))
+    fresh = cache.read_bytes()
+    doc = json.loads(fresh)
+    corrupt(doc)
+    cache.write_text(json.dumps(_rehashed(doc)))
+    rc, out, err = run(
+        capsys, "analyze", "--input", SAMPLE14, "--format", "json", "--cache", str(cache)
+    )
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["beta"] == [1, 2, 1, 0]
+    assert cache.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("edges", ["sample14", "empty"])
+def test_valid_cache_is_used_without_enumerating(tmp_path, capsys, monkeypatch, edges):
+    source = SAMPLE14 if edges == "sample14" else tmp_path / "empty.edges"
+    if edges == "empty":
+        source.write_text("")
+    cache = tmp_path / "cx.json"
+    args = ["analyze", "--input", str(source), "--format", "json", "--cache", str(cache)]
+    _, fresh, _ = run(capsys, *args)
+    monkeypatch.setattr(cli, "enumerate_cliques", lambda *a, **k: pytest.fail("cache unused"))
+    rc, out, err = run(capsys, *args)
+    assert (rc, out, err) == (0, fresh, "")
+
+
 def test_stale_cache_for_other_network_is_recomputed(tmp_path, capsys):
     cache = tmp_path / "cx.json"
     run(capsys, "analyze", "--input", SAMPLE8, "--format", "json", "--cache", str(cache))
@@ -319,15 +384,55 @@ def test_random_er_cli_deterministic(tmp_path, capsys):
     assert "infeasible" in err
 
 
-def test_env_variables_supply_defaults(monkeypatch, capsys):
-    monkeypatch.setenv("CLIQUECAV_INPUT", SAMPLE14)
-    monkeypatch.setenv("CLIQUECAV_FORMAT", "json")
-    rc, out, _ = run(capsys, "kcore")
-    assert rc == 0
-    assert json.loads(out)["k_max"] == 4
-    monkeypatch.setenv("CLIQUECAV_THRESHOLD", "3")
-    rc, _, _ = run(capsys, "kcore")
-    assert rc == 2
+# every option each subcommand takes besides -h/--help; a flag that no
+# command path reads must not come back
+OPTIONS = {
+    "kcore": ["--format", "--input", "--threshold"],
+    "analyze": ["--budget", "--cache", "--cavities", "--emit-dot", "--force", "--format",
+                "--input", "--threshold", "--verify"],
+    "cavities": ["--budget", "--cache", "--emit-dot", "--force", "--format", "--input",
+                 "--threshold", "--verify"],
+    "smallest-cavity": ["--format"],
+    "random-er": ["--seed"],
+    "fetch": ["--dest", "--force", "--sha256", "--url"],
+    "verify": ["--budget", "--cache", "--input"],
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert found == OPTIONS
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--input", SAMPLE14, "--max-order", "2"],
+        ["cavities", "--input", SAMPLE14, "--max-order", "2"],
+        ["smallest-cavity", "3", "--input", "x"],
+        ["verify", "--input", SAMPLE14, "--format", "json", "certs.json"],
+        ["kcore", "--input", SAMPLE14, "--budget", "10"],
+        ["kcore"],
+    ],
+)
+def test_removed_or_missing_flags_exit_2(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("name", sorted(OPTIONS))
+def test_help_exits_0(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: cliquecav {name}")
 
 
 @pytest.fixture()
@@ -405,10 +510,11 @@ def test_fetch_unreachable_url_fails(tmp_path, capsys):
     assert "fetch failed" in err
 
 
-def _run_subprocess(args, hash_seed):
+def _run_subprocess(args, hash_seed, **extra_env):
     env = {k: v for k, v in os.environ.items() if not k.startswith("CLIQUECAV_")}
     env["PYTHONPATH"] = str(ROOT / "src")
     env["PYTHONHASHSEED"] = str(hash_seed)
+    env.update(extra_env)
     done = subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
@@ -426,6 +532,15 @@ def test_labels_with_equal_int_values_are_hash_seed_independent(tmp_path):
     assert len(outputs) == 1
     cavities = json.loads(outputs.pop())["cavities"]
     assert [c["nodes"] for c in cavities] == [["01", "1", "2", "3"], ["4", "5", "10", "1_0"]]
+
+
+def test_environment_variables_do_not_configure_the_cli():
+    args = ["-m", "cliquecav.cli", "analyze", "--format", "json", "--input", SAMPLE14]
+    set_env = _run_subprocess(
+        args, 0, CLIQUECAV_MAX_ORDER="1", CLIQUECAV_FORMAT="csv", CLIQUECAV_THRESHOLD="1"
+    )
+    assert set_env == _run_subprocess(args, 0)
+    assert json.loads(set_env)["beta"] == [1, 2, 1, 0]
 
 
 def test_cli_import_leaves_urllib_request_unloaded():

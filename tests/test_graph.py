@@ -127,8 +127,6 @@ def test_gate_verdicts(sample14):
     assert not blocked
     assert "exceeds" in blocked.reason
     with pytest.raises(ValueError):
-        computability_gate(rep, budget=0)
-    with pytest.raises(ValueError):
         computability_gate(rep, coreness_threshold=-1)
 
 
