@@ -217,17 +217,17 @@ def _profile_csv(profile) -> str:
 
 
 def _profile_table(profile) -> str:
-    width = max(len(str(v)) for row in (profile.m, profile.r, profile.beta) for v in row)
-    width = max(width, len(str(len(profile.m) - 1)), 2)
     rows = [
         ("k", range(len(profile.m))),
         ("m_k", profile.m),
         ("r_k", profile.r),
         ("beta_k", profile.beta),
     ]
+    # an empty network has empty rows, printed as bare headings
+    width = max([2] + [len(str(v)) for _, vals in rows for v in vals])
     lines = []
     for head, vals in rows:
-        lines.append(f"{head:8}" + " ".join(f"{v:>{width}}" for v in vals))
+        lines.append((f"{head:8}" + " ".join(f"{v:>{width}}" for v in vals)).rstrip())
     lines.append(f"chi = {profile.chi}")
     lines.append(
         "euler_poincare_ok = " + ("true" if profile.euler_poincare_ok else "false")
@@ -501,14 +501,27 @@ def cmd_verify(args, parser) -> int:
     return EXIT_OK if failures == 0 else EXIT_ERROR
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and caps, which must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 # add_argument keywords of the flags that several subcommands share
 FLAGS = {
     "--input": dict(required=True, help="edge-list file"),
     "--budget": dict(
-        type=int, default=DEFAULT_BUDGET, help="per-order clique-count cap (default 10^7)"
+        type=_positive_int,
+        default=DEFAULT_BUDGET,
+        help="per-order clique-count cap (default 10^7)",
     ),
     "--threshold": dict(
-        type=int,
+        type=_positive_int,
         default=DEFAULT_CORENESS_THRESHOLD,
         help="computability gate on k_max (default 25)",
     ),

@@ -4,7 +4,8 @@ Cliques are graded by order: a node is a 0-clique, an edge a 1-clique, a
 triangle a 2-clique. Level k+1 is built from level k by extending each
 clique with every common neighbor whose id exceeds the clique's maximum,
 so each clique is produced exactly once and levels come out in
-lexicographic order.
+lexicographic order. Each clique carries those candidates as an int
+bitmask, so a child's candidates are one AND with a neighbor mask.
 """
 
 from __future__ import annotations
@@ -52,13 +53,20 @@ def enumerate_cliques(
 ) -> CliqueComplex:
     """Enumerate all cliques per order by common-neighbor extension.
 
+    Every clique carries a bitmask of the common neighbors of its nodes
+    whose ids exceed its maximum. Clearing the mask's low bit w gives the
+    child clique + (w,), whose candidates are the remaining mask ANDed
+    with w's neighbor mask.
+
     Parameters
     ----------
     net : canonical Network.
     budget : per-order cap on the number of cliques. If a level would
         exceed it, that level is dropped, ``truncated_at`` is set to its
         order and a warning is attached; enumeration never returns a
-        silently partial level.
+        silently partial level. The count is checked after each parent
+        clique's children, so a level is never built more than n - 1
+        cliques past the budget.
     max_order : stop after this order even if higher cliques exist. The
         result is then the max_order-skeleton, whose top Betti number is
         the skeleton's, not the full complex's.
@@ -80,41 +88,38 @@ def enumerate_cliques(
     if max_order == 0:
         return CliqueComplex(tuple(levels), tuple(len(l) for l in levels))
 
-    adj_sets = [set(ns) for ns in net.adjacency]
-    # carry (clique, extension candidates > max id) pairs between levels
-    current: list[tuple[Clique, tuple[int, ...]]] = []
-    for u in range(n):
-        ext = tuple(v for v in net.adjacency[u] if v > u)
-        current.append(((u,), ext))
+    adj = [sum(1 << v for v in ns) for ns in net.adjacency]
+    # parallel lists: each clique and the bitmask of its common neighbors
+    # above its maximum id
+    cliques: list[Clique] = list(levels[0])
+    exts = [adj[u] >> (u + 1) << (u + 1) for u in range(n)]
     order = 0
     while True:
         order += 1
         if max_order is not None and order > max_order:
             break
-        nxt: list[tuple[Clique, tuple[int, ...]]] = []
-        count = 0
-        overflow = False
-        for clique, ext in current:
-            for i, w in enumerate(ext):
-                new_ext = tuple(z for z in ext[i + 1 :] if z in adj_sets[w])
-                nxt.append((clique + (w,), new_ext))
-                count += 1
-                if count > budget:
-                    overflow = True
-                    break
-            if overflow:
-                break
-        if overflow:
-            return CliqueComplex(
-                tuple(levels),
-                tuple(len(l) for l in levels),
-                order,
-                f"level {order} exceeds budget ({budget}); enumeration stopped",
-            )
-        if not nxt:
+        nxt_cliques: list[Clique] = []
+        nxt_exts: list[int] = []
+        add_clique, add_ext = nxt_cliques.append, nxt_exts.append
+        for clique, ext in zip(cliques, exts):
+            # low bit first keeps the children in lexicographic order
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                w = low.bit_length() - 1
+                add_clique(clique + (w,))
+                add_ext(ext & adj[w])
+            if len(nxt_cliques) > budget:
+                return CliqueComplex(
+                    tuple(levels),
+                    tuple(len(l) for l in levels),
+                    order,
+                    f"level {order} exceeds budget ({budget}); enumeration stopped",
+                )
+        if not nxt_cliques:
             break
-        levels.append(tuple(c for c, _ in nxt))
-        current = nxt
+        levels.append(tuple(nxt_cliques))
+        cliques, exts = nxt_cliques, nxt_exts
     return CliqueComplex(tuple(levels), tuple(len(l) for l in levels))
 
 

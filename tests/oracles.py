@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from cliquecav import Network, network_from_edges
+from cliquecav import CliqueComplex, Network, network_from_edges
 from cliquecav.solver import ZeroOneProgram
 
 
@@ -84,6 +84,50 @@ def rref_oracle(rows: list[int]) -> tuple[int, list[int]]:
                 basis[other] ^= vec
     pivots = sorted((row & -row).bit_length() - 1 for row in basis.values())
     return len(pivots), pivots
+
+
+def enumerate_cliques_oracle(
+    net: Network, budget: int, max_order: int | None = None
+) -> CliqueComplex:
+    """Clique levels by a tuple scan over sorted candidate tuples.
+
+    Each clique carries the tuple of its common neighbors above its
+    maximum id; a child's tuple is the rest of the parent's filtered by set
+    lookups in the new node's neighborhood. The budget is checked after
+    every child, and levels, truncation order and warning text follow the
+    library's contract.
+    """
+    n = net.node_count
+    levels: list[tuple[tuple[int, ...], ...]] = []
+    if n > budget:
+        return CliqueComplex((), (), 0, f"level 0 exceeds budget ({n} > {budget})")
+    if n == 0:
+        return CliqueComplex((), ())
+    levels.append(tuple((u,) for u in range(n)))
+    if max_order == 0:
+        return CliqueComplex(tuple(levels), tuple(len(l) for l in levels))
+    adj_sets = [set(ns) for ns in net.adjacency]
+    current = [((u,), tuple(v for v in net.adjacency[u] if v > u)) for u in range(n)]
+    order = 0
+    while max_order is None or order < max_order:
+        order += 1
+        nxt = []
+        for clique, ext in current:
+            for i, w in enumerate(ext):
+                new_ext = tuple(z for z in ext[i + 1 :] if z in adj_sets[w])
+                nxt.append((clique + (w,), new_ext))
+                if len(nxt) > budget:
+                    return CliqueComplex(
+                        tuple(levels),
+                        tuple(len(l) for l in levels),
+                        order,
+                        f"level {order} exceeds budget ({budget}); enumeration stopped",
+                    )
+        if not nxt:
+            break
+        levels.append(tuple(c for c, _ in nxt))
+        current = nxt
+    return CliqueComplex(tuple(levels), tuple(len(l) for l in levels))
 
 
 def independent_column_scan(rows: list[int], cols: int) -> list[int]:

@@ -127,6 +127,37 @@ def test_analyze_truncation_exits_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_analyze_prints_the_empty_profile_of_an_empty_edge_file(tmp_path, capsys, fmt):
+    source = tmp_path / "empty.edges"
+    source.write_text("")
+    rc, out, err = run(capsys, "analyze", "--input", str(source), "--format", fmt)
+    assert (rc, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out) == {
+            "m": [], "r": [], "beta": [], "chi": 0, "euler_poincare_ok": True,
+        }
+    else:
+        assert out.splitlines()[:4] == ["k", "m_k", "r_k", "beta_k"]
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["kcore", "--input", SAMPLE14, "--threshold", "0"], "--threshold"),
+        (["analyze", "--input", SAMPLE14, "--budget", "0"], "--budget"),
+        (["verify", "--input", SAMPLE14, "--budget", "-1", "certs.json"], "--budget"),
+    ],
+)
+def test_non_positive_threshold_or_budget_is_a_usage_error(capsys, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: must be a positive integer" in err
+
+
 def test_analyze_emit_dot_requires_cavities(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--input", SAMPLE14, "--emit-dot", "out"])

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from cliquecav import (
+    DEFAULT_BUDGET,
     cocktail_party_network,
     complex_from_json,
     complex_to_json,
@@ -18,7 +19,7 @@ from cliquecav import (
     network_from_edges,
 )
 
-from oracles import bernoulli_graph
+from oracles import bernoulli_graph, enumerate_cliques_oracle
 
 TRIANGLES_14 = [
     ("1", "2", "3"), ("1", "2", "4"), ("1", "2", "5"), ("1", "3", "4"),
@@ -157,3 +158,44 @@ def test_cocktail_party_rejects_out_of_range():
         cocktail_party_network(0)
     with pytest.raises(ValueError):
         cocktail_party_network(13)
+
+
+def _assert_matches_oracle(name, net, budget=DEFAULT_BUDGET, max_order=None):
+    got = enumerate_cliques(net, budget=budget, max_order=max_order)
+    want = enumerate_cliques_oracle(net, budget=budget, max_order=max_order)
+    case = (name, budget, max_order)
+    assert got.levels == want.levels, case
+    assert got.counts == want.counts, case
+    assert got.truncated_at == want.truncated_at, case
+    assert got.warning == want.warning, case
+
+
+def _differential_networks(sample14):
+    yield "sample14", sample14
+    for k in range(1, 9):
+        yield f"cocktail k={k}", cocktail_party_network(k)
+    for seed in range(20):
+        yield f"bernoulli seed={seed}", bernoulli_graph(30, 0.3, seed)
+    labels = [str(i) for i in range(1, 9)]
+    pairs = [("2", "3"), ("2", "5"), ("3", "5"), ("5", "7")]
+    yield "isolated nodes", network_from_edges(labels, pairs)
+    yield "empty", network_from_edges([], [])
+
+
+def test_bitset_enumeration_matches_tuple_scan_oracle(sample14):
+    for name, net in _differential_networks(sample14):
+        _assert_matches_oracle(name, net)
+
+
+def test_bitset_enumeration_matches_oracle_at_every_max_order(sample14):
+    for max_order in range(enumerate_cliques(sample14).top_order + 1):
+        _assert_matches_oracle("sample14", sample14, max_order=max_order)
+
+
+@pytest.mark.parametrize("which", ["sample14", "cocktail k=4"])
+def test_bitset_enumeration_matches_oracle_at_the_budget_boundary(which, sample14):
+    net = sample14 if which == "sample14" else cocktail_party_network(4)
+    for m in enumerate_cliques(net).counts:
+        for budget in (m - 1, m, m + 1):
+            if budget > 0:
+                _assert_matches_oracle(which, net, budget=budget)
