@@ -1,119 +1,97 @@
-"""Cliques, GF(2) homology, and minimal cavities of undirected networks."""
+"""Cliques, GF(2) homology, and minimal cavities of undirected networks.
 
-from .cavities import (
-    CavityCertificate,
-    CavitySearchError,
-    SpanningSelection,
-    VerifyResult,
-    certificate_from_cliques,
-    certificate_from_json,
-    certificate_to_dot,
-    certificates_to_json,
-    find_cavities,
-    select_spanning_and_generators,
-    verify_certificate,
-)
-from .cliques import (
-    CliqueComplex,
-    EulerNumber,
-    cocktail_party_network,
-    complex_from_json,
-    complex_to_json,
-    cross_polytope_count,
-    enumerate_cliques,
-    euler_characteristic,
-    expand_maximal_cliques,
-    generate_smallest_cavity_complex,
-    max_clique_order,
-    maximal_cliques,
-)
-from .gf2 import (
-    Gf2Matrix,
-    HomologyProfile,
-    RankResult,
-    basis_insert,
-    build_boundary_matrix,
-    column_space_basis,
-    gf2_rank,
-    homology_profile,
-    multiply,
-    rank_with_augmentation,
-    zero_cols_matrix,
-)
-from .graph import (
-    DEFAULT_BUDGET,
-    DEFAULT_CORENESS_THRESHOLD,
-    CorenessReport,
-    GateResult,
-    Network,
-    computability_gate,
-    edge_text_checksum,
-    k_core_decomposition,
-    load_edge_list,
-    network_from_edges,
-    random_er,
-    to_edge_text,
-)
-from .solver import (
-    NodeLimitExceeded,
-    ZeroOneProgram,
-    enumerate_solutions,
-    iter_solutions,
-    solve,
-)
+The package root resolves each public name on first use (PEP 562), so
+`import cliquecav` loads no submodule and `from cliquecav import gf2_rank`
+loads only the modules that gf2_rank needs.
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CavityCertificate",
-    "CavitySearchError",
-    "CliqueComplex",
-    "CorenessReport",
-    "DEFAULT_BUDGET",
-    "DEFAULT_CORENESS_THRESHOLD",
-    "EulerNumber",
-    "GateResult",
-    "Gf2Matrix",
-    "HomologyProfile",
-    "Network",
-    "NodeLimitExceeded",
-    "RankResult",
-    "SpanningSelection",
-    "VerifyResult",
-    "ZeroOneProgram",
-    "basis_insert",
-    "build_boundary_matrix",
-    "certificate_from_cliques",
-    "certificate_from_json",
-    "certificate_to_dot",
-    "certificates_to_json",
-    "cocktail_party_network",
-    "column_space_basis",
-    "complex_from_json",
-    "complex_to_json",
-    "computability_gate",
-    "cross_polytope_count",
-    "edge_text_checksum",
-    "enumerate_cliques",
-    "enumerate_solutions",
-    "euler_characteristic",
-    "expand_maximal_cliques",
-    "find_cavities",
-    "generate_smallest_cavity_complex",
-    "gf2_rank",
-    "homology_profile",
-    "iter_solutions",
-    "k_core_decomposition",
-    "load_edge_list",
-    "max_clique_order",
-    "maximal_cliques",
-    "multiply",
-    "network_from_edges",
-    "rank_with_augmentation",
-    "random_er",
-    "select_spanning_and_generators",
-    "solve",
-    "to_edge_text",
-    "verify_certificate",
-    "zero_cols_matrix",
-]
+# public name -> the submodule that defines it
+_HOME = {
+    **dict.fromkeys(
+        (
+            "CavityCertificate",
+            "CavitySearchError",
+            "SpanningSelection",
+            "VerifyResult",
+            "certificate_from_cliques",
+            "certificate_from_json",
+            "certificate_to_dot",
+            "certificates_to_json",
+            "find_cavities",
+            "select_spanning_and_generators",
+            "verify_certificate",
+        ),
+        "cavities",
+    ),
+    **dict.fromkeys(
+        (
+            "CliqueComplex",
+            "EulerNumber",
+            "cocktail_party_network",
+            "complex_from_json",
+            "complex_to_json",
+            "cross_polytope_count",
+            "enumerate_cliques",
+            "euler_characteristic",
+            "expand_maximal_cliques",
+            "generate_smallest_cavity_complex",
+            "max_clique_order",
+            "maximal_cliques",
+        ),
+        "cliques",
+    ),
+    **dict.fromkeys(
+        (
+            "Gf2Matrix",
+            "HomologyProfile",
+            "RankResult",
+            "basis_insert",
+            "build_boundary_matrix",
+            "column_space_basis",
+            "gf2_rank",
+            "homology_profile",
+            "multiply",
+            "rank_with_augmentation",
+            "zero_cols_matrix",
+        ),
+        "gf2",
+    ),
+    **dict.fromkeys(
+        (
+            "DEFAULT_BUDGET",
+            "DEFAULT_CORENESS_THRESHOLD",
+            "CorenessReport",
+            "GateResult",
+            "Network",
+            "computability_gate",
+            "edge_text_checksum",
+            "k_core_decomposition",
+            "load_edge_list",
+            "network_from_edges",
+            "random_er",
+            "to_edge_text",
+        ),
+        "graph",
+    ),
+    **dict.fromkeys(
+        ("NodeLimitExceeded", "ZeroOneProgram", "enumerate_solutions", "iter_solutions", "solve"),
+        "solver",
+    ),
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # not cached in the root: it always reads the home module's current value
+    if name in _HOME:
+        return getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

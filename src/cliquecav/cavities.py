@@ -10,7 +10,6 @@ over an increasing length schedule.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -19,14 +18,13 @@ from .cliques import Clique, CliqueComplex
 from .gf2 import Gf2Matrix, basis_insert, bit_indices, column_space_basis, gf2_rank
 from .solver import DEFAULT_NODE_LIMIT, ZeroOneProgram, iter_solutions
 
-log = logging.getLogger(__name__)
-
 
 class CavitySearchError(RuntimeError):
-    """Search exhausted its length ceiling; carries the partial result."""
+    """Search exhausted its length ceiling; carries the partial result,
+    whose size ends the message."""
 
     def __init__(self, message: str, partial: list[CavityCertificate]):
-        super().__init__(message)
+        super().__init__(f"{message} ({len(partial)} certificates of that order found)")
         self.partial = partial
 
 
@@ -192,7 +190,6 @@ def find_cavities(
                     break
             if found is not None:
                 accepted.append(found)
-                log.debug("generator %d: accepted length-%d cavity", v, found.length)
                 break
         if found is None:
             raise CavitySearchError(

@@ -3,7 +3,9 @@
 Subcommands: kcore, analyze, cavities, smallest-cavity, random-er, fetch,
 verify. Command-line flags are the only configuration: no environment
 variable changes what a subcommand does, and each subcommand accepts only
-the flags it reads.
+the flags it reads. Each subcommand imports the layers it runs when it
+runs them (kcore loads only the graph layer), so start-up pays for no
+module it does not use.
 
 Exit codes: 0 success, 1 error (unreadable input, unwritable output,
 incomplete cavity search, failed self-check), 2 computability gate
@@ -14,36 +16,14 @@ argparse.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import io
 import json
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .cavities import (
-    CavityCertificate,
-    CavitySearchError,
-    VerifyResult,
-    certificate_from_json,
-    certificate_to_dot,
-    certificates_to_json,
-    find_cavities,
-    select_spanning_and_generators,
-    verify_certificate,
-)
-from .cliques import (
-    CliqueComplex,
-    complex_from_json,
-    complex_to_json,
-    enumerate_cliques,
-    euler_characteristic,
-    generate_smallest_cavity_complex,
-)
-from .gf2 import build_boundary_matrix, homology_profile, zero_cols_matrix
 from .graph import (
     DEFAULT_BUDGET,
     DEFAULT_CORENESS_THRESHOLD,
@@ -55,7 +35,10 @@ from .graph import (
     random_er,
     to_edge_text,
 )
-from .solver import NodeLimitExceeded
+
+if TYPE_CHECKING:
+    from .cavities import CavityCertificate, VerifyResult
+    from .cliques import CliqueComplex
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -127,7 +110,9 @@ def _load_or_build_complex(net: Network, cache: str | None, budget: int) -> Cliq
     levels hash to levels_sha256 and pass _complex_fits; anything else is
     recomputed and, when the fresh complex is complete, rewritten.
     """
-    checksum = edge_text_checksum(net)
+    from .cliques import complex_from_json, complex_to_json, enumerate_cliques
+
+    checksum = edge_text_checksum(net) if cache else None
     if cache and Path(cache).exists():
         try:
             doc = json.loads(Path(cache).read_text(encoding="utf-8"))
@@ -151,6 +136,8 @@ def _load_or_build_complex(net: Network, cache: str | None, budget: int) -> Cliq
 
 
 def _boundary_pair(cx: CliqueComplex, k: int):
+    from .gf2 import build_boundary_matrix, zero_cols_matrix
+
     bk = build_boundary_matrix(cx, k)
     if k < cx.top_order:
         bk1 = build_boundary_matrix(cx, k + 1)
@@ -165,6 +152,8 @@ def _certificate_checker(cx: CliqueComplex) -> Callable[[CavityCertificate], Ver
     Each order's boundary pair is built once, and a certificate is checked
     against the earlier certificates of its order that passed.
     """
+    from .cavities import verify_certificate
+
     pairs: dict[int, tuple] = {}
     prior: dict[int, list[CavityCertificate]] = {}
 
@@ -186,6 +175,8 @@ class SelfCheckError(RuntimeError):
 
 
 def _emit_dot_files(certs, cx: CliqueComplex, labels, directory: str) -> list[str]:
+    from .cavities import certificate_to_dot
+
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -203,17 +194,23 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _profile_csv(profile) -> str:
+def _csv_text(rows) -> str:
+    import csv
+
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    orders = list(range(len(profile.m)))
-    w.writerow(["k"] + orders)
-    w.writerow(["m_k"] + list(profile.m))
-    w.writerow(["r_k"] + list(profile.r))
-    w.writerow(["beta_k"] + list(profile.beta))
-    w.writerow(["chi", profile.chi])
-    w.writerow(["euler_poincare_ok", "true" if profile.euler_poincare_ok else "false"])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def _profile_csv(profile) -> str:
+    return _csv_text([
+        ["k"] + list(range(len(profile.m))),
+        ["m_k"] + list(profile.m),
+        ["r_k"] + list(profile.r),
+        ["beta_k"] + list(profile.beta),
+        ["chi", profile.chi],
+        ["euler_poincare_ok", "true" if profile.euler_poincare_ok else "false"],
+    ])
 
 
 def _profile_table(profile) -> str:
@@ -280,6 +277,8 @@ def _pipeline(args, cavities: bool):
     Returns an exit code when the gate or the clique budget stops the run,
     otherwise (net, cx, profile, certs).
     """
+    from .gf2 import homology_profile
+
     net = load_edge_list(args.input)
     gate = computability_gate(k_core_decomposition(net), args.threshold)
     if not gate.computable and not args.force:
@@ -293,6 +292,8 @@ def _pipeline(args, cavities: bool):
     profile = homology_profile(cx)
     certs: list[CavityCertificate] = []
     if cavities:
+        from .cavities import find_cavities, select_spanning_and_generators
+
         for k in range(1, len(profile.beta)):
             if profile.beta[k]:
                 bk, bk1 = _boundary_pair(cx, k)
@@ -329,18 +330,16 @@ def cmd_analyze(args, parser) -> int:
             "euler_poincare_ok": profile.euler_poincare_ok,
         }
         if args.cavities:
+            from .cavities import certificates_to_json
+
             doc["cavities"] = certificates_to_json(certs, cx, net.node_labels)
         _print_json(doc)
     elif args.format == "csv":
-        out = _profile_csv(profile)
-        if args.cavities:
-            buf = io.StringIO()
-            w = csv.writer(buf, lineterminator="\n")
-            for cert in certs:
-                nodes = " ".join(net.node_labels[u] for u in cert.node_set)
-                w.writerow(["cavity", cert.order, cert.length, nodes])
-            out += buf.getvalue()
-        print(out, end="")
+        cavity_rows = [
+            ["cavity", c.order, c.length, " ".join(net.node_labels[u] for u in c.node_set)]
+            for c in certs
+        ]
+        print(_profile_csv(profile) + _csv_text(cavity_rows), end="")
     else:
         print(_profile_table(profile))
         for line in _cert_lines(certs, cx, net.node_labels):
@@ -355,18 +354,18 @@ def cmd_cavities(args, parser) -> int:
         return result
     net, cx, _, certs = result
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["order", "length", "generator", "nodes"])
+        rows = [["order", "length", "generator", "nodes"]]
         for cert in certs:
             gen = " ".join(net.node_labels[u] for u in cx.levels[cert.order][cert.generator])
             nodes = " ".join(net.node_labels[u] for u in cert.node_set)
-            w.writerow([cert.order, cert.length, gen, nodes])
-        print(buf.getvalue(), end="")
+            rows.append([cert.order, cert.length, gen, nodes])
+        print(_csv_text(rows), end="")
     elif args.format == "table":
         for line in _cert_lines(certs, cx, net.node_labels):
             print(line)
     else:
+        from .cavities import certificates_to_json
+
         _print_json(certificates_to_json(certs, cx, net.node_labels))
     return EXIT_OK
 
@@ -395,6 +394,8 @@ def census_notes(k: int, counts: list[int]) -> list[str]:
 
 def cmd_smallest_cavity(args, parser) -> int:
     """Generated order-k smallest-cavity complex: census, chi, reference notes."""
+    from .cliques import euler_characteristic, generate_smallest_cavity_complex
+
     k = args.order
     cx = generate_smallest_cavity_complex(k)
     counts = list(cx.counts)
@@ -403,14 +404,8 @@ def cmd_smallest_cavity(args, parser) -> int:
     if args.format == "json":
         _print_json({"k": k, "m": counts, "chi": chi, "discrepancy_notes": notes})
     elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["k"] + list(range(len(counts))))
-        w.writerow(["m_k"] + counts)
-        w.writerow(["chi", chi])
-        for note in notes:
-            w.writerow(["note", note])
-        print(buf.getvalue(), end="")
+        rows = [["k"] + list(range(len(counts))), ["m_k"] + counts, ["chi", chi]]
+        print(_csv_text(rows + [["note", note] for note in notes]), end="")
     else:
         print(f"smallest {k}-cavity complex: m = {counts}, chi = {chi}")
         for note in notes:
@@ -441,6 +436,7 @@ def cmd_fetch(args, parser) -> int:
         print(f"{dest} already exists (use --force to re-fetch)")
         return EXIT_OK
     # imported here: urllib costs every other subcommand tens of ms at start-up
+    import hashlib
     import urllib.error
     import urllib.request
 
@@ -474,6 +470,8 @@ def cmd_fetch(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     """Re-check exported certificates against a network, one verdict per line."""
+    from .cavities import certificate_from_json
+
     net = load_edge_list(args.input)
     cx = _load_or_build_complex(net, args.cache, args.budget)
     if cx.truncated_at is not None:
@@ -596,10 +594,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, parser)
     except FileNotFoundError as exc:
         return _fail(f"{exc.filename or exc}: no such file")
-    except (OSError, ValueError, NodeLimitExceeded, SelfCheckError) as exc:
+    # NodeLimitExceeded, CavitySearchError and SelfCheckError are RuntimeErrors;
+    # naming the first two here would import solver and cavities into every subcommand
+    except (OSError, ValueError, RuntimeError) as exc:
         return _fail(str(exc))
-    except CavitySearchError as exc:
-        return _fail(f"{exc} ({len(exc.partial)} certificates of that order found)")
 
 
 if __name__ == "__main__":

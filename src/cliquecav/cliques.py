@@ -10,7 +10,6 @@ bitmask, so a child's candidates are one AND with a neighbor mask.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from itertools import combinations
@@ -216,6 +215,8 @@ def cross_polytope_count(k: int, j: int) -> int:
 
 def _levels_sha256(levels: list) -> str:
     """sha256 of the levels written as compact JSON."""
+    import hashlib
+
     return hashlib.sha256(json.dumps(levels, separators=(",", ":")).encode()).hexdigest()
 
 

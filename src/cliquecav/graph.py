@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,6 +123,8 @@ def to_edge_text(net: Network) -> str:
 
 
 def edge_text_checksum(net: Network) -> str:
+    import hashlib
+
     return hashlib.sha256(to_edge_text(net).encode()).hexdigest()
 
 

@@ -9,15 +9,11 @@ cardinality bounds the search by counting ones.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-log = logging.getLogger(__name__)
-
 DEFAULT_NODE_LIMIT = 10**8
-_PROGRESS_EVERY = 2_000_000
 
 
 class NodeLimitExceeded(RuntimeError):
@@ -180,8 +176,6 @@ class _Search:
             raise NodeLimitExceeded(
                 f"node limit {self.node_limit} exceeded; search is incomplete"
             )
-        if self.nodes % _PROGRESS_EVERY == 0:
-            log.debug("searched %d nodes, depth state ones=%d", self.nodes, self.ones)
 
     def solutions(self) -> Iterator[int]:
         if self.target is not None and self.target > self.free:

@@ -13,7 +13,6 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from cliquecav import cli
 from cliquecav.cavities import VerifyResult, find_cavities
 from cliquecav.cli import build_parser, main
 from cliquecav.cliques import CliqueComplex, complex_to_json
@@ -281,7 +280,9 @@ def test_valid_cache_is_used_without_enumerating(tmp_path, capsys, monkeypatch, 
     cache = tmp_path / "cx.json"
     args = ["analyze", "--input", str(source), "--format", "json", "--cache", str(cache)]
     _, fresh, _ = run(capsys, *args)
-    monkeypatch.setattr(cli, "enumerate_cliques", lambda *a, **k: pytest.fail("cache unused"))
+    monkeypatch.setattr(
+        "cliquecav.cliques.enumerate_cliques", lambda *a, **k: pytest.fail("cache unused")
+    )
     rc, out, err = run(capsys, *args)
     assert (rc, out, err) == (0, fresh, "")
 
@@ -579,8 +580,34 @@ def test_cli_import_leaves_urllib_request_unloaded():
     assert _run_subprocess(["-c", code], 0).strip() == "False"
 
 
+LAYERS = ("cliquecav.cliques", "cliquecav.gf2", "cliquecav.solver", "cliquecav.cavities")
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["kcore", "--input", SAMPLE14], (*LAYERS, "logging", "hashlib")),
+        (
+            ["analyze", "--format", "json", "--input", SAMPLE14],
+            ("cliquecav.solver", "cliquecav.cavities", "logging", "hashlib"),
+        ),
+        (["smallest-cavity", "3"], ("cliquecav.gf2", "cliquecav.solver", "cliquecav.cavities")),
+        (None, ("cliquecav.graph", "cliquecav.cli", *LAYERS)),
+    ],
+    ids=["kcore", "analyze", "smallest-cavity", "import-cliquecav"],
+)
+def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
+    run_main = f"from cliquecav.cli import main; main({argv!r}); " if argv else ""
+    code = f"import sys, cliquecav; {run_main}print(' '.join(sorted(sys.modules)))"
+    loaded = set(_run_subprocess(["-c", code], 0).splitlines()[-1].split())
+    assert "cliquecav" in loaded
+    assert loaded.isdisjoint(unloaded)
+
+
 def test_node_limit_exits_1_with_message(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "find_cavities", functools.partial(find_cavities, node_limit=1))
+    monkeypatch.setattr(
+        "cliquecav.cavities.find_cavities", functools.partial(find_cavities, node_limit=1)
+    )
     rc, out, err = run(capsys, "cavities", "--input", SAMPLE14)
     assert rc == 1
     assert out == ""
@@ -589,7 +616,9 @@ def test_node_limit_exits_1_with_message(monkeypatch, capsys):
 
 def test_cavity_search_error_reports_partial_count(monkeypatch, capsys):
     # order 1 of sample14 has certificates of length 4 and 7
-    monkeypatch.setattr(cli, "find_cavities", functools.partial(find_cavities, length_ceiling=5))
+    monkeypatch.setattr(
+        "cliquecav.cavities.find_cavities", functools.partial(find_cavities, length_ceiling=5)
+    )
     rc, out, err = run(capsys, "analyze", "--cavities", "--input", SAMPLE14)
     assert rc == 1
     assert out == ""
@@ -599,7 +628,9 @@ def test_cavity_search_error_reports_partial_count(monkeypatch, capsys):
 
 
 def test_failed_self_check_exits_1_with_message(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "verify_certificate", lambda *a: VerifyResult(False, "independence"))
+    monkeypatch.setattr(
+        "cliquecav.cavities.verify_certificate", lambda *a: VerifyResult(False, "independence")
+    )
     rc, out, err = run(capsys, "cavities", "--verify", "--input", SAMPLE14)
     assert rc == 1
     assert out == ""
