@@ -55,7 +55,6 @@ _HOME = {
             "gf2_rank",
             "homology_profile",
             "multiply",
-            "rank_with_augmentation",
             "zero_cols_matrix",
         ),
         "gf2",

@@ -10,13 +10,11 @@ over an increasing length schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cliques import Clique, CliqueComplex
 from .gf2 import Gf2Matrix, basis_insert, bit_indices, column_space_basis, gf2_rank
-from .solver import DEFAULT_NODE_LIMIT, ZeroOneProgram, iter_solutions
 
 
 class CavitySearchError(RuntimeError):
@@ -28,8 +26,7 @@ class CavitySearchError(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
-class SpanningSelection:
+class SpanningSelection(NamedTuple):
     """Deterministic split of the k-clique index set.
 
     tree_cols: pivot columns of B_k (the order-k spanning selection).
@@ -46,8 +43,7 @@ class SpanningSelection:
     generator_cliques: tuple[int, ...]
 
 
-@dataclass
-class CavityCertificate:
+class CavityCertificate(NamedTuple):
     order: int
     indicator: int  # bitmask over k-clique indices
     generator: int  # k-clique index with the indicator bit set
@@ -59,8 +55,7 @@ class CavityCertificate:
         return bit_indices(self.indicator)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     failed: str | None = None
 
@@ -132,8 +127,14 @@ def _parity_rows(bk: Gf2Matrix) -> list[list[int]]:
 
 
 def length_schedule(k: int, ceiling: int):
-    """Lengths 2^(k+1), then steps of 1 for k=1 and 2^(k-1) for k>=2."""
-    step = 1 if k == 1 else 2 ** (k - 1)
+    """Candidate lengths from 2^(k+1) up to ceiling.
+
+    Each of a k-cycle's L cliques has k + 1 faces, and each face lies in
+    an even number of them, so (k + 1) * L is even. Even k therefore needs
+    an even L, while odd k allows any L (the join of two 5-cycles has one
+    order-3 cycle, of length 25): the step is 2 for even k, 1 for odd k.
+    """
+    step = 2 if k % 2 == 0 else 1
     length = 2 ** (k + 1)
     while length <= ceiling:
         yield length
@@ -145,7 +146,7 @@ def find_cavities(
     bk1: Gf2Matrix,
     sel: SpanningSelection,
     cliques: Sequence[Clique],
-    node_limit: int = DEFAULT_NODE_LIMIT,
+    node_limit: int | None = None,
     length_ceiling: int | None = None,
 ) -> list[CavityCertificate]:
     """One minimal independent certificate per generator clique.
@@ -154,9 +155,15 @@ def find_cavities(
     the schedule, the cycles through the generator with exactly that many
     ones are enumerated in lexicographic order, and the first one that
     raises the rank of (accepted certificates | B_{k+1} columns) is
-    accepted. node_limit caps the solver's decision nodes per program;
-    the schedule stops at length_ceiling (default: the number of k-cliques).
+    accepted. node_limit caps the solver's decision nodes per program
+    (default: solver.DEFAULT_NODE_LIMIT); the schedule stops at
+    length_ceiling (default: the number of k-cliques).
     """
+    # imported here: `cliquecav verify` loads this module but never searches
+    from .solver import DEFAULT_NODE_LIMIT, ZeroOneProgram, iter_solutions
+
+    if node_limit is None:
+        node_limit = DEFAULT_NODE_LIMIT
     k = sel.order
     if not sel.generator_cliques:
         return []

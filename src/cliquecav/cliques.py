@@ -11,17 +11,16 @@ bitmask, so a child's candidates are one AND with a neighbor mask.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .graph import DEFAULT_BUDGET, Network, network_from_edges
 
 Clique = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CliqueComplex:
+class CliqueComplex(NamedTuple):
     """All cliques of a graph, listed per order.
 
     Attributes
@@ -42,8 +41,7 @@ class CliqueComplex:
         return len(self.levels) - 1
 
 
-@dataclass(frozen=True)
-class EulerNumber:
+class EulerNumber(NamedTuple):
     chi: int
 
 

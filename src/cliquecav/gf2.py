@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cliques import CliqueComplex, euler_characteristic
 
@@ -17,17 +17,17 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-@dataclass
 class Gf2Matrix:
     """Row-major bitset matrix: bit j of bits[i] is entry (i, j)."""
 
-    rows: int
-    cols: int
-    bits: list[int]
+    __slots__ = ("rows", "cols", "bits", "_col_basis")
 
-    def __post_init__(self) -> None:
-        if len(self.bits) != self.rows:
+    def __init__(self, rows: int, cols: int, bits: list[int]) -> None:
+        if len(bits) != rows:
             raise ValueError("bits length disagrees with row count")
+        self.rows = rows
+        self.cols = cols
+        self.bits = bits
         self._col_basis: dict[int, int] | None = None
 
     def entry(self, i: int, j: int) -> int:
@@ -42,8 +42,7 @@ class Gf2Matrix:
         return cols
 
 
-@dataclass
-class RankResult:
+class RankResult(NamedTuple):
     rank: int
     pivot_cols: list[int]
 
@@ -114,14 +113,6 @@ def column_space_basis(m: Gf2Matrix) -> dict[int, int]:
     return m._col_basis
 
 
-def rank_with_augmentation(m: Gf2Matrix, extra_cols: list[int]) -> int:
-    """Rank of [columns of m | extra_cols], every column an int over row indices."""
-    basis = dict(column_space_basis(m))
-    for col in extra_cols:
-        basis_insert(basis, col)
-    return len(basis)
-
-
 def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     """GF(2) matrix product: row i of the result is the XOR of b's rows
     selected by the set bits of row i of a."""
@@ -136,8 +127,7 @@ def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix(a.rows, b.cols, bits)
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Per-order clique counts, boundary ranks, Betti numbers, and chi.
 
     r has one entry per order 0..K with r[0] = 0; ranks past the top

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 DEFAULT_BUDGET = 10**7
 DEFAULT_CORENESS_THRESHOLD = 25
@@ -13,8 +12,7 @@ DEFAULT_CORENESS_THRESHOLD = 25
 COMMENT_PREFIXES = ("#", "%")
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(NamedTuple):
     """Canonical undirected simple graph.
 
     Internal ids run 0..node_count-1 and follow sorted original labels
@@ -43,15 +41,13 @@ class Network:
         return {lab: i for i, lab in enumerate(self.node_labels)}
 
 
-@dataclass(frozen=True)
-class CorenessReport:
+class CorenessReport(NamedTuple):
     coreness: tuple[int, ...]
     k_max: int
     core_size: tuple[int, int]  # (nodes, edges) of the k_max-core
 
 
-@dataclass(frozen=True)
-class GateResult:
+class GateResult(NamedTuple):
     computable: bool
     reason: str
 

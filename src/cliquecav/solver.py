@@ -10,7 +10,6 @@ cardinality bounds the search by counting ones.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterator
 
 DEFAULT_NODE_LIMIT = 10**8
@@ -20,22 +19,29 @@ class NodeLimitExceeded(RuntimeError):
     """Search stopped at the decision-node limit before reaching an answer."""
 
 
-@dataclass
 class ZeroOneProgram:
     """Feasibility program over binary variables x_0 .. x_{num_vars-1}.
 
-    parity_rows: index groups each required to hold an even number of ones.
-    fixed: (var, value) pins applied before branching.
+    parity_rows: index groups each required to hold an even number of ones
+        (default: none).
+    fixed: (var, value) pins applied before branching (default: none).
     cardinality: exact number of ones required among all variables, or
         None for no count constraint.
     """
 
-    num_vars: int
-    parity_rows: list[list[int]] = field(default_factory=list)
-    fixed: list[tuple[int, int]] = field(default_factory=list)
-    cardinality: int | None = None
+    __slots__ = ("num_vars", "parity_rows", "fixed", "cardinality")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        num_vars: int,
+        parity_rows: list[list[int]] | None = None,
+        fixed: list[tuple[int, int]] | None = None,
+        cardinality: int | None = None,
+    ) -> None:
+        self.num_vars = num_vars
+        self.parity_rows = [] if parity_rows is None else parity_rows
+        self.fixed = [] if fixed is None else fixed
+        self.cardinality = cardinality
         if self.num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         for row in self.parity_rows:

@@ -38,3 +38,41 @@ def test_star_import_binds_every_public_name():
     for name in cliquecav.__all__:
         assert namespace[name] is getattr(cliquecav, name)
 
+
+# constructor parameters of the public record classes, in order
+RECORD_FIELDS = {
+    "Network": ("node_count", "node_labels", "adjacency", "edge_count"),
+    "CorenessReport": ("coreness", "k_max", "core_size"),
+    "GateResult": ("computable", "reason"),
+    "CliqueComplex": ("levels", "counts", "truncated_at", "warning"),
+    "EulerNumber": ("chi",),
+    "Gf2Matrix": ("rows", "cols", "bits"),
+    "RankResult": ("rank", "pivot_cols"),
+    "HomologyProfile": ("m", "r", "beta", "chi", "euler_poincare_ok"),
+    "SpanningSelection": (
+        "order", "tree_cols", "boundary_cols", "covered_cliques", "generator_cliques"
+    ),
+    "CavityCertificate": (
+        "order", "indicator", "generator", "length", "node_set", "rank_evidence"
+    ),
+    "VerifyResult": ("ok", "failed"),
+    "ZeroOneProgram": ("num_vars", "parity_rows", "fixed", "cardinality"),
+}
+RECORD_DEFAULTS = {
+    "CliqueComplex": {"truncated_at": None, "warning": None},
+    "CavityCertificate": {"rank_evidence": None},
+    "VerifyResult": {"failed": None},
+    # None stands for a fresh empty list
+    "ZeroOneProgram": {"parity_rows": None, "fixed": None, "cardinality": None},
+}
+
+
+def test_record_classes_keep_their_fields_and_defaults():
+    for name, fields in RECORD_FIELDS.items():
+        params = inspect.signature(getattr(cliquecav, name)).parameters.values()
+        assert tuple(p.name for p in params) == fields, name
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
+        assert defaults == RECORD_DEFAULTS.get(name, {}), name
+    program = cliquecav.ZeroOneProgram(3)
+    assert (program.parity_rows, program.fixed, program.cardinality) == ([], [], None)
+    assert cliquecav.ZeroOneProgram(3).parity_rows is not program.parity_rows

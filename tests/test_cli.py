@@ -97,6 +97,45 @@ def test_stdout_matches_golden(capsys, name, args, fmt):
     assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
+def _cycle(n: int, first: int = 1) -> list[tuple[int, int]]:
+    return [(first + i, first + (i + 1) % n) for i in range(n)]
+
+
+def _join(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Edges of the graph join: both graphs plus every edge between them."""
+    nodes_a = {u for e in a for u in e}
+    nodes_b = {u for e in b for u in e}
+    return a + b + [(u, v) for u in sorted(nodes_a) for v in sorted(nodes_b)]
+
+
+# the order-2 cocktail party: K_6 on nodes 6..11 minus the matching (6,7), (8,9), (10,11)
+OCTAHEDRON = [(u, v) for u in range(6, 12) for v in range(u + 1, 12) if u // 2 != v // 2]
+
+
+@pytest.mark.parametrize(
+    "edges, beta, certificates",
+    [
+        *((_cycle(n), [1, 1], [(1, n)]) for n in range(4, 10)),
+        # disjoint union: beta adds up
+        (_cycle(5) + OCTAHEDRON, [2, 1, 1], [(1, 5), (2, 8)]),
+        # joins of two cycles are 3-spheres, with one cavity of order 3
+        (_join(_cycle(5), _cycle(5, 6)), [1, 0, 0, 1], [(3, 25)]),
+        (_join(_cycle(7), _cycle(5, 8)), [1, 0, 0, 1], [(3, 35)]),
+    ],
+    ids=[*(f"C{n}" for n in range(4, 10)), "C5+octahedron", "C5*C5", "C7*C5"],
+)
+def test_analytic_families_through_the_cli(tmp_path, capsys, edges, beta, certificates):
+    source = tmp_path / "family.edges"
+    source.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    rc, out, err = run(
+        capsys, "analyze", "--cavities", "--verify", "--format", "json", "--input", str(source)
+    )
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["beta"] == beta
+    assert [(c["order"], c["length"]) for c in doc["cavities"]] == certificates
+
+
 def test_analyze_csv_layout(capsys):
     rc, out, _ = run(capsys, "analyze", "--input", SAMPLE14, "--format", "csv")
     assert rc == 0
@@ -581,20 +620,30 @@ def test_cli_import_leaves_urllib_request_unloaded():
 
 
 LAYERS = ("cliquecav.cliques", "cliquecav.gf2", "cliquecav.solver", "cliquecav.cavities")
+# standard-library modules no subcommand needs at start-up
+UNUSED = ("logging", "hashlib", "dataclasses", "inspect")
 
 
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        (["kcore", "--input", SAMPLE14], (*LAYERS, "logging", "hashlib")),
+        (["kcore", "--input", SAMPLE14], (*LAYERS, *UNUSED)),
         (
             ["analyze", "--format", "json", "--input", SAMPLE14],
-            ("cliquecav.solver", "cliquecav.cavities", "logging", "hashlib"),
+            ("cliquecav.solver", "cliquecav.cavities", *UNUSED),
         ),
-        (["smallest-cavity", "3"], ("cliquecav.gf2", "cliquecav.solver", "cliquecav.cavities")),
-        (None, ("cliquecav.graph", "cliquecav.cli", *LAYERS)),
+        (
+            ["smallest-cavity", "3"],
+            ("cliquecav.gf2", "cliquecav.solver", "cliquecav.cavities", *UNUSED),
+        ),
+        (["cavities", "--verify", "--input", SAMPLE14], UNUSED),
+        (
+            ["verify", "--input", SAMPLE14, str(GOLDEN / "cavities.json")],
+            ("cliquecav.solver", *UNUSED),
+        ),
+        (None, ("cliquecav.graph", "cliquecav.cli", *LAYERS, *UNUSED)),
     ],
-    ids=["kcore", "analyze", "smallest-cavity", "import-cliquecav"],
+    ids=["kcore", "analyze", "smallest-cavity", "cavities", "verify", "import-cliquecav"],
 )
 def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
     run_main = f"from cliquecav.cli import main; main({argv!r}); " if argv else ""

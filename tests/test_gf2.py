@@ -4,6 +4,7 @@ import pytest
 
 from cliquecav import (
     Gf2Matrix,
+    basis_insert,
     build_boundary_matrix,
     column_space_basis,
     enumerate_cliques,
@@ -13,7 +14,6 @@ from cliquecav import (
     multiply,
     network_from_edges,
     random_er,
-    rank_with_augmentation,
 )
 
 from oracles import (
@@ -163,11 +163,12 @@ def test_augmentation_cases(sample14):
     assert r2 == 11
     # indicator of the 4-edge cycle on nodes (3,6,7,8): edge ids 8,9,11,13
     cycle = (1 << 8) | (1 << 9) | (1 << 11) | (1 << 13)
-    assert rank_with_augmentation(b2, [cycle]) == r2 + 1
     # a face boundary is already in the column space
     face_boundary = b2.column_vectors()[7]
-    assert rank_with_augmentation(b2, [face_boundary]) == r2
-    assert rank_with_augmentation(b2, [0]) == r2
+    for extra, rank in ((cycle, r2 + 1), (face_boundary, r2), (0, r2)):
+        basis = dict(column_space_basis(b2))
+        basis_insert(basis, extra)
+        assert len(basis) == rank
 
 
 def test_augmentation_does_not_mutate_cached_basis(sample14):
@@ -175,7 +176,9 @@ def test_augmentation_does_not_mutate_cached_basis(sample14):
     b2 = build_boundary_matrix(cx, 2)
     before = dict(column_space_basis(b2))
     cycle = (1 << 8) | (1 << 9) | (1 << 11) | (1 << 13)
-    rank_with_augmentation(b2, [cycle])
+    augmented = dict(column_space_basis(b2))
+    assert basis_insert(augmented, cycle)
+    assert len(augmented) == len(before) + 1
     assert column_space_basis(b2) == before
 
 
