@@ -5,7 +5,8 @@ verify. Command-line flags are the only configuration: no environment
 variable changes what a subcommand does, and each subcommand accepts only
 the flags it reads. Each subcommand imports the layers it runs when it
 runs them (kcore loads only the graph layer), so start-up pays for no
-module it does not use.
+module it does not use. Every run that needs the clique complex enumerates
+it; --cache FILE only exports it and is never read back.
 
 Exit codes: 0 success, 1 error (unreadable input, unwritable output,
 incomplete cavity search, failed self-check), 2 computability gate
@@ -76,60 +77,24 @@ def _fail(msg: str) -> int:
     return EXIT_ERROR
 
 
-def _complex_fits(cx: CliqueComplex, net: Network) -> bool:
-    """Whether a cached complex can be the clique complex of net.
+def _build_complex(net: Network, export: str | None, budget: int) -> CliqueComplex:
+    """Enumerate the clique complex of net; with export, also write it there.
 
-    Level 0 must be the nodes and level 1 the edges; every level is
-    nonempty and strictly sorted, every clique a tuple of int ids, and the
-    k + 1 facets of a level-k clique lie in the level below (so, by
-    induction from the edges, every clique has k + 1 strictly increasing
-    ids). A clique left out of a level above 1 passes; only re-enumerating
-    finds it.
+    The export is written only for a complete run. cliquecav never reads
+    it back: enumerating is faster than reading and checking the file.
     """
-    nodes = tuple((u,) for u in range(net.node_count))
-    edges = tuple(net.edges())
-    if cx.levels[:2] != tuple(level for level in (nodes, edges) if level):
-        return False
-    below: set = {()}
-    for k, level in enumerate(cx.levels):
-        for c in level:
-            if any(type(u) is not int for u in c):
-                return False
-            if any(c[:i] + c[i + 1 :] not in below for i in range(k + 1)):
-                return False
-        if not level or any(a >= b for a, b in zip(level, level[1:])):
-            return False
-        below = set(level)
-    return True
+    from .cliques import complex_to_json, enumerate_cliques
 
-
-def _load_or_build_complex(net: Network, cache: str | None, budget: int) -> CliqueComplex:
-    """Reuse the JSON cache when it matches the input; otherwise rebuild it.
-
-    The cache is trusted only for a complete run of this network whose
-    levels hash to levels_sha256 and pass _complex_fits; anything else is
-    recomputed and, when the fresh complex is complete, rewritten.
-    """
-    from .cliques import complex_from_json, complex_to_json, enumerate_cliques
-
-    checksum = edge_text_checksum(net) if cache else None
-    if cache and Path(cache).exists():
-        try:
-            doc = json.loads(Path(cache).read_text(encoding="utf-8"))
-            cx, source = complex_from_json(doc)
-            if source == checksum and cx.truncated_at is None and _complex_fits(cx, net):
-                return cx
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
     cx = enumerate_cliques(net, budget=budget)
-    if cache and cx.truncated_at is None:
-        text = json.dumps(complex_to_json(cx, checksum), indent=2, sort_keys=True)
-        # readers never see a half-written cache; no fsync, since a file torn
-        # by a crash fails its levels_sha256 check and is rebuilt
-        tmp = Path(cache).with_name(f"{Path(cache).name}.{os.getpid()}.tmp")
+    if export and cx.truncated_at is None:
+        doc = complex_to_json(cx, edge_text_checksum(net))
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        # readers never see a half-written file. No fsync: cliquecav never reads
+        # the file back, and a consumer can check levels_sha256
+        tmp = Path(export).with_name(f"{Path(export).name}.{os.getpid()}.tmp")
         try:
             tmp.write_text(text + "\n", encoding="utf-8")
-            os.replace(tmp, cache)
+            os.replace(tmp, export)
         finally:
             tmp.unlink(missing_ok=True)
     return cx
@@ -270,7 +235,7 @@ def cmd_kcore(args, parser) -> int:
 
 
 def _pipeline(args, cavities: bool):
-    """Load, gate, census (through the cache) and profile; with cavities,
+    """Load, gate, census (exported with --cache) and profile; with cavities,
     also search every order with beta_k > 0, self-check (--verify) and
     write DOT files (--emit-dot).
 
@@ -284,7 +249,7 @@ def _pipeline(args, cavities: bool):
     if not gate.computable and not args.force:
         print(f"not computable: {gate.reason} (use --force to override)", file=sys.stderr)
         return EXIT_GATE
-    cx = _load_or_build_complex(net, args.cache, args.budget)
+    cx = _build_complex(net, args.cache, args.budget)
     if cx.truncated_at is not None:
         print(cx.warning, file=sys.stderr)
         print(f"counts so far: {list(cx.counts)}", file=sys.stderr)
@@ -473,7 +438,7 @@ def cmd_verify(args, parser) -> int:
     from .cavities import certificate_from_json
 
     net = load_edge_list(args.input)
-    cx = _load_or_build_complex(net, args.cache, args.budget)
+    cx = _build_complex(net, args.cache, args.budget)
     if cx.truncated_at is not None:
         print(cx.warning, file=sys.stderr)
         return EXIT_TRUNCATED
@@ -524,7 +489,7 @@ FLAGS = {
         help="computability gate on k_max (default 25)",
     ),
     "--format": dict(choices=("json", "csv", "table"), default="table", help="output format"),
-    "--cache": dict(help="clique-complex JSON cache file"),
+    "--cache": dict(metavar="FILE", help="export the clique complex as JSON (never read)"),
     "--emit-dot": dict(metavar="DIR", help="write one DOT file per cavity into DIR"),
     "--force": dict(action="store_true", help="run even when the computability gate fails"),
     "--verify": dict(

@@ -219,7 +219,7 @@ def _levels_sha256(levels: list) -> str:
 
 
 def complex_to_json(cx: CliqueComplex, source_checksum: str) -> dict:
-    """Cache document: {"counts", "levels", "levels_sha256", "truncated_at",
+    """Export document: {"counts", "levels", "levels_sha256", "truncated_at",
     "source_checksum"}."""
     levels = [[list(c) for c in level] for level in cx.levels]
     return {
@@ -235,7 +235,7 @@ def complex_from_json(doc: dict) -> tuple[CliqueComplex, str]:
     """Inverse of complex_to_json.
 
     Raises ValueError when the levels do not hash to levels_sha256 or the
-    counts disagree with them, so an edited or torn cache is never used.
+    counts disagree with them, so an edited or torn export is never used.
     """
     if _levels_sha256(doc["levels"]) != doc["levels_sha256"]:
         raise ValueError("cache levels do not match levels_sha256")

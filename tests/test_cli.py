@@ -15,7 +15,8 @@ from referencing import Registry, Resource
 
 from cliquecav.cavities import VerifyResult, find_cavities
 from cliquecav.cli import build_parser, main
-from cliquecav.cliques import CliqueComplex, complex_to_json
+from cliquecav.cliques import CliqueComplex, complex_to_json, enumerate_cliques
+from cliquecav.graph import edge_text_checksum, load_edge_list
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -108,8 +109,20 @@ def _join(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int,
     return a + b + [(u, v) for u in sorted(nodes_a) for v in sorted(nodes_b)]
 
 
-# the order-2 cocktail party: K_6 on nodes 6..11 minus the matching (6,7), (8,9), (10,11)
-OCTAHEDRON = [(u, v) for u in range(6, 12) for v in range(u + 1, 12) if u // 2 != v // 2]
+def _cocktail(k: int, first: int = 1) -> list[tuple[int, int]]:
+    """The order-k cocktail party on first..first+2k+1: all pairs but (first+2i, first+2i+1)."""
+    nodes = range(first, first + 2 * k + 2)
+    return [(u, v) for u in nodes for v in nodes if u < v and (u - first) // 2 != (v - first) // 2]
+
+
+def _suspension(edges: list[tuple[int, int]], apexes=(101, 102)) -> list[tuple[int, int]]:
+    """edges plus two non-adjacent apexes joined to every node."""
+    nodes = sorted({u for e in edges for u in e})
+    return edges + [(u, a) for a in apexes for u in nodes]
+
+
+# the order-2 cocktail party on nodes 6..11
+OCTAHEDRON = _cocktail(2, 6)
 
 
 @pytest.mark.parametrize(
@@ -121,8 +134,17 @@ OCTAHEDRON = [(u, v) for u in range(6, 12) for v in range(u + 1, 12) if u // 2 !
         # joins of two cycles are 3-spheres, with one cavity of order 3
         (_join(_cycle(5), _cycle(5, 6)), [1, 0, 0, 1], [(3, 25)]),
         (_join(_cycle(7), _cycle(5, 8)), [1, 0, 0, 1], [(3, 35)]),
+        # wedge sum at node 5: reduced beta adds up
+        (_cycle(5) + _cocktail(2, 5), [1, 1, 1], [(1, 5), (2, 8)]),
+        # suspension: reduced beta moves up one order, and the two cones of
+        # a disjoint union add one order-1 cavity
+        (_suspension(_cycle(5)), [1, 0, 1], [(2, 10)]),
+        (_suspension(_cycle(5) + _cycle(4, 6)), [1, 1, 2], [(1, 4), (2, 10), (2, 8)]),
+        # cocktail parties: the smallest order-k cavity
+        *((_cocktail(k), [1] + [0] * (k - 1) + [1], [(k, 2 ** (k + 1))]) for k in range(1, 6)),
     ],
-    ids=[*(f"C{n}" for n in range(4, 10)), "C5+octahedron", "C5*C5", "C7*C5"],
+    ids=[*(f"C{n}" for n in range(4, 10)), "C5+octahedron", "C5*C5", "C7*C5",
+         "C5vOctahedron", "SC5", "S(C5+C4)", *(f"cocktail{k}" for k in range(1, 6))],
 )
 def test_analytic_families_through_the_cli(tmp_path, capsys, edges, beta, certificates):
     source = tmp_path / "family.edges"
@@ -217,17 +239,6 @@ def test_warm_cache_is_byte_identical(tmp_path, capsys):
     assert cache.read_bytes() == first_cache
 
 
-def test_corrupt_cache_is_recomputed(tmp_path, capsys):
-    cache = tmp_path / "cx.json"
-    cache.write_text("not json at all")
-    rc, out, _ = run(
-        capsys, "analyze", "--input", SAMPLE14, "--format", "json", "--cache", str(cache)
-    )
-    assert rc == 0
-    assert json.loads(out)["m"] == [14, 26, 13, 1]
-    validate_schema(json.loads(cache.read_text()), "complex.schema.json")
-
-
 def _drop_top_level(doc):
     doc["levels"].pop()
     doc["counts"].pop()
@@ -235,24 +246,6 @@ def _drop_top_level(doc):
 
 def _replace_triangle_with_non_clique(doc):
     doc["levels"][2][0] = [0, 1, 13]  # labels 1, 2, 14: not a triangle
-
-
-@pytest.mark.parametrize("corrupt", [_drop_top_level, _replace_triangle_with_non_clique])
-def test_edited_cache_with_matching_checksum_is_rebuilt(tmp_path, capsys, corrupt):
-    cache = tmp_path / "cx.json"
-    run(capsys, "analyze", "--input", SAMPLE14, "--cache", str(cache))
-    doc = json.loads(cache.read_text())
-    corrupt(doc)
-    cache.write_text(json.dumps(doc))
-    rc, out, err = run(
-        capsys, "analyze", "--input", SAMPLE14, "--format", "json", "--cache", str(cache)
-    )
-    assert (rc, err) == (0, "")
-    assert json.loads(out)["beta"] == [1, 2, 1, 0]
-    rebuilt = json.loads(cache.read_text())
-    validate_schema(rebuilt, "complex.schema.json")
-    assert rebuilt["counts"] == [14, 26, 13, 1]
-    assert [p.name for p in tmp_path.iterdir()] == ["cx.json"]
 
 
 def _rehashed(doc):
@@ -290,52 +283,65 @@ def _float_node_id(doc):
     doc["levels"][2][0][0] = float(doc["levels"][2][0][0])
 
 
-@pytest.mark.parametrize(
-    "corrupt",
-    [_replace_triangle_with_non_clique, _missing_edge, _unsorted_level,
-     _non_clique_in_sorted_place, _empty_clique, _empty_top_level, _float_node_id],
-)
-def test_cache_that_is_not_a_clique_complex_is_rebuilt(tmp_path, capsys, corrupt):
-    # levels_sha256 is recomputed, so only the structural check can catch the edit
+def _drop_triangle_off_tetrahedron(doc):
+    # labels 1, 2, 5: every level stays sorted and closed under facets, so
+    # only enumerating finds the hole (m_2 = 12 and beta_1 = 3 if it is read)
+    levels = doc["levels"]
+    faces = {tuple(t[:i] + t[i + 1 :]) for t in levels[3] for i in range(4)}
+    levels[2].remove(next(t for t in levels[2] if tuple(t) not in faces))
+
+
+def _edited(mutate, rehash: bool):
+    def tamper(doc) -> str:
+        mutate(doc)
+        return json.dumps(_rehashed(doc) if rehash else doc)
+
+    return tamper
+
+
+def _export_of_sample8(doc) -> str:
+    net = load_edge_list(SAMPLE8)
+    return json.dumps(complex_to_json(enumerate_cliques(net), edge_text_checksum(net)))
+
+
+# file text that a run with --cache finds at the path, from the fresh export's document
+TAMPERED = {
+    "not-json": lambda doc: "not json at all",
+    "other-network": _export_of_sample8,
+    **{f"edit{m.__name__}": _edited(m, rehash=False)
+       for m in (_drop_top_level, _replace_triangle_with_non_clique)},
+    **{f"rehash{m.__name__}": _edited(m, rehash=True)
+       for m in (_replace_triangle_with_non_clique, _missing_edge, _unsorted_level,
+                 _non_clique_in_sorted_place, _empty_clique, _empty_top_level,
+                 _float_node_id, _drop_triangle_off_tetrahedron)},
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERED.values(), ids=TAMPERED.keys())
+def test_file_at_the_cache_path_is_never_read(tmp_path, capsys, tamper):
+    args = ["analyze", "--cavities", "--format", "json", "--input", SAMPLE14]
+    _, expected, _ = run(capsys, *args)
     cache = tmp_path / "cx.json"
-    run(capsys, "analyze", "--input", SAMPLE14, "--cache", str(cache))
+    run(capsys, *args, "--cache", str(cache))
     fresh = cache.read_bytes()
-    doc = json.loads(fresh)
-    corrupt(doc)
-    cache.write_text(json.dumps(_rehashed(doc)))
-    rc, out, err = run(
-        capsys, "analyze", "--input", SAMPLE14, "--format", "json", "--cache", str(cache)
-    )
-    assert (rc, err) == (0, "")
-    assert json.loads(out)["beta"] == [1, 2, 1, 0]
+    cache.write_text(tamper(json.loads(fresh)))
+    rc, out, err = run(capsys, *args, "--cache", str(cache))
+    assert (rc, out, err) == (0, expected, "")
     assert cache.read_bytes() == fresh
+    assert [p.name for p in tmp_path.iterdir()] == ["cx.json"]
 
 
-@pytest.mark.parametrize("edges", ["sample14", "empty"])
-def test_valid_cache_is_used_without_enumerating(tmp_path, capsys, monkeypatch, edges):
-    source = SAMPLE14 if edges == "sample14" else tmp_path / "empty.edges"
-    if edges == "empty":
-        source.write_text("")
+def test_verify_never_reads_the_file_at_the_cache_path(tmp_path, capsys):
+    args = ["verify", "--input", SAMPLE14, str(GOLDEN / "cavities.json")]
+    _, expected, _ = run(capsys, *args)
     cache = tmp_path / "cx.json"
-    args = ["analyze", "--input", str(source), "--format", "json", "--cache", str(cache)]
-    _, fresh, _ = run(capsys, *args)
-    monkeypatch.setattr(
-        "cliquecav.cliques.enumerate_cliques", lambda *a, **k: pytest.fail("cache unused")
-    )
-    rc, out, err = run(capsys, *args)
-    assert (rc, out, err) == (0, fresh, "")
-
-
-def test_stale_cache_for_other_network_is_recomputed(tmp_path, capsys):
-    cache = tmp_path / "cx.json"
-    run(capsys, "analyze", "--input", SAMPLE8, "--format", "json", "--cache", str(cache))
-    rc, out, _ = run(
-        capsys, "analyze", "--input", SAMPLE14, "--format", "json", "--cache", str(cache)
-    )
-    assert rc == 0
-    assert json.loads(out)["m"] == [14, 26, 13, 1]
-    rc, out, _ = run(capsys, "analyze", "--input", SAMPLE14, "--format", "json")
-    assert json.loads(out)["m"] == [14, 26, 13, 1]
+    run(capsys, *args, "--cache", str(cache))
+    fresh = cache.read_bytes()
+    cache.write_text(TAMPERED["rehash_drop_triangle_off_tetrahedron"](json.loads(fresh)))
+    rc, out, err = run(capsys, *args, "--cache", str(cache))
+    assert (rc, out, err) == (0, expected, "")
+    assert cache.read_bytes() == fresh
+    assert [p.name for p in tmp_path.iterdir()] == ["cx.json"]
 
 
 def test_emit_dot_writes_one_file_per_cavity(tmp_path, capsys):
