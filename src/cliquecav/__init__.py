@@ -63,6 +63,7 @@ _HOME = {
         (
             "DEFAULT_BUDGET",
             "DEFAULT_CORENESS_THRESHOLD",
+            "BudgetExceeded",
             "CorenessReport",
             "GateResult",
             "Network",

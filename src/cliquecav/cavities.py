@@ -320,6 +320,7 @@ def certificate_to_dot(
     name: str,
 ) -> str:
     """DOT rendering of the cavity's node-edge skeleton."""
+    quoted = {u: '"' + labels[u].replace('"', '\\"') + '"' for u in cert.node_set}
     level = cx.levels[cert.order]
     edges: set[tuple[int, int]] = set()
     for j in cert.support():
@@ -328,8 +329,8 @@ def certificate_to_dot(
     lines = [f"graph {name} {{"]
     lines.append(f'  label="order {cert.order} cavity, length {cert.length}";')
     for u in cert.node_set:
-        lines.append(f'  "{labels[u]}";')
+        lines.append(f"  {quoted[u]};")
     for u, v in sorted(edges):
-        lines.append(f'  "{labels[u]}" -- "{labels[v]}";')
+        lines.append(f"  {quoted[u]} -- {quoted[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,8 @@ it; --cache FILE only exports it and is never read back.
 
 Exit codes: 0 success, 1 error (unreadable input, unwritable output,
 incomplete cavity search, failed self-check), 2 computability gate
-failed, 3 enumeration truncated by the budget. Usage errors exit 2 via
+failed, 3 clique enumeration stopped by the budget (one stderr line
+naming the level and the counts so far). Usage errors exit 2 via
 argparse.
 """
 
@@ -28,6 +29,7 @@ from typing import TYPE_CHECKING, Callable
 from .graph import (
     DEFAULT_BUDGET,
     DEFAULT_CORENESS_THRESHOLD,
+    BudgetExceeded,
     Network,
     computability_gate,
     edge_text_checksum,
@@ -44,7 +46,7 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_GATE = 2
-EXIT_TRUNCATED = 3
+EXIT_BUDGET = 3
 
 # Published reference census for the generated smallest-cavity complexes,
 # exactly as printed (including its internal inconsistencies; disagreements
@@ -80,13 +82,13 @@ def _fail(msg: str) -> int:
 def _build_complex(net: Network, export: str | None, budget: int) -> CliqueComplex:
     """Enumerate the clique complex of net; with export, also write it there.
 
-    The export is written only for a complete run. cliquecav never reads
-    it back: enumerating is faster than reading and checking the file.
+    cliquecav never reads the export back: enumerating is faster than
+    reading and checking the file.
     """
     from .cliques import complex_to_json, enumerate_cliques
 
     cx = enumerate_cliques(net, budget=budget)
-    if export and cx.truncated_at is None:
+    if export:
         doc = complex_to_json(cx, edge_text_checksum(net))
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         # readers never see a half-written file. No fsync: cliquecav never reads
@@ -239,8 +241,8 @@ def _pipeline(args, cavities: bool):
     also search every order with beta_k > 0, self-check (--verify) and
     write DOT files (--emit-dot).
 
-    Returns an exit code when the gate or the clique budget stops the run,
-    otherwise (net, cx, profile, certs).
+    Returns EXIT_GATE when the gate stops the run, otherwise (net, cx,
+    profile, certs); a clique level over --budget raises BudgetExceeded.
     """
     from .gf2 import homology_profile
 
@@ -250,10 +252,6 @@ def _pipeline(args, cavities: bool):
         print(f"not computable: {gate.reason} (use --force to override)", file=sys.stderr)
         return EXIT_GATE
     cx = _build_complex(net, args.cache, args.budget)
-    if cx.truncated_at is not None:
-        print(cx.warning, file=sys.stderr)
-        print(f"counts so far: {list(cx.counts)}", file=sys.stderr)
-        return EXIT_TRUNCATED
     profile = homology_profile(cx)
     certs: list[CavityCertificate] = []
     if cavities:
@@ -439,9 +437,6 @@ def cmd_verify(args, parser) -> int:
 
     net = load_edge_list(args.input)
     cx = _build_complex(net, args.cache, args.budget)
-    if cx.truncated_at is not None:
-        print(cx.warning, file=sys.stderr)
-        return EXIT_TRUNCATED
     doc = json.loads(Path(args.certificates).read_text(encoding="utf-8"))
     if not isinstance(doc, list):
         return _fail(f"{args.certificates}: a certificate file must hold a JSON list")
@@ -517,8 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _subcommand(sub, "kcore", cmd_kcore, "coreness and computability gate",
-                ("--input", "--threshold", "--format"))
+    p = _subcommand(sub, "kcore", cmd_kcore, "coreness and computability gate",
+                    ("--input", "--threshold"))
+    p.add_argument("--format", **{**FLAGS["--format"], "choices": ("json", "table")})
 
     p = _subcommand(sub, "analyze", cmd_analyze, "census, ranks, Betti numbers", PIPELINE_FLAGS)
     p.add_argument("--cavities", action="store_true", help="also search for minimal cavities")
@@ -559,6 +555,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, parser)
     except FileNotFoundError as exc:
         return _fail(f"{exc.filename or exc}: no such file")
+    except BudgetExceeded as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_BUDGET
     # NodeLimitExceeded, CavitySearchError and SelfCheckError are RuntimeErrors;
     # naming the first two here would import solver and cavities into every subcommand
     except (OSError, ValueError, RuntimeError) as exc:

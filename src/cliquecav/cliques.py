@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .graph import DEFAULT_BUDGET, Network, network_from_edges
+from .graph import DEFAULT_BUDGET, BudgetExceeded, Network, network_from_edges
 
 Clique = tuple[int, ...]
 
@@ -27,14 +27,10 @@ class CliqueComplex(NamedTuple):
     ----------
     levels : tuple of per-order clique tuples, lexicographically sorted.
     counts : m_k = len(levels[k]) per order.
-    truncated_at : order whose level would have exceeded the budget, or None.
-    warning : human-readable truncation note, or None.
     """
 
     levels: tuple[tuple[Clique, ...], ...]
     counts: tuple[int, ...]
-    truncated_at: int | None = None
-    warning: str | None = None
 
     @property
     def top_order(self) -> int:
@@ -59,11 +55,10 @@ def enumerate_cliques(
     ----------
     net : canonical Network.
     budget : per-order cap on the number of cliques. If a level would
-        exceed it, that level is dropped, ``truncated_at`` is set to its
-        order and a warning is attached; enumeration never returns a
-        silently partial level. The count is checked after each parent
-        clique's children, so a level is never built more than n - 1
-        cliques past the budget.
+        exceed it, BudgetExceeded is raised with the counts of the levels
+        before it; no partial complex is ever returned. The count is
+        checked after each parent clique's children, so a level is never
+        built more than n - 1 cliques past the budget.
     max_order : stop after this order even if higher cliques exist. The
         result is then the max_order-skeleton, whose top Betti number is
         the skeleton's, not the full complex's.
@@ -71,30 +66,20 @@ def enumerate_cliques(
     Returns
     -------
     CliqueComplex with levels [0..K] where K is the last nonempty order
-    (or max_order / the truncation point).
+    (or max_order).
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     n = net.node_count
-    levels: list[tuple[Clique, ...]] = []
-    if n > budget:
-        return CliqueComplex((), (), 0, f"level 0 exceeds budget ({n} > {budget})")
-    if n == 0:
-        return CliqueComplex((), ())
-    levels.append(tuple((u,) for u in range(n)))
-    if max_order == 0:
-        return CliqueComplex(tuple(levels), tuple(len(l) for l in levels))
-
     adj = [sum(1 << v for v in ns) for ns in net.adjacency]
+    levels: list[tuple[Clique, ...]] = []
     # parallel lists: each clique and the bitmask of its common neighbors
-    # above its maximum id
-    cliques: list[Clique] = list(levels[0])
-    exts = [adj[u] >> (u + 1) << (u + 1) for u in range(n)]
-    order = 0
-    while True:
+    # above its maximum id; level 0 is the children of the empty clique, whose mask is all nodes
+    cliques: list[Clique] = [()]
+    exts = [(1 << n) - 1]
+    order = -1
+    while max_order is None or order < max_order:
         order += 1
-        if max_order is not None and order > max_order:
-            break
         nxt_cliques: list[Clique] = []
         nxt_exts: list[int] = []
         add_clique, add_ext = nxt_cliques.append, nxt_exts.append
@@ -107,12 +92,7 @@ def enumerate_cliques(
                 add_clique(clique + (w,))
                 add_ext(ext & adj[w])
             if len(nxt_cliques) > budget:
-                return CliqueComplex(
-                    tuple(levels),
-                    tuple(len(l) for l in levels),
-                    order,
-                    f"level {order} exceeds budget ({budget}); enumeration stopped",
-                )
+                raise BudgetExceeded(budget, tuple(len(l) for l in levels))
         if not nxt_cliques:
             break
         levels.append(tuple(nxt_cliques))
@@ -121,9 +101,7 @@ def enumerate_cliques(
 
 
 def euler_characteristic(cx: CliqueComplex) -> EulerNumber:
-    """Alternating sum of clique counts; undefined on a truncated complex."""
-    if cx.truncated_at is not None:
-        raise ValueError("truncated complex: Euler characteristic undefined")
+    """Alternating sum of clique counts."""
     chi = 0
     for k, m in enumerate(cx.counts):
         chi += m if k % 2 == 0 else -m
@@ -173,10 +151,8 @@ def expand_maximal_cliques(maximal: list[Clique]) -> list[tuple[Clique, ...]]:
 
 def max_clique_order(net: Network) -> int:
     """Largest k with m_k > 0, via maximal cliques."""
-    maximal = maximal_cliques(net)
-    if not maximal:
-        return -1
-    return max(len(c) for c in maximal) - 1
+    # an empty network has the one maximal clique (), so its order is -1
+    return max(len(c) for c in maximal_cliques(net)) - 1
 
 
 def cocktail_party_network(k: int) -> Network:
@@ -219,14 +195,12 @@ def _levels_sha256(levels: list) -> str:
 
 
 def complex_to_json(cx: CliqueComplex, source_checksum: str) -> dict:
-    """Export document: {"counts", "levels", "levels_sha256", "truncated_at",
-    "source_checksum"}."""
+    """Export document: {"counts", "levels", "levels_sha256", "source_checksum"}."""
     levels = [[list(c) for c in level] for level in cx.levels]
     return {
         "counts": list(cx.counts),
         "levels": levels,
         "levels_sha256": _levels_sha256(levels),
-        "truncated_at": cx.truncated_at,
         "source_checksum": source_checksum,
     }
 
@@ -243,8 +217,4 @@ def complex_from_json(doc: dict) -> tuple[CliqueComplex, str]:
     counts = tuple(doc["counts"])
     if counts != tuple(len(l) for l in levels):
         raise ValueError("cache counts disagree with levels")
-    truncated_at = doc["truncated_at"]
-    warning = None
-    if truncated_at is not None:
-        warning = f"level {truncated_at} exceeded the budget; enumeration stopped"
-    return CliqueComplex(levels, counts, truncated_at, warning), doc["source_checksum"]
+    return CliqueComplex(levels, counts), doc["source_checksum"]

@@ -60,8 +60,6 @@ def build_boundary_matrix(cx: CliqueComplex, k: int) -> Gf2Matrix:
     """
     if k < 1:
         raise ValueError("boundary order must be >= 1")
-    if cx.truncated_at is not None and cx.truncated_at <= k:
-        raise ValueError(f"complex truncated at order {cx.truncated_at}; level {k} unreliable")
     if k >= len(cx.levels) or k - 1 >= len(cx.levels):
         raise ValueError(f"complex has no level {k}")
     faces = cx.levels[k - 1]
@@ -161,13 +159,11 @@ def _edge_rank(cx: CliqueComplex) -> int:
 
 
 def homology_profile(cx: CliqueComplex) -> HomologyProfile:
-    """Compute all boundary ranks and Betti numbers of a complete complex.
+    """Compute all boundary ranks and Betti numbers of a clique complex.
 
     r_1 comes from a union-find over the edges; higher ranks from
     forward elimination of B_k.
     """
-    if cx.truncated_at is not None:
-        raise ValueError("truncated complex: Betti numbers undefined")
     top = len(cx.levels) - 1
     if top < 0:
         return HomologyProfile((), (), (), 0, True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import isqrt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -10,6 +11,20 @@ DEFAULT_BUDGET = 10**7
 DEFAULT_CORENESS_THRESHOLD = 25
 
 COMMENT_PREFIXES = ("#", "%")
+
+
+class BudgetExceeded(RuntimeError):
+    """A clique level would hold more cliques than the per-order budget.
+
+    counts holds m_k of the levels before it; len(counts) is the level that overflowed.
+    """
+
+    def __init__(self, budget: int, counts: tuple[int, ...]) -> None:
+        super().__init__(
+            f"level {len(counts)} exceeds budget ({budget}); enumeration stopped "
+            f"(counts so far: {list(counts)})"
+        )
+        self.counts = counts
 
 
 class Network(NamedTuple):
@@ -173,7 +188,17 @@ def random_er(n: int, m: int, seed: int) -> Network:
     if n < 0 or m < 0 or m > n * (n - 1) // 2:
         raise ValueError(f"infeasible edge count m={m} for n={n}")
     rng = random.Random(seed)
-    all_pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    chosen = rng.sample(all_pairs, m)
+    # index i names the i-th pair of the row-major list of all pairs (u < v),
+    # so sampling indices picks the same pairs as sampling that list
+    chosen = rng.sample(range(n * (n - 1) // 2), m)
     labels = [str(i) for i in range(1, n + 1)]
-    return network_from_edges(labels, [(str(u), str(v)) for u, v in chosen])
+    return network_from_edges(labels, [_pair_at(n, i) for i in chosen])
+
+
+def _pair_at(n: int, i: int) -> tuple[str, str]:
+    """Labels of pair i in the row-major list (1, 2), (1, 3), ..., (n - 1, n)."""
+    # counted from the end, the pairs of node n - 1 - t take places
+    # t(t + 1)/2 .. t(t + 1)/2 + t, largest partner first
+    j = n * (n - 1) // 2 - 1 - i
+    t = (isqrt(8 * j + 1) - 1) // 2
+    return str(n - 1 - t), str(n - j + t * (t + 1) // 2)

@@ -169,11 +169,9 @@ class _Search:
         return v if v < self.n else None
 
     def _decision_values(self, var: int) -> tuple[int, ...]:
-        if self.target is not None:
-            if self.ones == self.target:
-                return (0,)
-            if self.ones + self.free == self.target:
-                return (1,)
+        # ones == target never gets here: solutions() yields or _conflict_by_counts rejects
+        if self.target is not None and self.ones + self.free == self.target:
+            return (1,)
         return (0, 1)
 
     def _count_node(self) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from cliquecav import CliqueComplex, Network, network_from_edges
+from cliquecav import BudgetExceeded, CliqueComplex, Network, network_from_edges
 from cliquecav.solver import ZeroOneProgram
 
 
@@ -94,13 +94,13 @@ def enumerate_cliques_oracle(
     Each clique carries the tuple of its common neighbors above its
     maximum id; a child's tuple is the rest of the parent's filtered by set
     lookups in the new node's neighborhood. The budget is checked after
-    every child, and levels, truncation order and warning text follow the
-    library's contract.
+    every child; an overflowing level raises BudgetExceeded with the
+    counts of the levels before it, as the library does.
     """
     n = net.node_count
     levels: list[tuple[tuple[int, ...], ...]] = []
     if n > budget:
-        return CliqueComplex((), (), 0, f"level 0 exceeds budget ({n} > {budget})")
+        raise BudgetExceeded(budget, ())
     if n == 0:
         return CliqueComplex((), ())
     levels.append(tuple((u,) for u in range(n)))
@@ -117,12 +117,7 @@ def enumerate_cliques_oracle(
                 new_ext = tuple(z for z in ext[i + 1 :] if z in adj_sets[w])
                 nxt.append((clique + (w,), new_ext))
                 if len(nxt) > budget:
-                    return CliqueComplex(
-                        tuple(levels),
-                        tuple(len(l) for l in levels),
-                        order,
-                        f"level {order} exceeds budget ({budget}); enumeration stopped",
-                    )
+                    raise BudgetExceeded(budget, tuple(len(l) for l in levels))
         if not nxt:
             break
         levels.append(tuple(c for c, _ in nxt))
@@ -151,6 +146,15 @@ def independent_column_scan(rows: list[int], cols: int) -> list[int]:
                 kept.append(j)
                 break
     return kept
+
+
+def random_er_oracle(n: int, m: int, seed: int) -> Network:
+    """Uniform G(n, m) by sampling m pairs from the list of all n(n-1)/2 pairs."""
+    rng = random.Random(seed)
+    all_pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    chosen = rng.sample(all_pairs, m)
+    labels = [str(i) for i in range(1, n + 1)]
+    return network_from_edges(labels, [(str(u), str(v)) for u, v in chosen])
 
 
 def bernoulli_graph(n: int, p: float, seed: int) -> Network:

@@ -44,7 +44,7 @@ RECORD_FIELDS = {
     "Network": ("node_count", "node_labels", "adjacency", "edge_count"),
     "CorenessReport": ("coreness", "k_max", "core_size"),
     "GateResult": ("computable", "reason"),
-    "CliqueComplex": ("levels", "counts", "truncated_at", "warning"),
+    "CliqueComplex": ("levels", "counts"),
     "EulerNumber": ("chi",),
     "Gf2Matrix": ("rows", "cols", "bits"),
     "RankResult": ("rank", "pivot_cols"),
@@ -59,7 +59,6 @@ RECORD_FIELDS = {
     "ZeroOneProgram": ("num_vars", "parity_rows", "fixed", "cardinality"),
 }
 RECORD_DEFAULTS = {
-    "CliqueComplex": {"truncated_at": None, "warning": None},
     "CavityCertificate": {"rank_evidence": None},
     "VerifyResult": {"failed": None},
     # None stands for a fresh empty list

@@ -287,3 +287,15 @@ def test_dot_output(sample14):
     assert dot.count("--") == 4
     for lab in ("3", "6", "7", "8"):
         assert f'"{lab}"' in dot
+
+
+def test_dot_escapes_quotes_in_labels():
+    net = network_from_edges([], [('a"1', "b"), ("b", "c"), ("c", "d"), ("d", 'a"1')])
+    cx = enumerate_cliques(net)
+    b1, b2 = _pair(cx, 1)
+    cert = find_cavities(b1, b2, select_spanning_and_generators(b1, b2), cx.levels[1])[0]
+    dot = certificate_to_dot(cert, cx, net.node_labels, "c1")
+    assert '  "a\\"1";' in dot.splitlines()
+    assert '"a"1"' not in dot
+    # with every escaped quote removed, each line holds whole quoted strings
+    assert all(line.replace('\\"', "").count('"') % 2 == 0 for line in dot.splitlines())

@@ -181,10 +181,23 @@ def test_analyze_gate_and_force(capsys):
     assert json.loads(out)["chi"] == 0
 
 
-def test_analyze_truncation_exits_3(capsys):
-    rc, _, err = run(capsys, "analyze", "--input", SAMPLE14, "--budget", "10")
-    assert rc == 3
-    assert "budget" in err
+@pytest.mark.parametrize(
+    "budget, line",
+    [
+        (10, "level 0 exceeds budget (10); enumeration stopped (counts so far: [])"),
+        (20, "level 1 exceeds budget (20); enumeration stopped (counts so far: [14])"),
+    ],
+    ids=["level0", "level1"],
+)
+@pytest.mark.parametrize("command", ["analyze", "cavities", "verify"])
+def test_budget_overflow_exits_3_with_one_stderr_line(tmp_path, capsys, command, budget, line):
+    args = [command, "--input", SAMPLE14, "--budget", str(budget),
+            "--cache", str(tmp_path / "cx")]
+    if command == "verify":
+        args.append(str(GOLDEN / "cavities.json"))
+    rc, out, err = run(capsys, *args)
+    assert (rc, out, err) == (3, "", line + "\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -390,6 +403,28 @@ def test_verify_flags_corrupted_certificate(tmp_path, capsys):
     assert "PASS" in lines[1] and "PASS" in lines[2]
 
 
+def test_verify_flags_cliques_that_are_not_a_cycle(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "cavities.json").read_text())
+    entry = doc[0]
+    # drop a member other than the generator, and keep length and nodes consistent
+    entry["cliques"].remove(next(c for c in entry["cliques"] if c != entry["generator"]))
+    entry["length"] = len(entry["cliques"])
+    entry["nodes"] = sorted({u for c in entry["cliques"] for u in c}, key=int)
+    certs = tmp_path / "path.json"
+    certs.write_text(json.dumps([entry]))
+    rc, out, _ = run(capsys, "verify", "--input", SAMPLE14, str(certs))
+    assert (rc, out) == (1, "cert 1: FAIL (cycle)\n")
+
+
+def test_verify_flags_a_certificate_listed_twice(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "cavities.json").read_text())
+    certs = tmp_path / "twice.json"
+    certs.write_text(json.dumps([doc[0], doc[0]]))
+    rc, out, _ = run(capsys, "verify", "--input", SAMPLE14, str(certs))
+    assert rc == 1
+    assert out.splitlines() == ["cert 1: PASS (order 1, length 4)", "cert 2: FAIL (independence)"]
+
+
 def test_verify_against_wrong_network_fails(tmp_path, capsys):
     certs = tmp_path / "certs.json"
     _, out, _ = run(capsys, "cavities", "--input", SAMPLE14)
@@ -405,6 +440,13 @@ def test_verify_rejects_a_certificate_file_that_is_not_a_list(tmp_path, capsys):
     rc, out, err = run(capsys, "verify", "--input", SAMPLE14, str(certs))
     assert (rc, out) == (1, "")
     assert err == f"error: {certs}: a certificate file must hold a JSON list\n"
+
+
+def test_missing_input_file_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.edges"
+    rc, out, err = run(capsys, "analyze", "--input", str(missing))
+    assert (rc, out) == (1, "")
+    assert err == f"error: {missing}: no such file\n"
 
 
 def test_input_that_is_a_directory_exits_1(tmp_path, capsys):
@@ -495,6 +537,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         ["verify", "--input", SAMPLE14, "--format", "json", "certs.json"],
         ["kcore", "--input", SAMPLE14, "--budget", "10"],
         ["kcore"],
+        ["kcore", "--input", SAMPLE14, "--format", "csv"],
     ],
 )
 def test_removed_or_missing_flags_exit_2(capsys, args):
@@ -524,6 +567,7 @@ def http_server(tmp_path):
     thread.start()
     yield serve_dir, f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def test_fetch_success_writes_file_and_checksum(http_server, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from cliquecav import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     cocktail_party_network,
     complex_from_json,
     complex_to_json,
@@ -36,7 +37,6 @@ def _labeled(net, level):
 def test_sample14_census(sample14):
     cx = enumerate_cliques(sample14)
     assert cx.counts == (14, 26, 13, 1)
-    assert cx.truncated_at is None
     assert euler_characteristic(cx).chi == 0
 
 
@@ -84,24 +84,24 @@ def test_matches_maximal_clique_expansion_on_random_graphs():
 
 
 def test_budget_truncation_is_loud(sample14):
-    cx = enumerate_cliques(sample14, budget=20)
-    assert cx.truncated_at == 1
-    assert cx.counts == (14,)
-    assert "budget" in cx.warning
-    with pytest.raises(ValueError, match="truncated"):
-        euler_characteristic(cx)
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_cliques(sample14, budget=20)
+    assert exc.value.counts == (14,)
+    assert str(exc.value) == (
+        "level 1 exceeds budget (20); enumeration stopped (counts so far: [14])"
+    )
 
 
 def test_budget_truncation_at_level_zero(sample14):
-    cx = enumerate_cliques(sample14, budget=10)
-    assert cx.truncated_at == 0
-    assert cx.counts == ()
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_cliques(sample14, budget=10)
+    assert exc.value.counts == ()
+    assert str(exc.value) == "level 0 exceeds budget (10); enumeration stopped (counts so far: [])"
 
 
 def test_max_order_stops_cleanly(sample14):
     cx = enumerate_cliques(sample14, max_order=1)
     assert cx.counts == (14, 26)
-    assert cx.truncated_at is None
     assert euler_characteristic(cx).chi == 14 - 26
 
 
@@ -160,14 +160,19 @@ def test_cocktail_party_rejects_out_of_range():
         cocktail_party_network(13)
 
 
+def _outcome(enumerate_fn, net, budget, max_order):
+    """The complex, or the message and counts of the budget overflow."""
+    try:
+        return enumerate_fn(net, budget=budget, max_order=max_order)
+    except BudgetExceeded as exc:
+        return str(exc), exc.counts
+
+
 def _assert_matches_oracle(name, net, budget=DEFAULT_BUDGET, max_order=None):
-    got = enumerate_cliques(net, budget=budget, max_order=max_order)
-    want = enumerate_cliques_oracle(net, budget=budget, max_order=max_order)
-    case = (name, budget, max_order)
-    assert got.levels == want.levels, case
-    assert got.counts == want.counts, case
-    assert got.truncated_at == want.truncated_at, case
-    assert got.warning == want.warning, case
+    got = _outcome(enumerate_cliques, net, budget, max_order)
+    want = _outcome(enumerate_cliques_oracle, net, budget, max_order)
+    assert got == want, (name, budget, max_order)
+    return got
 
 
 def _differential_networks(sample14):
@@ -195,7 +200,9 @@ def test_bitset_enumeration_matches_oracle_at_every_max_order(sample14):
 @pytest.mark.parametrize("which", ["sample14", "cocktail k=4"])
 def test_bitset_enumeration_matches_oracle_at_the_budget_boundary(which, sample14):
     net = sample14 if which == "sample14" else cocktail_party_network(4)
-    for m in enumerate_cliques(net).counts:
+    counts = enumerate_cliques(net).counts
+    for m in counts:
         for budget in (m - 1, m, m + 1):
             if budget > 0:
-                _assert_matches_oracle(which, net, budget=budget)
+                outcome = _assert_matches_oracle(which, net, budget=budget)
+                assert isinstance(outcome[0], str) == (budget < max(counts)), budget

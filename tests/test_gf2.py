@@ -78,9 +78,6 @@ def test_boundary_matrix_errors(sample14):
         build_boundary_matrix(cx, 0)
     with pytest.raises(ValueError, match="level"):
         build_boundary_matrix(cx, 4)
-    truncated = enumerate_cliques(sample14, budget=20)
-    with pytest.raises(ValueError, match="truncated"):
-        build_boundary_matrix(truncated, 1)
 
 
 def test_identity_rank():
@@ -223,12 +220,6 @@ def test_euler_poincare_on_random_graphs():
         assert all(b >= 0 for b in prof.beta)
         for k in range(1, len(prof.m)):
             assert prof.r[k] <= min(prof.m[k - 1], prof.m[k])
-
-
-def test_profile_refuses_truncated(sample14):
-    truncated = enumerate_cliques(sample14, budget=20)
-    with pytest.raises(ValueError, match="truncated"):
-        homology_profile(truncated)
 
 
 def test_profile_of_empty_network():

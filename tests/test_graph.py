@@ -13,7 +13,7 @@ from cliquecav import (
     to_edge_text,
 )
 
-from oracles import peel_coreness
+from oracles import peel_coreness, random_er_oracle
 
 
 def test_parse_canonicalizes_messy_input(tmp_path):
@@ -128,6 +128,15 @@ def test_gate_verdicts(sample14):
     assert "exceeds" in blocked.reason
     with pytest.raises(ValueError):
         computability_gate(rep, coreness_threshold=-1)
+
+
+def test_random_er_matches_the_pair_list_oracle():
+    for n in (0, 1, 2, 3, 4, 7, 30, 101):
+        total = n * (n - 1) // 2
+        for m in {0, 1, total // 3, total - 1, total} & set(range(total + 1)):
+            for seed in range(3):
+                got = random_er(n, m, seed)
+                assert got == random_er_oracle(n, m, seed), (n, m, seed)
 
 
 def test_random_er_deterministic_per_seed():
