@@ -6,6 +6,10 @@ linearly independent of the (k+1)-clique boundaries together with all
 previously accepted certificates. Generators are identified from pivot
 structure; minimal representatives are found by exact-length 0-1 search
 over an increasing length schedule.
+
+Selection, search and the re-check of order k share one BoundaryContext
+(B_k and one pass over the columns of B_{k+1}); select_spanning_and_generators,
+find_cavities and verify_certificate each wrap a throwaway one.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from .cliques import Clique, CliqueComplex
-from .gf2 import Gf2Matrix, basis_insert, bit_indices, column_space_basis, gf2_rank
+from .gf2 import Gf2Matrix, basis_insert, bit_indices, column_pass, gf2_rank
 
 
 class CavitySearchError(RuntimeError):
@@ -63,63 +67,141 @@ class VerifyResult(NamedTuple):
         return self.ok
 
 
-def _column_weight(m: Gf2Matrix, j: int) -> int:
-    return sum((row >> j) & 1 for row in m.bits)
+class BoundaryContext:
+    """What selection, search and the re-check of one order k all read.
 
+    Holds k, B_k, and one left-to-right pass over the columns of B_{k+1}:
+    boundary maps its pivot columns to their vectors, and basis spans its
+    column space. verified is that basis extended by every certificate
+    that recheck passed. Build one per order and run; consecutive orders
+    can share their middle matrix.
+    """
 
-def infer_order(bk: Gf2Matrix) -> int:
-    """Order k of the cliques indexing B_k's columns (column weight - 1)."""
-    if bk.cols == 0:
-        raise ValueError("cannot infer order from an empty matrix")
-    return _column_weight(bk, 0) - 1
+    __slots__ = ("order", "bk", "boundary", "basis", "verified")
+
+    def __init__(self, order: int, bk: Gf2Matrix, bk1: Gf2Matrix) -> None:
+        self.order = order
+        self.bk = bk
+        self.boundary, self.basis = column_pass(bk1)
+        self.verified = dict(self.basis)
+
+    def select(self) -> SpanningSelection:
+        """Split k-cliques into tree, boundary-covered, and generator sets.
+
+        The tree is the greedy pivot-column set of B_k. Each pivot column of
+        B_{k+1} is projected onto the non-tree coordinates and reduced
+        against the previously chosen projections; its pivot coordinate is
+        the non-tree k-clique that boundary accounts for. The generators are
+        the beta_k non-tree cliques left unaccounted.
+        """
+        tree_cols = gf2_rank(self.bk).pivot_cols
+        tree = set(tree_cols)
+        non_tree = [j for j in range(self.bk.cols) if j not in tree]
+        non_tree_mask = sum(1 << j for j in non_tree)
+        proj_basis: dict[int, int] = {}
+        for c, col in self.boundary.items():
+            if not basis_insert(proj_basis, col & non_tree_mask):
+                raise AssertionError(f"boundary column {c} vanished on non-tree coordinates")
+        # each projection is keyed by its pivot coordinate
+        covered = {low.bit_length() - 1 for low in proj_basis}
+        generators = [j for j in non_tree if j not in covered]
+        # tree, covered, and generators must partition the k-clique indices
+        assert len(tree) + len(covered) + len(generators) == self.bk.cols
+        assert not tree & covered
+        return SpanningSelection(self.order, tuple(tree_cols), tuple(self.boundary),
+                                 tuple(sorted(covered)), tuple(generators))
+
+    def search(
+        self,
+        sel: SpanningSelection,
+        cliques: Sequence[Clique],
+        node_limit: int | None = None,
+        length_ceiling: int | None = None,
+    ) -> list[CavityCertificate]:
+        """One minimal independent certificate per generator clique of sel.
+
+        Generators are processed in ascending index order. For each length
+        on the schedule, the cycles through the generator with exactly that
+        many ones are enumerated in lexicographic order, and the first one
+        that raises the rank of (accepted certificates | B_{k+1} columns) is
+        accepted. node_limit caps the solver's decision nodes per program
+        (default: solver.DEFAULT_NODE_LIMIT); the schedule stops at
+        length_ceiling (default: the number of k-cliques).
+        """
+        # imported here: `cliquecav verify` loads this module but never searches
+        from .solver import DEFAULT_NODE_LIMIT, ZeroOneProgram, iter_solutions
+
+        if node_limit is None:
+            node_limit = DEFAULT_NODE_LIMIT
+        basis = dict(self.basis)
+        ceiling = length_ceiling if length_ceiling is not None else self.bk.cols
+        rows = _parity_rows(self.bk)
+        accepted: list[CavityCertificate] = []
+        for v in sel.generator_cliques:
+            found = next(
+                (
+                    (length, mask)
+                    for length in length_schedule(self.order, ceiling)
+                    for mask in iter_solutions(
+                        ZeroOneProgram(self.bk.cols, rows, [(v, 1)], length), node_limit
+                    )
+                    if basis_insert(basis, mask)
+                ),
+                None,
+            )
+            if found is None:
+                raise CavitySearchError(
+                    f"no independent cycle through generator {v} up to length {ceiling}",
+                    accepted,
+                )
+            length, mask = found
+            nodes = {u for j in bit_indices(mask) for u in cliques[j]}
+            # rank_evidence: the rank of B_{k+1}'s columns and the certificates so far
+            cert = CavityCertificate(self.order, mask, v, length, tuple(sorted(nodes)), len(basis))
+            accepted.append(cert)
+        return accepted
+
+    def _malformed(self, cert: CavityCertificate) -> str | None:
+        """The first of dimension, generator-membership and cycle that cert
+        fails, or None."""
+        x = cert.indicator
+        if x < 0 or x >> self.bk.cols:
+            return "dimension"
+        if not (x >> cert.generator) & 1:
+            return "generator-membership"
+        if any((row & x).bit_count() & 1 for row in self.bk.bits):
+            return "cycle"
+        return None
+
+    def recheck(self, cert: CavityCertificate) -> VerifyResult:
+        """Re-check cert against B_k, B_{k+1} and the certificates that
+        passed before it, naming the failed constraint; a pass joins verified.
+
+        Checks, in order: the indicator fits B_k; the generator bit is set;
+        the indicator is a GF(2) cycle of B_k; it is independent of
+        verified; the recorded length is the popcount and is at least the
+        order-k minimum 2^(k+1). A clique boundary therefore fails on
+        independence, not on length.
+        """
+        failed = self._malformed(cert)
+        if failed:
+            return VerifyResult(False, failed)
+        x = cert.indicator
+        if not basis_insert(self.verified, x):
+            return VerifyResult(False, "independence")
+        if x.bit_count() != cert.length or cert.length < 2 ** (cert.order + 1):
+            self.verified.popitem()  # the entry basis_insert just added
+            return VerifyResult(False, "length")
+        return VerifyResult(True)
 
 
 def select_spanning_and_generators(bk: Gf2Matrix, bk1: Gf2Matrix) -> SpanningSelection:
-    """Split k-cliques into tree, boundary-covered, and generator sets.
-
-    The tree is the greedy pivot-column set of B_k. Each pivot column of
-    B_{k+1} is projected onto the non-tree coordinates and reduced
-    against the previously chosen projections; its pivot coordinate is
-    the non-tree k-clique that boundary accounts for. The generators are
-    the beta_k non-tree cliques left unaccounted.
-    """
-    k = infer_order(bk)
-    rk = gf2_rank(bk)
-    tree = set(rk.pivot_cols)
-    non_tree = [j for j in range(bk.cols) if j not in tree]
-    non_tree_mask = 0
-    for j in non_tree:
-        non_tree_mask |= 1 << j
-    rk1 = gf2_rank(bk1) if bk1.cols else None
-    boundary_cols = rk1.pivot_cols if rk1 else []
-    columns = bk1.column_vectors() if bk1.cols else []
-    covered: list[int] = []
-    proj_basis: dict[int, int] = {}
-    for c in boundary_cols:
-        proj = columns[c] & non_tree_mask
-        while proj:
-            low = proj & -proj
-            if low not in proj_basis:
-                proj_basis[low] = proj
-                covered.append(low.bit_length() - 1)
-                break
-            proj ^= proj_basis[low]
-        else:
-            raise AssertionError(
-                f"boundary column {c} vanished on non-tree coordinates"
-            )
-    covered_set = set(covered)
-    generators = [j for j in non_tree if j not in covered_set]
-    # tree, covered, and generators must partition the k-clique indices
-    assert len(tree) + len(covered_set) + len(generators) == bk.cols
-    assert not tree & covered_set
-    return SpanningSelection(
-        k,
-        tuple(rk.pivot_cols),
-        tuple(boundary_cols),
-        tuple(sorted(covered)),
-        tuple(generators),
-    )
+    """BoundaryContext.select on a throwaway context. The order k is read
+    off B_k, whose columns each hold k + 1 ones."""
+    if bk.cols == 0:
+        raise ValueError("cannot infer order from an empty matrix")
+    k = sum(row & 1 for row in bk.bits) - 1
+    return BoundaryContext(k, bk, bk1).select()
 
 
 def _parity_rows(bk: Gf2Matrix) -> list[list[int]]:
@@ -149,61 +231,8 @@ def find_cavities(
     node_limit: int | None = None,
     length_ceiling: int | None = None,
 ) -> list[CavityCertificate]:
-    """One minimal independent certificate per generator clique.
-
-    Generators are processed in ascending index order. For each length on
-    the schedule, the cycles through the generator with exactly that many
-    ones are enumerated in lexicographic order, and the first one that
-    raises the rank of (accepted certificates | B_{k+1} columns) is
-    accepted. node_limit caps the solver's decision nodes per program
-    (default: solver.DEFAULT_NODE_LIMIT); the schedule stops at
-    length_ceiling (default: the number of k-cliques).
-    """
-    # imported here: `cliquecav verify` loads this module but never searches
-    from .solver import DEFAULT_NODE_LIMIT, ZeroOneProgram, iter_solutions
-
-    if node_limit is None:
-        node_limit = DEFAULT_NODE_LIMIT
-    k = sel.order
-    if not sel.generator_cliques:
-        return []
-    basis = dict(column_space_basis(bk1))
-    r_next = len(basis)
-    ceiling = length_ceiling if length_ceiling is not None else bk.cols
-    rows = _parity_rows(bk)
-    accepted: list[CavityCertificate] = []
-    for v in sel.generator_cliques:
-        found = None
-        for length in length_schedule(k, ceiling):
-            program = ZeroOneProgram(
-                num_vars=bk.cols,
-                parity_rows=rows,
-                fixed=[(v, 1)],
-                cardinality=length,
-            )
-            for mask in iter_solutions(program, node_limit):
-                if basis_insert(basis, mask):
-                    nodes = set()
-                    for j in bit_indices(mask):
-                        nodes.update(cliques[j])
-                    found = CavityCertificate(
-                        order=k,
-                        indicator=mask,
-                        generator=v,
-                        length=length,
-                        node_set=tuple(sorted(nodes)),
-                        rank_evidence=r_next + len(accepted) + 1,
-                    )
-                    break
-            if found is not None:
-                accepted.append(found)
-                break
-        if found is None:
-            raise CavitySearchError(
-                f"no independent cycle through generator {v} up to length {ceiling}",
-                accepted,
-            )
-    return accepted
+    """BoundaryContext.search on a throwaway context of order sel.order."""
+    return BoundaryContext(sel.order, bk, bk1).search(sel, cliques, node_limit, length_ceiling)
 
 
 def verify_certificate(
@@ -212,31 +241,15 @@ def verify_certificate(
     bk1: Gf2Matrix,
     prior: Sequence[CavityCertificate] = (),
 ) -> VerifyResult:
-    """Re-check a certificate from scratch, naming the failed constraint.
-
-    Checks, in order: the generator bit is set; the indicator is a GF(2)
-    cycle of B_k; adjoining the indicator after all prior certificates to
-    the B_{k+1} column space raises the rank each time; the recorded
-    length is the popcount and is at least the order-k minimum 2^(k+1).
-    A clique boundary therefore fails on independence, not on length.
+    """BoundaryContext.recheck on a throwaway context that has passed the
+    prior certificates. A prior certificate that is dependent fails cert on
+    independence, unless cert already fails one of the checks before it.
     """
-    x = cert.indicator
-    if x < 0 or x >> bk.cols:
-        return VerifyResult(False, "dimension")
-    if not (x >> cert.generator) & 1:
-        return VerifyResult(False, "generator-membership")
-    for row in bk.bits:
-        if (row & x).bit_count() & 1:
-            return VerifyResult(False, "cycle")
-    basis = dict(column_space_basis(bk1))
+    ctx = BoundaryContext(cert.order, bk, bk1)
     for p in prior:
-        if not basis_insert(basis, p.indicator):
-            return VerifyResult(False, "independence")
-    if not basis_insert(basis, x):
-        return VerifyResult(False, "independence")
-    if x.bit_count() != cert.length or cert.length < 2 ** (cert.order + 1):
-        return VerifyResult(False, "length")
-    return VerifyResult(True)
+        if not basis_insert(ctx.verified, p.indicator):
+            return VerifyResult(False, ctx._malformed(cert) or "independence")
+    return ctx.recheck(cert)
 
 
 def certificate_from_cliques(
@@ -320,7 +333,9 @@ def certificate_to_dot(
     name: str,
 ) -> str:
     """DOT rendering of the cavity's node-edge skeleton."""
-    quoted = {u: '"' + labels[u].replace('"', '\\"') + '"' for u in cert.node_set}
+    # \ before ", so that a label ending in \ cannot escape its closing quote
+    quoted = {u: '"' + labels[u].replace("\\", "\\\\").replace('"', '\\"') + '"'
+              for u in cert.node_set}
     level = cx.levels[cert.order]
     edges: set[tuple[int, int]] = set()
     for j in cert.support():

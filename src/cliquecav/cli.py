@@ -18,6 +18,7 @@ argparse.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -40,7 +41,7 @@ from .graph import (
 )
 
 if TYPE_CHECKING:
-    from .cavities import CavityCertificate, VerifyResult
+    from .cavities import BoundaryContext, CavityCertificate
     from .cliques import CliqueComplex
 
 EXIT_OK = 0
@@ -102,39 +103,19 @@ def _build_complex(net: Network, export: str | None, budget: int) -> CliqueCompl
     return cx
 
 
-def _boundary_pair(cx: CliqueComplex, k: int):
+def _contexts(cx: CliqueComplex) -> Callable[[int], BoundaryContext]:
+    """context(k): the BoundaryContext of order k, built on first use. Each
+    B_k is built at most once: consecutive orders share it."""
+    from .cavities import BoundaryContext
     from .gf2 import build_boundary_matrix, zero_cols_matrix
 
-    bk = build_boundary_matrix(cx, k)
-    if k < cx.top_order:
-        bk1 = build_boundary_matrix(cx, k + 1)
-    else:
-        bk1 = zero_cols_matrix(cx.counts[k])
-    return bk, bk1
+    @functools.cache
+    def matrix(k: int):
+        if k > cx.top_order:
+            return zero_cols_matrix(cx.counts[k - 1])
+        return build_boundary_matrix(cx, k)
 
-
-def _certificate_checker(cx: CliqueComplex) -> Callable[[CavityCertificate], VerifyResult]:
-    """verify_certificate for certificates checked in order.
-
-    Each order's boundary pair is built once, and a certificate is checked
-    against the earlier certificates of its order that passed.
-    """
-    from .cavities import verify_certificate
-
-    pairs: dict[int, tuple] = {}
-    prior: dict[int, list[CavityCertificate]] = {}
-
-    def check(cert: CavityCertificate) -> VerifyResult:
-        if cert.order not in pairs:
-            pairs[cert.order] = _boundary_pair(cx, cert.order)
-            prior[cert.order] = []
-        bk, bk1 = pairs[cert.order]
-        result = verify_certificate(cert, bk, bk1, prior[cert.order])
-        if result:
-            prior[cert.order].append(cert)
-        return result
-
-    return check
+    return functools.cache(lambda k: BoundaryContext(k, matrix(k), matrix(k + 1)))
 
 
 class SelfCheckError(RuntimeError):
@@ -239,7 +220,9 @@ def cmd_kcore(args, parser) -> int:
 def _pipeline(args, cavities: bool):
     """Load, gate, census (exported with --cache) and profile; with cavities,
     also search every order with beta_k > 0, self-check (--verify) and
-    write DOT files (--emit-dot).
+    write DOT files (--emit-dot). Search and self-check of an order share
+    one BoundaryContext, so each B_k is built at most once outside the
+    profile.
 
     Returns EXIT_GATE when the gate stops the run, otherwise (net, cx,
     profile, certs); a clique level over --budget raises BudgetExceeded.
@@ -255,17 +238,13 @@ def _pipeline(args, cavities: bool):
     profile = homology_profile(cx)
     certs: list[CavityCertificate] = []
     if cavities:
-        from .cavities import find_cavities, select_spanning_and_generators
-
+        context = _contexts(cx)
         for k in range(1, len(profile.beta)):
             if profile.beta[k]:
-                bk, bk1 = _boundary_pair(cx, k)
-                sel = select_spanning_and_generators(bk, bk1)
-                certs.extend(find_cavities(bk, bk1, sel, cx.levels[k]))
+                certs.extend(context(k).search(context(k).select(), cx.levels[k]))
         if args.verify:
-            check = _certificate_checker(cx)
             for cert in certs:
-                result = check(cert)
+                result = context(cert.order).recheck(cert)
                 if not result:
                     raise SelfCheckError(
                         f"internal check failed: order-{cert.order} certificate "
@@ -441,7 +420,7 @@ def cmd_verify(args, parser) -> int:
     if not isinstance(doc, list):
         return _fail(f"{args.certificates}: a certificate file must hold a JSON list")
     index = net.label_index()
-    check = _certificate_checker(cx)
+    context = _contexts(cx)
     failures = 0
     for i, entry in enumerate(doc, 1):
         try:
@@ -450,7 +429,7 @@ def cmd_verify(args, parser) -> int:
             print(f"cert {i}: FAIL (membership: {exc})")
             failures += 1
             continue
-        result = check(cert)
+        result = context(cert.order).recheck(cert)
         if result:
             print(f"cert {i}: PASS (order {cert.order}, length {cert.length})")
         else:

@@ -20,7 +20,7 @@ def bit_indices(mask: int) -> list[int]:
 class Gf2Matrix:
     """Row-major bitset matrix: bit j of bits[i] is entry (i, j)."""
 
-    __slots__ = ("rows", "cols", "bits", "_col_basis")
+    __slots__ = ("rows", "cols", "bits")
 
     def __init__(self, rows: int, cols: int, bits: list[int]) -> None:
         if len(bits) != rows:
@@ -28,10 +28,6 @@ class Gf2Matrix:
         self.rows = rows
         self.cols = cols
         self.bits = bits
-        self._col_basis: dict[int, int] | None = None
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.bits[i] >> j) & 1
 
     def column_vectors(self) -> list[int]:
         """Transpose: one int per column, bit i = row i."""
@@ -98,17 +94,25 @@ def gf2_rank(m: Gf2Matrix) -> RankResult:
     return RankResult(len(basis), sorted(low.bit_length() - 1 for low in basis))
 
 
-def column_space_basis(m: Gf2Matrix) -> dict[int, int]:
-    """Basis of the column space, columns read as ints over row indices.
+def column_pass(m: Gf2Matrix) -> tuple[dict[int, int], dict[int, int]]:
+    """One left-to-right pass over m's columns, read as ints over row indices.
 
-    Cached on the matrix; callers must copy before mutating.
+    Returns the pivot columns mapped to their vectors, and a basis of the
+    column space keyed by lowest set bit. The pivot columns are the greedy
+    independent set, gf2_rank(m).pivot_cols.
     """
-    if m._col_basis is None:
-        basis: dict[int, int] = {}
-        for col in m.column_vectors():
-            basis_insert(basis, col)
-        m._col_basis = basis
-    return m._col_basis
+    pivots: dict[int, int] = {}
+    basis: dict[int, int] = {}
+    for j, col in enumerate(m.column_vectors()):
+        if basis_insert(basis, col):
+            pivots[j] = col
+    return pivots, basis
+
+
+def column_space_basis(m: Gf2Matrix) -> dict[int, int]:
+    """Basis of the column space, columns read as ints over row indices and
+    keyed by lowest set bit; a new dict on every call."""
+    return column_pass(m)[1]
 
 
 def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:

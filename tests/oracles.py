@@ -3,14 +3,31 @@
 Everything here is deliberately naive and written differently from the
 library code: different algorithms, different data layouts, no shared
 helpers. Slow is fine; wrong is not.
+
+The exceptions are select_oracle, find_cavities_oracle and
+verify_certificate_oracle: the cavity stage without a shared per-order
+BoundaryContext, kept verbatim as its reference. Every call rebuilds what
+it reads (ranks, transposes, column bases, and the prior certificates'
+basis), so they stand apart from the context's single column pass.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Sequence
 
 from cliquecav import BudgetExceeded, CliqueComplex, Network, network_from_edges
+from cliquecav.cavities import (
+    CavityCertificate,
+    CavitySearchError,
+    SpanningSelection,
+    VerifyResult,
+    _parity_rows,
+    length_schedule,
+)
+from cliquecav.cliques import Clique
+from cliquecav.gf2 import Gf2Matrix, basis_insert, bit_indices, column_space_basis, gf2_rank
 from cliquecav.solver import ZeroOneProgram
 
 
@@ -205,3 +222,160 @@ def brute_solutions(p: ZeroOneProgram) -> list[int]:
     # sort by assignment tuple (x_0, x_1, ...), 0 before 1
     masks.sort(key=lambda m: tuple((m >> j) & 1 for j in range(n)))
     return masks
+
+
+def _column_weight(m: Gf2Matrix, j: int) -> int:
+    return sum((row >> j) & 1 for row in m.bits)
+
+
+def infer_order(bk: Gf2Matrix) -> int:
+    """Order k of the cliques indexing B_k's columns (column weight - 1)."""
+    if bk.cols == 0:
+        raise ValueError("cannot infer order from an empty matrix")
+    return _column_weight(bk, 0) - 1
+
+
+def select_oracle(bk: Gf2Matrix, bk1: Gf2Matrix) -> SpanningSelection:
+    """Split k-cliques into tree, boundary-covered, and generator sets.
+
+    The tree is the greedy pivot-column set of B_k. Each pivot column of
+    B_{k+1} is projected onto the non-tree coordinates and reduced
+    against the previously chosen projections; its pivot coordinate is
+    the non-tree k-clique that boundary accounts for. The generators are
+    the beta_k non-tree cliques left unaccounted.
+    """
+    k = infer_order(bk)
+    rk = gf2_rank(bk)
+    tree = set(rk.pivot_cols)
+    non_tree = [j for j in range(bk.cols) if j not in tree]
+    non_tree_mask = 0
+    for j in non_tree:
+        non_tree_mask |= 1 << j
+    rk1 = gf2_rank(bk1) if bk1.cols else None
+    boundary_cols = rk1.pivot_cols if rk1 else []
+    columns = bk1.column_vectors() if bk1.cols else []
+    covered: list[int] = []
+    proj_basis: dict[int, int] = {}
+    for c in boundary_cols:
+        proj = columns[c] & non_tree_mask
+        while proj:
+            low = proj & -proj
+            if low not in proj_basis:
+                proj_basis[low] = proj
+                covered.append(low.bit_length() - 1)
+                break
+            proj ^= proj_basis[low]
+        else:
+            raise AssertionError(
+                f"boundary column {c} vanished on non-tree coordinates"
+            )
+    covered_set = set(covered)
+    generators = [j for j in non_tree if j not in covered_set]
+    # tree, covered, and generators must partition the k-clique indices
+    assert len(tree) + len(covered_set) + len(generators) == bk.cols
+    assert not tree & covered_set
+    return SpanningSelection(
+        k,
+        tuple(rk.pivot_cols),
+        tuple(boundary_cols),
+        tuple(sorted(covered)),
+        tuple(generators),
+    )
+
+
+def find_cavities_oracle(
+    bk: Gf2Matrix,
+    bk1: Gf2Matrix,
+    sel: SpanningSelection,
+    cliques: Sequence[Clique],
+    node_limit: int | None = None,
+    length_ceiling: int | None = None,
+) -> list[CavityCertificate]:
+    """One minimal independent certificate per generator clique.
+
+    Generators are processed in ascending index order. For each length on
+    the schedule, the cycles through the generator with exactly that many
+    ones are enumerated in lexicographic order, and the first one that
+    raises the rank of (accepted certificates | B_{k+1} columns) is
+    accepted. node_limit caps the solver's decision nodes per program
+    (default: solver.DEFAULT_NODE_LIMIT); the schedule stops at
+    length_ceiling (default: the number of k-cliques).
+    """
+    # imported here: `cliquecav verify` loads this module but never searches
+    from cliquecav.solver import DEFAULT_NODE_LIMIT, ZeroOneProgram, iter_solutions
+
+    if node_limit is None:
+        node_limit = DEFAULT_NODE_LIMIT
+    k = sel.order
+    if not sel.generator_cliques:
+        return []
+    basis = dict(column_space_basis(bk1))
+    r_next = len(basis)
+    ceiling = length_ceiling if length_ceiling is not None else bk.cols
+    rows = _parity_rows(bk)
+    accepted: list[CavityCertificate] = []
+    for v in sel.generator_cliques:
+        found = None
+        for length in length_schedule(k, ceiling):
+            program = ZeroOneProgram(
+                num_vars=bk.cols,
+                parity_rows=rows,
+                fixed=[(v, 1)],
+                cardinality=length,
+            )
+            for mask in iter_solutions(program, node_limit):
+                if basis_insert(basis, mask):
+                    nodes = set()
+                    for j in bit_indices(mask):
+                        nodes.update(cliques[j])
+                    found = CavityCertificate(
+                        order=k,
+                        indicator=mask,
+                        generator=v,
+                        length=length,
+                        node_set=tuple(sorted(nodes)),
+                        rank_evidence=r_next + len(accepted) + 1,
+                    )
+                    break
+            if found is not None:
+                accepted.append(found)
+                break
+        if found is None:
+            raise CavitySearchError(
+                f"no independent cycle through generator {v} up to length {ceiling}",
+                accepted,
+            )
+    return accepted
+
+
+def verify_certificate_oracle(
+    cert: CavityCertificate,
+    bk: Gf2Matrix,
+    bk1: Gf2Matrix,
+    prior: Sequence[CavityCertificate] = (),
+) -> VerifyResult:
+    """Re-check a certificate from scratch, naming the failed constraint.
+
+    Checks, in order: the generator bit is set; the indicator is a GF(2)
+    cycle of B_k; adjoining the indicator after all prior certificates to
+    the B_{k+1} column space raises the rank each time; the recorded
+    length is the popcount and is at least the order-k minimum 2^(k+1).
+    A clique boundary therefore fails on independence, not on length.
+    """
+    x = cert.indicator
+    if x < 0 or x >> bk.cols:
+        return VerifyResult(False, "dimension")
+    if not (x >> cert.generator) & 1:
+        return VerifyResult(False, "generator-membership")
+    for row in bk.bits:
+        if (row & x).bit_count() & 1:
+            return VerifyResult(False, "cycle")
+    basis = dict(column_space_basis(bk1))
+    for p in prior:
+        if not basis_insert(basis, p.indicator):
+            return VerifyResult(False, "independence")
+    if not basis_insert(basis, x):
+        return VerifyResult(False, "independence")
+    if x.bit_count() != cert.length or cert.length < 2 ** (cert.order + 1):
+        return VerifyResult(False, "length")
+    return VerifyResult(True)

@@ -289,13 +289,36 @@ def test_dot_output(sample14):
         assert f'"{lab}"' in dot
 
 
+def _dot_strings(line: str) -> list[str] | None:
+    """The quoted strings of one DOT line, read with the two escapes of
+    Graphviz's lexer (\\" and \\\\); None when one is left open."""
+    strings, i = [], line.find('"')
+    while i >= 0:
+        text, i = [], i + 1
+        while i < len(line) and line[i] != '"':
+            if line[i] == "\\" and line[i + 1 : i + 2] in ('"', "\\"):
+                i += 1
+            text.append(line[i])
+            i += 1
+        if i == len(line):
+            return None
+        strings.append("".join(text))
+        i = line.find('"', i + 1)
+    return strings
+
+
 def test_dot_escapes_quotes_in_labels():
-    net = network_from_edges([], [('a"1', "b"), ("b", "c"), ("c", "d"), ("d", 'a"1')])
+    labels = ['a"1', "a\\", 'a\\"b', "d"]
+    net = network_from_edges([], list(zip(labels, labels[1:] + labels[:1])))
     cx = enumerate_cliques(net)
     b1, b2 = _pair(cx, 1)
     cert = find_cavities(b1, b2, select_spanning_and_generators(b1, b2), cx.levels[1])[0]
     dot = certificate_to_dot(cert, cx, net.node_labels, "c1")
     assert '  "a\\"1";' in dot.splitlines()
     assert '"a"1"' not in dot
-    # with every escaped quote removed, each line holds whole quoted strings
-    assert all(line.replace('\\"', "").count('"') % 2 == 0 for line in dot.splitlines())
+    assert '  "a\\\\";' in dot.splitlines()
+    assert '  "a\\\\\\"b";' in dot.splitlines()
+    # each line holds whole quoted strings, and they read back as the labels
+    read = [_dot_strings(line) for line in dot.splitlines()]
+    assert None not in read
+    assert {s for strings in read[2:] for s in strings} == set(labels)

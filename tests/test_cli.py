@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from cliquecav.cavities import VerifyResult, find_cavities
+from cliquecav.cavities import BoundaryContext, VerifyResult
 from cliquecav.cli import build_parser, main
 from cliquecav.cliques import CliqueComplex, complex_to_json, enumerate_cliques
 from cliquecav.graph import edge_text_checksum, load_edge_list
@@ -705,7 +705,7 @@ def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
 
 def test_node_limit_exits_1_with_message(monkeypatch, capsys):
     monkeypatch.setattr(
-        "cliquecav.cavities.find_cavities", functools.partial(find_cavities, node_limit=1)
+        BoundaryContext, "search", functools.partialmethod(BoundaryContext.search, node_limit=1)
     )
     rc, out, err = run(capsys, "cavities", "--input", SAMPLE14)
     assert rc == 1
@@ -716,7 +716,8 @@ def test_node_limit_exits_1_with_message(monkeypatch, capsys):
 def test_cavity_search_error_reports_partial_count(monkeypatch, capsys):
     # order 1 of sample14 has certificates of length 4 and 7
     monkeypatch.setattr(
-        "cliquecav.cavities.find_cavities", functools.partial(find_cavities, length_ceiling=5)
+        BoundaryContext, "search",
+        functools.partialmethod(BoundaryContext.search, length_ceiling=5),
     )
     rc, out, err = run(capsys, "analyze", "--cavities", "--input", SAMPLE14)
     assert rc == 1
@@ -728,7 +729,7 @@ def test_cavity_search_error_reports_partial_count(monkeypatch, capsys):
 
 def test_failed_self_check_exits_1_with_message(monkeypatch, capsys):
     monkeypatch.setattr(
-        "cliquecav.cavities.verify_certificate", lambda *a: VerifyResult(False, "independence")
+        BoundaryContext, "recheck", lambda *a: VerifyResult(False, "independence")
     )
     rc, out, err = run(capsys, "cavities", "--verify", "--input", SAMPLE14)
     assert rc == 1
