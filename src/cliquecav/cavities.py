@@ -135,16 +135,21 @@ class BoundaryContext:
             node_limit = DEFAULT_NODE_LIMIT
         basis = dict(self.basis)
         ceiling = length_ceiling if length_ceiling is not None else self.bk.cols
-        rows = _parity_rows(self.bk)
+        # one program for every generator and length: the solver derives
+        # the row incidence on the first search and keeps it on the program
+        program = ZeroOneProgram(self.bk.cols, _parity_rows(self.bk))
+
+        def cycles(v: int, length: int):
+            program.fixed, program.cardinality = [(v, 1)], length
+            return iter_solutions(program, node_limit)
+
         accepted: list[CavityCertificate] = []
         for v in sel.generator_cliques:
             found = next(
                 (
                     (length, mask)
                     for length in length_schedule(self.order, ceiling)
-                    for mask in iter_solutions(
-                        ZeroOneProgram(self.bk.cols, rows, [(v, 1)], length), node_limit
-                    )
+                    for mask in cycles(v, length)
                     if basis_insert(basis, mask)
                 ),
                 None,

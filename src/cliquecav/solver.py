@@ -3,13 +3,33 @@
 Depth-first branch and bound over variables in ascending index order,
 value 0 before 1, so the first solution found is the lexicographically
 smallest assignment and enumeration streams solutions in lexicographic
-order. Parity rows are propagated natively in GF(2), and an exact
-cardinality bounds the search by counting ones.
+order. Parity rows are propagated natively in GF(2), first in first out,
+and an exact cardinality bounds the search by counting ones. The search
+state is three bitmasks (free variables, ones, odd rows), so backtracking
+restores a saved triple.
+
+Pairing bound. It applies when every variable lies in an even number of
+rows: on B_1, where each edge has two endpoint rows, and on B_k for every
+odd k. For each odd row a, let d(a) be the fewest free variables on a
+chain from a to another odd row; two rows are linked when one free
+variable lies in both. The search prunes when some odd row reaches no
+other odd row, or when maxr * (ones still to place) < sum_a d(a), where
+maxr is the most rows any variable lies in. Why it is sound: every
+variable has an even row count, so each connected part of a completion's
+new ones holds an even number of odd rows. A spanning tree of that part's
+row-variable incidence graph has at most maxr edges per variable. An
+Euler tour around the tree walks each edge twice and visits every odd
+row, and from each odd row a to the next it passes at least d(a)
+variables, so sum_a d(a) <= maxr * (the part's new ones). On B_1 this is
+the T-join bound, half the sum of the distances (Edmonds and Johnson,
+"Matching, Euler tours and the Chinese postman", Math. Programming 1973).
+It is checked after a decision sets a one, or a zero on a variable in an
+odd row. It cuts only subtrees without solutions, so the solution stream
+is unchanged.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator
 
 DEFAULT_NODE_LIMIT = 10**8
@@ -27,9 +47,13 @@ class ZeroOneProgram:
     fixed: (var, value) pins applied before branching (default: none).
     cardinality: exact number of ones required among all variables, or
         None for no count constraint.
+
+    The first search derives the row incidence and keeps it on the
+    program: fixed and cardinality may change between searches, the rows
+    may not.
     """
 
-    __slots__ = ("num_vars", "parity_rows", "fixed", "cardinality")
+    __slots__ = ("num_vars", "parity_rows", "fixed", "cardinality", "_incidence")
 
     def __init__(
         self,
@@ -42,6 +66,7 @@ class ZeroOneProgram:
         self.parity_rows = [] if parity_rows is None else parity_rows
         self.fixed = [] if fixed is None else fixed
         self.cardinality = cardinality
+        self._incidence: tuple | None = None
         if self.num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         for row in self.parity_rows:
@@ -61,178 +86,157 @@ class ZeroOneProgram:
             raise ValueError("cardinality must be nonnegative")
 
 
-class _Frame:
-    __slots__ = ("var", "vals", "idx", "mark")
+def _incidence(p: ZeroOneProgram) -> tuple:
+    """rows_of (rows per variable), row_vars and var_rows (the same
+    incidence as bitmasks), maxr, and whether every row count is even."""
+    rows_of: list[list[int]] = [[] for _ in range(p.num_vars)]
+    row_vars = []
+    for r, row in enumerate(p.parity_rows):
+        bits = 0
+        for v in row:
+            rows_of[v].append(r)
+            bits |= 1 << v
+        row_vars.append(bits)
+    var_rows = [sum(1 << r for r in rs) for rs in rows_of]
+    maxr = max(map(len, rows_of), default=0)
+    return rows_of, row_vars, var_rows, maxr, all(len(rs) % 2 == 0 for rs in rows_of)
 
-    def __init__(self, var: int, vals: tuple[int, ...], mark: int) -> None:
-        self.var = var
-        self.vals = vals
-        self.idx = 0
-        self.mark = mark
 
-
-class _Search:
-    """One depth-first run over a program; owns all mutable state."""
-
-    def __init__(self, p: ZeroOneProgram, node_limit: int) -> None:
-        self.n = p.num_vars
-        self.rows = [list(row) for row in p.parity_rows]
-        self.var_rows: list[list[int]] = [[] for _ in range(self.n)]
-        for r, row in enumerate(self.rows):
-            for v in row:
-                self.var_rows[v].append(r)
-        self.target = p.cardinality
-        self.pins = list(p.fixed)
-        self.node_limit = node_limit
-
-        self.value = [-1] * self.n
-        self.trail: list[int] = []
-        self.row_free = [len(row) for row in self.rows]
-        self.row_par = [0] * len(self.rows)
-        self.odd_rows = 0
-        self.ones = 0
-        self.free = self.n
-        self.ones_mask = 0
-        self.hint = 0
-        self.nodes = 0
-        # each new one can clear at most this many odd rows
-        self.max_rows_per_var = max((len(rs) for rs in self.var_rows), default=0)
-
-    def _conflict_by_counts(self) -> bool:
-        if self.target is None:
-            return False
-        if self.ones > self.target:
-            return True
-        if self.ones + self.free < self.target:
-            return True
-        return self.odd_rows > self.max_rows_per_var * (self.target - self.ones)
-
-    def _assign(self, var: int, val: int) -> bool:
-        """Apply one assignment plus all propagation; False on conflict.
-
-        Every applied assignment lands on the trail, so the caller can
-        roll back to its mark after a conflict.
-        """
-        queue = deque([(var, val)])
-        while queue:
-            v, x = queue.popleft()
-            cur = self.value[v]
-            if cur != -1:
-                if cur != x:
-                    return False
-                continue
-            self.value[v] = x
-            self.trail.append(v)
-            self.free -= 1
-            if x:
-                self.ones += 1
-                self.ones_mask |= 1 << v
-            # finish the whole row pass before reporting a conflict: undo
-            # reverses every row of v, so none may be left half-applied
-            conflict = False
-            for r in self.var_rows[v]:
-                self.row_free[r] -= 1
-                if x:
-                    self.row_par[r] ^= 1
-                    self.odd_rows += 1 if self.row_par[r] else -1
-                free = self.row_free[r]
-                if free == 0:
-                    if self.row_par[r]:
-                        conflict = True
-                elif free == 1:
-                    lone = next(u for u in self.rows[r] if self.value[u] == -1)
-                    queue.append((lone, self.row_par[r]))
-            if conflict or self._conflict_by_counts():
-                return False
-        return True
-
-    def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            v = self.trail.pop()
-            x = self.value[v]
-            self.value[v] = -1
-            self.free += 1
-            if x:
-                self.ones -= 1
-                self.ones_mask &= ~(1 << v)
-            for r in self.var_rows[v]:
-                self.row_free[r] += 1
-                if x:
-                    self.odd_rows += -1 if self.row_par[r] else 1
-                    self.row_par[r] ^= 1
-
-    def _next_unassigned(self) -> int | None:
-        v = self.hint
-        while v < self.n and self.value[v] != -1:
-            v += 1
-        self.hint = v
-        return v if v < self.n else None
-
-    def _decision_values(self, var: int) -> tuple[int, ...]:
-        # ones == target never gets here: solutions() yields or _conflict_by_counts rejects
-        if self.target is not None and self.ones + self.free == self.target:
-            return (1,)
-        return (0, 1)
-
-    def _count_node(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.node_limit:
-            raise NodeLimitExceeded(
-                f"node limit {self.node_limit} exceeded; search is incomplete"
-            )
-
-    def solutions(self) -> Iterator[int]:
-        if self.target is not None and self.target > self.free:
-            return
-        root = len(self.trail)
-        ok = True
-        for v, x in self.pins:
-            if not self._assign(v, x):
-                ok = False
-                break
-        if not ok:
-            self._undo(root)
-            return
-        stack: list[_Frame] = []
-        descend = True
+def _unpaired(odd: int, free: int, budget: int, row_vars: list[int], var_rows: list[int]) -> bool:
+    """True when some odd row reaches no other odd row over free variables,
+    or when the distances d(a) sum to more than budget. Each breadth-first
+    search stops as soon as the sum must exceed it."""
+    left = odd.bit_count()
+    total = 0
+    todo = odd
+    if left == 2:  # d(a) = d(b): search from a alone and count it twice
+        budget //= 2
+        left = 1
+        todo &= -todo
+    while todo:
+        a = todo & -todo
+        todo ^= a
+        left -= 1
+        seen = frontier = a
+        unused = free
+        dist = 0
         while True:
-            if descend:
-                # exact-count shortcut: remaining variables are all zero
-                if self.target is not None and self.ones == self.target and self.odd_rows == 0:
-                    yield self.ones_mask
-                    descend = False
-                    continue
-                var = self._next_unassigned()
-                if var is None:
-                    yield self.ones_mask
-                    descend = False
-                    continue
-                frame = _Frame(var, self._decision_values(var), len(self.trail))
-                stack.append(frame)
-            else:
-                if not stack:
-                    self._undo(root)
-                    return
-                frame = stack[-1]
-                frame.idx += 1
-            self._undo(frame.mark)
-            self.hint = frame.var
-            descend = False
-            while frame.idx < len(frame.vals):
-                val = frame.vals[frame.idx]
-                self._count_node()
-                if self._assign(frame.var, val):
-                    descend = True
-                    break
-                self._undo(frame.mark)
-                frame.idx += 1
-            if not descend:
-                stack.pop()
+            dist += 1
+            if total + dist + left > budget:
+                return True
+            # frontier: rows first reached over dist - 1 variables; reach:
+            # the unused free variables in them
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= row_vars[low.bit_length() - 1]
+            reach &= unused
+            unused ^= reach
+            frontier = 0
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                frontier |= var_rows[low.bit_length() - 1]
+            frontier &= ~seen
+            if frontier & odd:
+                break
+            if not frontier:
+                return True
+            seen |= frontier
+        total += dist
+    return False
 
 
 def iter_solutions(p: ZeroOneProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> Iterator[int]:
     """Stream every solution of p as a bitmask, in lexicographic order."""
-    return _Search(p, node_limit).solutions()
+    if p._incidence is None:
+        p._incidence = _incidence(p)
+    rows_of, row_vars, var_rows, maxr, pairable = p._incidence
+    n, target, pins = p.num_vars, p.cardinality, list(p.fixed)
+
+    def assign(var: int, val: int, free: int, ones_mask: int, odd: int):
+        """The state after var = val and all propagation, or None on conflict."""
+        ones = ones_mask.bit_count()
+        nfree = free.bit_count()
+        queue = [(var, val)]
+        for v, x in queue:  # first in first out: the loop reaches what the row pass appends
+            bit = 1 << v
+            if not free & bit:
+                if bool(ones_mask & bit) != x:
+                    return None
+                continue
+            free ^= bit
+            nfree -= 1
+            if x:
+                ones_mask |= bit
+                ones += 1
+                odd ^= var_rows[v]
+            for r in rows_of[v]:
+                rest = row_vars[r] & free
+                if not rest:
+                    if odd >> r & 1:
+                        return None
+                elif not rest & (rest - 1):
+                    queue.append((rest.bit_length() - 1, odd >> r & 1))
+            # each new one can clear at most maxr odd rows
+            if target is not None and (
+                ones > target or ones + nfree < target or odd.bit_count() > maxr * (target - ones)
+            ):
+                return None
+        if pairable and odd and (val or var_rows[var] & odd):
+            budget = maxr * (nfree if target is None else target - ones)
+            if _unpaired(odd, free, budget, row_vars, var_rows):
+                return None
+        return free, ones_mask, odd
+
+    def solutions() -> Iterator[int]:
+        if target is not None and target > n:
+            return
+        state = ((1 << n) - 1, 0, 0)
+        for v, x in pins:
+            state = assign(v, x, *state)
+            if state is None:
+                return
+        free, ones_mask, odd = state
+        nodes = 0
+        stack: list[tuple[int, int, tuple[int, int, int]]] = []  # (var, value, state before)
+        descend = True
+        while True:
+            if descend:
+                ones = ones_mask.bit_count()
+                # exact-count shortcut: remaining variables are all zero
+                if not free or (ones == target and not odd):
+                    yield ones_mask
+                    descend = False
+                    continue
+                # ones == target never gets here: it yields above or fails the counts
+                var = (free & -free).bit_length() - 1
+                val = 1 if target is not None and ones + free.bit_count() == target else 0
+                parent = (free, ones_mask, odd)
+            else:
+                if not stack:
+                    return
+                var, val, parent = stack.pop()
+                if val:
+                    continue
+                val = 1
+            while True:
+                nodes += 1
+                if nodes > node_limit:
+                    raise NodeLimitExceeded(f"node limit {node_limit} exceeded; search is incomplete")
+                state = assign(var, val, *parent)
+                if state is not None:
+                    stack.append((var, val, parent))
+                    free, ones_mask, odd = state
+                    descend = True
+                    break
+                if val:
+                    descend = False
+                    break
+                val = 1
+
+    return solutions()
 
 
 def solve(p: ZeroOneProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> int | None:

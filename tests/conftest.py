@@ -1,4 +1,5 @@
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,19 @@ DATASET_SIZES = {
     "jazz": (198, 2742),
     "yeast": (2375, 11693),
 }
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it reads from local modules in its home
+    # directory, .hypothesis/ in the working directory unless set: give it a
+    # temporary one that the session removes
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 def dataset_path(name: str) -> Path | None:
