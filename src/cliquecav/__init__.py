@@ -31,6 +31,7 @@ _HOME = {
         (
             "CliqueComplex",
             "EulerNumber",
+            "clique_counts",
             "cocktail_party_network",
             "complex_from_json",
             "complex_to_json",

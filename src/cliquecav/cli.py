@@ -335,13 +335,16 @@ def census_notes(k: int, counts: list[int]) -> list[str]:
 
 
 def cmd_smallest_cavity(args, parser) -> int:
-    """Generated order-k smallest-cavity complex: census, chi, reference notes."""
-    from .cliques import euler_characteristic, generate_smallest_cavity_complex
+    """Generated order-k smallest-cavity complex: census, chi, reference notes.
+
+    The counts come from clique_counts, which lists no clique, and chi is
+    their alternating sum.
+    """
+    from .cliques import clique_counts, cocktail_party_network
 
     k = args.order
-    cx = generate_smallest_cavity_complex(k)
-    counts = list(cx.counts)
-    chi = euler_characteristic(cx).chi
+    counts = list(clique_counts(cocktail_party_network(k)))
+    chi = sum(m if j % 2 == 0 else -m for j, m in enumerate(counts))
     notes = census_notes(k, counts)
     if args.format == "json":
         _print_json({"k": k, "m": counts, "chi": chi, "discrepancy_notes": notes})

@@ -6,6 +6,8 @@ clique with every common neighbor whose id exceeds the clique's maximum,
 so each clique is produced exactly once and levels come out in
 lexicographic order. Each clique carries those candidates as an int
 bitmask, so a child's candidates are one AND with a neighbor mask.
+clique_counts walks the same masks with a count per mask instead of the
+cliques, for callers that need only m_k.
 """
 
 from __future__ import annotations
@@ -98,6 +100,33 @@ def enumerate_cliques(
         levels.append(tuple(nxt_cliques))
         cliques, exts = nxt_cliques, nxt_exts
     return CliqueComplex(tuple(levels), tuple(len(l) for l in levels))
+
+
+def clique_counts(net: Network) -> tuple[int, ...]:
+    """m_k per order, equal to enumerate_cliques(net).counts, without
+    listing a clique.
+
+    Walks enumerate_cliques' candidate masks level by level, keeping only
+    how many cliques carry each mask. A clique's children and their masks
+    depend on its mask alone, so cliques with equal masks merge exactly,
+    and each level holds at most as many masks as it has cliques.
+    """
+    n = net.node_count
+    adj = [sum(1 << v for v in ns) for ns in net.adjacency]
+    counts: list[int] = []
+    level = {(1 << n) - 1: 1}  # the empty clique's mask: all nodes
+    while level and len(counts) < n:  # no clique has more than n nodes
+        counts.append(sum(mult * ext.bit_count() for ext, mult in level.items()))
+        nxt: dict[int, int] = {}
+        for ext, mult in level.items():
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                child = ext & adj[low.bit_length() - 1]
+                if child:  # a mask with no candidates has no children
+                    nxt[child] = nxt.get(child, 0) + mult
+        level = nxt
+    return tuple(counts)
 
 
 def euler_characteristic(cx: CliqueComplex) -> EulerNumber:

@@ -109,12 +109,15 @@ def load_edge_list(source: str | Path | IO[str]) -> Network:
     columns (weights) are ignored. Lines starting with '#' or '%' are
     comments. Directed duplicates are merged, self-loops dropped. A line
     that is neither comment nor at least two tokens raises ValueError
-    with its line number. An empty source gives an empty Network.
+    with its line number. An empty source gives an empty Network. Files
+    are read as UTF-8 whatever the locale, and one leading byte-order
+    mark (U+FEFF) is dropped, from a file object too.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
-        text = Path(source).read_text()
+        text = Path(source).read_text(encoding="utf-8")
+    text = text.removeprefix("\ufeff")
     pairs: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

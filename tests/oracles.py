@@ -21,6 +21,8 @@ from collections import deque
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from hypothesis import strategies as st
+
 from cliquecav import BudgetExceeded, CliqueComplex, Network, network_from_edges
 from cliquecav.cavities import (
     CavityCertificate,
@@ -188,6 +190,17 @@ def bernoulli_graph(n: int, p: float, seed: int) -> Network:
         if rng.random() < p
     ]
     return network_from_edges(labels, pairs)
+
+
+@st.composite
+def small_graphs(draw, max_nodes: int = 12) -> Network:
+    """Hypothesis strategy: a graph on nodes "1".."n", n <= max_nodes, each
+    pair an edge by its own draw, so shrinking removes nodes and edges."""
+    n = draw(st.integers(0, max_nodes))
+    pairs = [(str(u), str(v)) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    labels = [str(i) for i in range(1, n + 1)]
+    return network_from_edges(labels, [pair for pair, keep in zip(pairs, present) if keep])
 
 
 def brute_solutions(p: ZeroOneProgram) -> list[int]:

@@ -15,7 +15,12 @@ from referencing import Registry, Resource
 
 from cliquecav.cavities import BoundaryContext, VerifyResult
 from cliquecav.cli import build_parser, main
-from cliquecav.cliques import CliqueComplex, complex_to_json, enumerate_cliques
+from cliquecav.cliques import (
+    CliqueComplex,
+    complex_to_json,
+    cross_polytope_count,
+    enumerate_cliques,
+)
 from cliquecav.graph import edge_text_checksum, load_edge_list
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -487,6 +492,19 @@ def test_smallest_cavity_notes_and_schema(capsys):
     assert exc.value.code == 2
 
 
+def test_smallest_cavity_lists_no_cliques(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("smallest-cavity must count cliques without listing them")
+
+    monkeypatch.setattr("cliquecav.cliques.enumerate_cliques", refuse)
+    rc, out, _ = run(capsys, "smallest-cavity", "12", "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["m"] == [cross_polytope_count(12, j) for j in range(13)]
+    assert doc["chi"] == 2
+    assert doc["discrepancy_notes"] == []
+
+
 def test_random_er_cli_deterministic(tmp_path, capsys):
     a = tmp_path / "a.edges"
     b = tmp_path / "b.edges"
@@ -586,6 +604,19 @@ def test_fetch_success_writes_file_and_checksum(http_server, tmp_path, capsys):
     assert sidecar.read_text().split()[0] == digest
 
 
+def test_fetch_ignores_a_byte_order_mark(http_server, tmp_path, capsys):
+    serve_dir, base = http_server
+    payload = b"\xef\xbb\xbf" + Path(SAMPLE14).read_bytes()
+    (serve_dir / "net.edges").write_bytes(payload)
+    dest = tmp_path / "mynet.edges"
+    rc, out, _ = run(
+        capsys, "fetch", "mynet", "--url", f"{base}/net.edges", "--dest", str(dest)
+    )
+    assert rc == 0
+    assert "fetched mynet: 14 nodes, 26 edges" in out
+    assert dest.read_bytes() == payload
+
+
 def test_fetch_checksum_pin_mismatch_keeps_nothing(http_server, tmp_path, capsys):
     serve_dir, base = http_server
     (serve_dir / "net.edges").write_bytes(Path(SAMPLE14).read_bytes())
@@ -653,6 +684,22 @@ def test_labels_with_equal_int_values_are_hash_seed_independent(tmp_path):
     assert len(outputs) == 1
     cavities = json.loads(outputs.pop())["cavities"]
     assert [c["nodes"] for c in cavities] == [["01", "1", "2", "3"], ["4", "5", "10", "1_0"]]
+
+
+def test_byte_order_mark_adds_no_node(tmp_path, capsys):
+    edges = tmp_path / "bom.edges"
+    edges.write_bytes(b"\xef\xbb\xbf1 2\n2 3\n3 1\n1 4\n")
+    rc, out, _ = run(capsys, "analyze", "--format", "json", "--input", str(edges))
+    assert rc == 0
+    assert json.loads(out)["m"] == [4, 4, 1]
+
+
+def test_input_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    edges = tmp_path / "labels.edges"
+    edges.write_text("caf\u00e9 2\n2 3\n3 caf\u00e9\n", encoding="utf-8")
+    args = ["-m", "cliquecav.cli", "analyze", "--format", "json", "--input", str(edges)]
+    out = _run_subprocess(args, 0, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert json.loads(out)["m"] == [3, 3, 1]
 
 
 def test_environment_variables_do_not_configure_the_cli():

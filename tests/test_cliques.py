@@ -2,10 +2,12 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from cliquecav import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    clique_counts,
     cocktail_party_network,
     complex_from_json,
     complex_to_json,
@@ -18,9 +20,10 @@ from cliquecav import (
     max_clique_order,
     maximal_cliques,
     network_from_edges,
+    random_er,
 )
 
-from oracles import bernoulli_graph, enumerate_cliques_oracle
+from oracles import bernoulli_graph, enumerate_cliques_oracle, small_graphs
 
 TRIANGLES_14 = [
     ("1", "2", "3"), ("1", "2", "4"), ("1", "2", "5"), ("1", "3", "4"),
@@ -206,3 +209,24 @@ def test_bitset_enumeration_matches_oracle_at_the_budget_boundary(which, sample1
             if budget > 0:
                 outcome = _assert_matches_oracle(which, net, budget=budget)
                 assert isinstance(outcome[0], str) == (budget < max(counts)), budget
+
+
+def test_clique_counts_match_enumeration(sample8, sample14):
+    networks = [*_differential_networks(sample14), ("sample8", sample8)]
+    for n, p, seed in [(12, 0.5, 1), (20, 0.7, 2), (40, 0.5, 3), (60, 0.25, 4)]:
+        networks.append((f"bernoulli({n}, {p}, {seed})", bernoulli_graph(n, p, seed)))
+    networks.append(("random_er(198, 2742, 1)", random_er(198, 2742, 1)))
+    for name, net in networks:
+        assert clique_counts(net) == enumerate_cliques(net).counts, name
+
+
+def test_clique_counts_of_cross_polytopes_up_to_the_largest_order():
+    for k in range(1, 13):
+        expected = tuple(cross_polytope_count(k, j) for j in range(k + 1))
+        assert clique_counts(cocktail_party_network(k)) == expected, k
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(small_graphs())
+def test_clique_counts_equal_enumeration_on_small_graphs(net):
+    assert clique_counts(net) == enumerate_cliques(net).counts

@@ -159,3 +159,12 @@ def test_random_er_forces_k4():
 def test_random_er_rejects_infeasible_m():
     with pytest.raises(ValueError, match="infeasible"):
         random_er(4, 7, 0)
+
+
+def test_leading_byte_order_mark_is_not_part_of_a_label(tmp_path):
+    p = tmp_path / "bom.edges"
+    p.write_bytes(b"\xef\xbb\xbf1 2\n2 3\n3 1\n1 4\n")
+    for source in (p, io.StringIO(p.read_text(encoding="utf-8"))):
+        net = load_edge_list(source)
+        assert net.node_labels == ("1", "2", "3", "4")
+        assert net.edge_count == 4
