@@ -47,6 +47,7 @@ _HOME = {
     ),
     **dict.fromkeys(
         (
+            "Boundaries",
             "Gf2Matrix",
             "HomologyProfile",
             "RankResult",

@@ -9,7 +9,8 @@ over an increasing length schedule.
 
 Selection, search and the re-check of order k share one BoundaryContext
 (B_k and one pass over the columns of B_{k+1}); select_spanning_and_generators,
-find_cavities and verify_certificate each wrap a throwaway one.
+find_cavities and verify_certificate each wrap a throwaway one. The CLI
+hands select the pivot columns of B_k that the profile already found.
 """
 
 from __future__ import annotations
@@ -85,16 +86,18 @@ class BoundaryContext:
         self.boundary, self.basis = column_pass(bk1)
         self.verified = dict(self.basis)
 
-    def select(self) -> SpanningSelection:
+    def select(self, tree_cols: Sequence[int] | None = None) -> SpanningSelection:
         """Split k-cliques into tree, boundary-covered, and generator sets.
 
-        The tree is the greedy pivot-column set of B_k. Each pivot column of
-        B_{k+1} is projected onto the non-tree coordinates and reduced
-        against the previously chosen projections; its pivot coordinate is
-        the non-tree k-clique that boundary accounts for. The generators are
-        the beta_k non-tree cliques left unaccounted.
+        The tree is the greedy pivot-column set of B_k: tree_cols, or
+        gf2_rank(B_k).pivot_cols when None. Each pivot column of B_{k+1} is
+        projected onto the non-tree coordinates and reduced against the
+        previously chosen projections; its pivot coordinate is the non-tree
+        k-clique that boundary accounts for. The generators are the beta_k
+        non-tree cliques left unaccounted.
         """
-        tree_cols = gf2_rank(self.bk).pivot_cols
+        if tree_cols is None:
+            tree_cols = gf2_rank(self.bk).pivot_cols
         tree = set(tree_cols)
         non_tree = [j for j in range(self.bk.cols) if j not in tree]
         non_tree_mask = sum(1 << j for j in non_tree)

@@ -43,6 +43,7 @@ from .graph import (
 if TYPE_CHECKING:
     from .cavities import BoundaryContext, CavityCertificate
     from .cliques import CliqueComplex
+    from .gf2 import Boundaries
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -103,19 +104,14 @@ def _build_complex(net: Network, export: str | None, budget: int) -> CliqueCompl
     return cx
 
 
-def _contexts(cx: CliqueComplex) -> Callable[[int], BoundaryContext]:
-    """context(k): the BoundaryContext of order k, built on first use. Each
-    B_k is built at most once: consecutive orders share it."""
+def _contexts(boundaries: Boundaries) -> Callable[[int], BoundaryContext]:
+    """context(k): the BoundaryContext of order k, built on first use from
+    the matrices of boundaries, which builds each B_k at most once."""
     from .cavities import BoundaryContext
-    from .gf2 import build_boundary_matrix, zero_cols_matrix
 
-    @functools.cache
-    def matrix(k: int):
-        if k > cx.top_order:
-            return zero_cols_matrix(cx.counts[k - 1])
-        return build_boundary_matrix(cx, k)
-
-    return functools.cache(lambda k: BoundaryContext(k, matrix(k), matrix(k + 1)))
+    return functools.cache(
+        lambda k: BoundaryContext(k, boundaries.matrix(k), boundaries.matrix(k + 1))
+    )
 
 
 class SelfCheckError(RuntimeError):
@@ -220,14 +216,15 @@ def cmd_kcore(args, parser) -> int:
 def _pipeline(args, cavities: bool):
     """Load, gate, census (exported with --cache) and profile; with cavities,
     also search every order with beta_k > 0, self-check (--verify) and
-    write DOT files (--emit-dot). Search and self-check of an order share
-    one BoundaryContext, so each B_k is built at most once outside the
-    profile.
+    write DOT files (--emit-dot). With cavities, the profile, selection,
+    search and self-check share one Boundaries, so each B_k is built at
+    most once and ranked at most once; search and self-check of an order
+    share one BoundaryContext.
 
     Returns EXIT_GATE when the gate stops the run, otherwise (net, cx,
     profile, certs); a clique level over --budget raises BudgetExceeded.
     """
-    from .gf2 import homology_profile
+    from .gf2 import Boundaries, homology_profile
 
     net = load_edge_list(args.input)
     gate = computability_gate(k_core_decomposition(net), args.threshold)
@@ -235,13 +232,16 @@ def _pipeline(args, cavities: bool):
         print(f"not computable: {gate.reason} (use --force to override)", file=sys.stderr)
         return EXIT_GATE
     cx = _build_complex(net, args.cache, args.budget)
-    profile = homology_profile(cx)
+    # without cavities, no matrix outlives its rank
+    boundaries = Boundaries(cx, keep_matrices=cavities)
+    profile = homology_profile(cx, boundaries)
     certs: list[CavityCertificate] = []
     if cavities:
-        context = _contexts(cx)
+        context = _contexts(boundaries)
         for k in range(1, len(profile.beta)):
             if profile.beta[k]:
-                certs.extend(context(k).search(context(k).select(), cx.levels[k]))
+                sel = context(k).select(boundaries.rank(k).pivot_cols)
+                certs.extend(context(k).search(sel, cx.levels[k]))
         if args.verify:
             for cert in certs:
                 result = context(cert.order).recheck(cert)
@@ -416,6 +416,7 @@ def cmd_fetch(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     """Re-check exported certificates against a network, one verdict per line."""
     from .cavities import certificate_from_json
+    from .gf2 import Boundaries
 
     net = load_edge_list(args.input)
     cx = _build_complex(net, args.cache, args.budget)
@@ -423,7 +424,7 @@ def cmd_verify(args, parser) -> int:
     if not isinstance(doc, list):
         return _fail(f"{args.certificates}: a certificate file must hold a JSON list")
     index = net.label_index()
-    context = _contexts(cx)
+    context = _contexts(Boundaries(cx))
     failures = 0
     for i, entry in enumerate(doc, 1):
         try:
@@ -531,6 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # input is read as UTF-8 whatever the locale, so output is written as UTF-8 too
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

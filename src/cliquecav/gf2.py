@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .cliques import CliqueComplex, euler_characteristic
 
@@ -80,17 +80,23 @@ def basis_insert(basis: dict[int, int], v: int) -> bool:
     return False
 
 
-def gf2_rank(m: Gf2Matrix) -> RankResult:
+def gf2_rank(m: Gf2Matrix, *, cleared: Collection[int] = frozenset()) -> RankResult:
     """Rank and pivot columns by forward elimination only.
 
     pivot_cols is the left-to-right greedy independent column set, in
     ascending order: the lowest set bits of the forward-eliminated rows.
     They are the pivot columns of the reduced row-echelon form, which is
     never built, since back-substitution leaves each row's lowest bit alone.
+
+    Rows whose index is in cleared are skipped. Each must be a sum of rows
+    with higher indices, as the pivot columns of B_{k-1} are for B_k; then
+    the kept rows span the same row space, and rank and pivot_cols are
+    those of the whole matrix.
     """
     basis: dict[int, int] = {}
-    for v in m.bits:
-        basis_insert(basis, v)
+    for i, v in enumerate(m.bits):
+        if i not in cleared:
+            basis_insert(basis, v)
     return RankResult(len(basis), sorted(low.bit_length() - 1 for low in basis))
 
 
@@ -143,9 +149,13 @@ class HomologyProfile(NamedTuple):
     euler_poincare_ok: bool
 
 
-def _edge_rank(cx: CliqueComplex) -> int:
-    """rank B_1 = n - beta_0: the edges a union-find spanning forest keeps."""
-    parent = {node: node for (node,) in cx.levels[0]}
+def _spanning_forest(cx: CliqueComplex) -> list[int]:
+    """Indices of the edges a union-find keeps, in edge order.
+
+    They are the greedy independent columns of B_1, so its pivot columns,
+    and there are rank B_1 = n - beta_0 of them.
+    """
+    parent = list(range(cx.levels[0][-1][0] + 1))
 
     def find(u: int) -> int:
         while parent[u] != u:
@@ -153,29 +163,77 @@ def _edge_rank(cx: CliqueComplex) -> int:
             u = parent[u]
         return u
 
-    rank = 0
-    for u, v in cx.levels[1]:
+    forest = []
+    for j, (u, v) in enumerate(cx.levels[1]):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            rank += 1
-    return rank
+            forest.append(j)
+    return forest
 
 
-def homology_profile(cx: CliqueComplex) -> HomologyProfile:
+class Boundaries:
+    """B_k and its RankResult for each order k of one complex, each
+    computed at most once, on first use.
+
+    rank(1) is the spanning forest, and B_1 is never reduced. rank(k) for
+    k >= 2 reduces B_k with clearing (Chen and Kerber 2011): the pivot
+    columns of B_{k-1} are lowest set bits of vectors y in its row space,
+    and y B_k = 0 makes each such row of B_k a sum of rows with higher
+    indices, so gf2_rank skips them. matrix(k) past the top order is the
+    rows x 0 matrix. With keep_matrices=False a matrix is dropped once it
+    is ranked, so the profile alone holds one B_k at a time.
+    """
+
+    __slots__ = ("cx", "keep_matrices", "_matrices", "_ranks")
+
+    def __init__(self, cx: CliqueComplex, keep_matrices: bool = True) -> None:
+        self.cx = cx
+        self.keep_matrices = keep_matrices
+        self._matrices: dict[int, Gf2Matrix] = {}
+        self._ranks: dict[int, RankResult] = {}
+
+    def matrix(self, k: int) -> Gf2Matrix:
+        m = self._matrices.get(k)
+        if m is None:
+            if k > self.cx.top_order:
+                m = zero_cols_matrix(self.cx.counts[k - 1])
+            else:
+                m = build_boundary_matrix(self.cx, k)
+            if self.keep_matrices:
+                self._matrices[k] = m
+        return m
+
+    def rank(self, k: int) -> RankResult:
+        result = self._ranks.get(k)
+        if result is None:
+            if k == 1:
+                forest = _spanning_forest(self.cx)
+                result = RankResult(len(forest), forest)
+            else:
+                cleared = set(self.rank(k - 1).pivot_cols)
+                result = gf2_rank(self.matrix(k), cleared=cleared)
+            self._ranks[k] = result
+        return result
+
+
+def homology_profile(cx: CliqueComplex, boundaries: Boundaries | None = None) -> HomologyProfile:
     """Compute all boundary ranks and Betti numbers of a clique complex.
 
-    r_1 comes from a union-find over the edges; higher ranks from
-    forward elimination of B_k.
+    The ranks come from boundaries (default: a new Boundaries(cx) that
+    keeps no matrix): r_1 from the spanning forest, and r_k for k >= 2
+    from B_k reduced with the pivot columns of B_{k-1} cleared. Clearing
+    skips only rows that the kept rows span, so every rank and pivot
+    column equals plain forward elimination.
     """
     top = len(cx.levels) - 1
     if top < 0:
         return HomologyProfile((), (), (), 0, True)
+    if boundaries is None:
+        boundaries = Boundaries(cx, keep_matrices=False)
     r = [0] * (top + 1)
-    if top >= 1:
-        r[1] = _edge_rank(cx)
-    for k in range(2, top + 1):
-        r[k] = gf2_rank(build_boundary_matrix(cx, k)).rank
+    for k in range(1, top + 1):
+        r[k] = boundaries.rank(k).rank
     beta = []
     for k in range(top + 1):
         nxt = r[k + 1] if k + 1 <= top else 0

@@ -4,9 +4,10 @@ Everything here is deliberately naive and written differently from the
 library code: different algorithms, different data layouts, no shared
 helpers. Slow is fine; wrong is not.
 
-The exceptions are select_oracle, find_cavities_oracle and
-verify_certificate_oracle: the cavity stage without a shared per-order
-BoundaryContext, kept verbatim as its reference. Every call rebuilds what
+The exceptions are forward_rank_oracle and edge_rank_oracle, the ranks
+as they were computed before clearing, and select_oracle,
+find_cavities_oracle and verify_certificate_oracle: the cavity stage
+without a shared per-order BoundaryContext, kept verbatim as its reference. Every call rebuilds what
 it reads (ranks, transposes, column bases, and the prior certificates'
 basis), so they stand apart from the context's single column pass.
 Likewise _Frame, _Search and iter_solutions_oracle are the 0-1 search
@@ -33,7 +34,7 @@ from cliquecav.cavities import (
     length_schedule,
 )
 from cliquecav.cliques import Clique
-from cliquecav.gf2 import Gf2Matrix, basis_insert, bit_indices, column_space_basis, gf2_rank
+from cliquecav.gf2 import Gf2Matrix, RankResult, basis_insert, bit_indices, column_space_basis
 from cliquecav.solver import DEFAULT_NODE_LIMIT, NodeLimitExceeded, ZeroOneProgram
 
 
@@ -107,6 +108,34 @@ def rref_oracle(rows: list[int]) -> tuple[int, list[int]]:
                 basis[other] ^= vec
     pivots = sorted((row & -row).bit_length() - 1 for row in basis.values())
     return len(pivots), pivots
+
+
+def forward_rank_oracle(m: Gf2Matrix) -> RankResult:
+    """Rank and pivot columns by forward elimination of every row, none
+    cleared."""
+    basis: dict[int, int] = {}
+    for v in m.bits:
+        basis_insert(basis, v)
+    return RankResult(len(basis), sorted(low.bit_length() - 1 for low in basis))
+
+
+def edge_rank_oracle(cx: CliqueComplex) -> int:
+    """rank B_1 = n - beta_0: the edges a union-find spanning forest keeps."""
+    parent = {node: node for (node,) in cx.levels[0]}
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    rank = 0
+    for u, v in cx.levels[1]:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            rank += 1
+    return rank
 
 
 def enumerate_cliques_oracle(
@@ -436,13 +465,13 @@ def select_oracle(bk: Gf2Matrix, bk1: Gf2Matrix) -> SpanningSelection:
     the beta_k non-tree cliques left unaccounted.
     """
     k = infer_order(bk)
-    rk = gf2_rank(bk)
+    rk = forward_rank_oracle(bk)
     tree = set(rk.pivot_cols)
     non_tree = [j for j in range(bk.cols) if j not in tree]
     non_tree_mask = 0
     for j in non_tree:
         non_tree_mask |= 1 << j
-    rk1 = gf2_rank(bk1) if bk1.cols else None
+    rk1 = forward_rank_oracle(bk1) if bk1.cols else None
     boundary_cols = rk1.pivot_cols if rk1 else []
     columns = bk1.column_vectors() if bk1.cols else []
     covered: list[int] = []

@@ -16,6 +16,7 @@ from oracles import (
 )
 
 from cliquecav import (
+    Boundaries,
     build_boundary_matrix,
     cocktail_party_network,
     enumerate_cliques,
@@ -81,12 +82,15 @@ def _verdicts(check, sequence):
 @pytest.mark.parametrize("name", NETWORKS)
 def test_context_and_wrappers_match_the_former_cavity_stage(name):
     cx = enumerate_cliques(NETWORKS[name]())
-    context = _contexts(cx)
+    boundaries = Boundaries(cx)
+    context = _contexts(boundaries)
     for k in range(1, cx.top_order + 1):
         bk, bk1 = _pair(cx, k)
         sel = select_oracle(bk, bk1)
         assert select_spanning_and_generators(bk, bk1) == sel
         assert context(k).select() == sel
+        # the CLI's tree: the spanning forest for k = 1, the cleared rank above
+        assert context(k).select(boundaries.rank(k).pivot_cols) == sel
         certs = find_cavities_oracle(bk, bk1, sel, cx.levels[k])
         assert find_cavities(bk, bk1, sel, cx.levels[k]) == certs
         assert context(k).search(sel, cx.levels[k]) == certs
@@ -99,7 +103,7 @@ def test_context_and_wrappers_match_the_former_cavity_stage(name):
             assert _verdicts(
                 lambda c, prior: verify_certificate(c, bk, bk1, prior), sequence
             ) == expected
-            fresh = _contexts(cx)(k)
+            fresh = _contexts(Boundaries(cx))(k)
             assert _verdicts(lambda c, prior: fresh.recheck(c), sequence) == expected
             # explicit priors, which the wrapper takes without checking them
             for cert in sequence:
@@ -115,14 +119,14 @@ def test_mutations_reach_every_verdict(sample14):
     certs = find_cavities_oracle(bk, bk1, select_oracle(bk, bk1), cx.levels[1])
     seen = set()
     for sequence in _mutations(certs, bk.cols):
-        fresh = _contexts(cx)(1)
+        fresh = _contexts(Boundaries(cx))(1)
         seen.update(_verdicts(lambda c, prior: fresh.recheck(c), sequence))
     assert seen == {None, "dimension", "generator-membership", "cycle", "independence", "length"}
 
 
 def test_a_certificate_that_fails_on_length_does_not_join_the_basis(sample14):
     cx = enumerate_cliques(sample14)
-    context = _contexts(cx)(1)
+    context = _contexts(Boundaries(cx))(1)
     certs = context.search(context.select(), cx.levels[1])
     cert = certs[0]
     assert context.recheck(cert._replace(length=cert.length + 1)).failed == "length"

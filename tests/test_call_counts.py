@@ -1,7 +1,8 @@
 """How often a CLI run builds, ranks and transposes each boundary matrix.
 
-Outside homology_profile, which builds and ranks B_k for k >= 2 on its own,
-a run builds and transposes each B_k at most once, and verify ranks none.
+The profile, selection, search and self-check share one Boundaries, so a
+run builds, ranks and transposes each B_k at most once. B_1 is never
+ranked: its pivot columns are the spanning forest. verify ranks none.
 """
 
 import importlib
@@ -36,9 +37,9 @@ def calls(monkeypatch):
         counts["build", k] += 1
         return m
 
-    def counted_rank(m):
+    def counted_rank(m, **kwargs):
         counts["rank", order_of.get(id(m))] += 1
-        return rank(m)
+        return rank(m, **kwargs)
 
     def counted_transpose(m):
         counts["transpose", order_of.get(id(m))] += 1
@@ -58,15 +59,26 @@ def _assert_at_most(counts: Counter, bound: dict) -> None:
     assert not over, f"counts {dict(counts)} exceed {bound}"
 
 
-def test_analyze_with_verify_builds_and_transposes_each_matrix_once(calls, capsys):
+# each B_k built, ranked and transposed at most once; B_1 ranked never
+ONCE_EACH = {
+    ("build", 1): 1, ("build", 2): 1, ("build", 3): 1,
+    ("rank", 2): 1, ("rank", 3): 1,
+    ("transpose", 2): 1, ("transpose", 3): 1,
+}
+
+
+def test_analyze_with_verify_builds_ranks_and_transposes_each_matrix_once(calls, capsys):
     assert main(["analyze", "--cavities", "--verify", "--input", SAMPLE14]) == 0
     assert "cavity 3: order 2" in capsys.readouterr().out
-    # the profile builds and ranks B_2 and B_3 once
-    _assert_at_most(calls, {
-        ("build", 1): 1, ("build", 2): 2, ("build", 3): 2,
-        ("rank", 1): 1, ("rank", 2): 2, ("rank", 3): 1,
-        ("transpose", 2): 1, ("transpose", 3): 1,
-    })
+    _assert_at_most(calls, ONCE_EACH)
+    assert calls["rank", 2] == calls["rank", 3] == 1
+
+
+def test_cavities_with_verify_builds_ranks_and_transposes_each_matrix_once(calls, capsys):
+    assert main(["cavities", "--verify", "--input", SAMPLE14]) == 0
+    assert capsys.readouterr().out.count('"order": 2') == 1
+    _assert_at_most(calls, ONCE_EACH)
+    assert calls["rank", 2] == calls["rank", 3] == 1
 
 
 def test_verify_builds_each_matrix_once_and_ranks_none(calls, capsys):

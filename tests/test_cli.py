@@ -702,6 +702,32 @@ def test_input_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     assert json.loads(out)["m"] == [3, 3, 1]
 
 
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--cavities", "--format", "table"],
+    ["analyze", "--cavities", "--format", "csv"],
+    ["cavities", "--format", "table"],
+])
+def test_output_is_written_as_utf8_under_an_ascii_locale(tmp_path, argv):
+    edges = tmp_path / "square.edges"
+    edges.write_text("caf\u00e9 2\n2 3\n3 4\n4 caf\u00e9\n", encoding="utf-8")
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("CLIQUECAV_", "LC_", "PYTHONIOENCODING"))}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    stdout = {}
+    for name, locale in (("ascii", ASCII_LOCALE), ("utf-8", {"PYTHONUTF8": "1"})):
+        done = subprocess.run(
+            [sys.executable, "-m", "cliquecav.cli", *argv, "--input", str(edges)],
+            env={**env, **locale}, capture_output=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b""), name
+        stdout[name] = done.stdout
+    assert stdout["ascii"] == stdout["utf-8"]
+    assert "caf\u00e9".encode("utf-8") in stdout["ascii"]
+
+
 def test_environment_variables_do_not_configure_the_cli():
     args = ["-m", "cliquecav.cli", "analyze", "--format", "json", "--input", SAMPLE14]
     set_env = _run_subprocess(

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
+import cliquecav.gf2
 from cliquecav import (
+    Boundaries,
     Gf2Matrix,
     basis_insert,
     build_boundary_matrix,
@@ -19,9 +22,12 @@ from cliquecav import (
 from oracles import (
     bernoulli_graph,
     component_count,
+    edge_rank_oracle,
+    forward_rank_oracle,
     independent_column_scan,
     naive_rank,
     rref_oracle,
+    small_graphs,
 )
 
 # node-edge incidence of the 8-node sub-network: column = edge endpoints
@@ -227,3 +233,65 @@ def test_profile_of_empty_network():
     assert prof.m == ()
     assert prof.chi == 0
     assert prof.euler_poincare_ok
+
+
+def _clearing_complexes(sample8, sample14):
+    yield "sample8", enumerate_cliques(sample8)
+    yield "sample14", enumerate_cliques(sample14)
+    for k in range(1, 7):
+        yield f"cocktail k={k}", generate_smallest_cavity_complex(k)
+    # a cleared set off by one row, or one row too many, leaves the samples
+    # and the cocktail parties correct but not most of these
+    for n in range(10, 15):
+        for p in (0.4, 0.55):
+            for seed in range(4):
+                yield f"bernoulli({n}, {p}, {seed})", enumerate_cliques(bernoulli_graph(n, p, seed))
+    yield "empty", enumerate_cliques(network_from_edges([], []))
+    yield "isolated nodes", enumerate_cliques(network_from_edges(["1", "2", "3"], []))
+
+
+def test_cleared_ranks_match_forward_elimination(sample8, sample14):
+    for name, cx in _clearing_complexes(sample8, sample14):
+        boundaries = Boundaries(cx)
+        r = [0]
+        for k in range(1, cx.top_order + 1):
+            expected = forward_rank_oracle(build_boundary_matrix(cx, k))
+            assert boundaries.rank(k) == expected, f"{name}, B_{k}"
+            r.append(expected.rank)
+        if cx.top_order >= 1:
+            assert r[1] == edge_rank_oracle(cx), name
+        assert homology_profile(cx).r == tuple(r[: len(cx.levels)]), name
+
+
+def test_clearing_skips_the_rows_the_previous_order_ranks(monkeypatch, sample14):
+    # clearing changes no result, so only the rows that reach elimination show it
+    reached = [0]
+    calls = []
+    insert, rank = cliquecav.gf2.basis_insert, cliquecav.gf2.gf2_rank
+
+    def counted_insert(basis, v):
+        reached[0] += 1
+        return insert(basis, v)
+
+    def recorded_rank(m, **kwargs):
+        before = reached[0]
+        result = rank(m, **kwargs)
+        calls.append((m.rows, reached[0] - before))
+        return result
+
+    monkeypatch.setattr(cliquecav.gf2, "basis_insert", counted_insert)
+    monkeypatch.setattr(cliquecav.gf2, "gf2_rank", recorded_rank)
+    for cx in (enumerate_cliques(sample14), generate_smallest_cavity_complex(3)):
+        calls.clear()
+        prof = homology_profile(cx)
+        expected = [(prof.m[k - 1], prof.m[k - 1] - prof.r[k - 1]) for k in range(2, len(prof.m))]
+        assert calls == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(small_graphs())
+def test_profile_ranks_equal_the_rref_ranks(net):
+    cx = enumerate_cliques(net)
+    r = homology_profile(cx).r
+    for k in range(1, cx.top_order + 1):
+        assert r[k] == rref_oracle(build_boundary_matrix(cx, k).bits)[0]
