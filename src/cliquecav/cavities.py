@@ -3,14 +3,13 @@
 A k-cavity certificate is a 0-1 vector over k-cliques that is a GF(2)
 cycle, passes through its generator clique, has exactly L ones, and is
 linearly independent of the (k+1)-clique boundaries together with all
-previously accepted certificates. Generators are identified from pivot
-structure; minimal representatives are found by exact-length 0-1 search
-over an increasing length schedule.
+previously accepted certificates. spanning_selection reads the
+generators off the profile's ranks; minimal representatives are found by
+exact-length 0-1 search over an increasing length schedule.
 
-Selection, search and the re-check of order k share one BoundaryContext
-(B_k and one pass over the columns of B_{k+1}); select_spanning_and_generators,
-find_cavities and verify_certificate each wrap a throwaway one. The CLI
-hands select the pivot columns of B_k that the profile already found.
+Search and the re-check of order k share one BoundaryContext (B_k and a
+basis of B_{k+1}'s column space); find_cavities and verify_certificate
+each wrap a throwaway one.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from .cliques import Clique, CliqueComplex
-from .gf2 import Gf2Matrix, basis_insert, bit_indices, column_pass, gf2_rank
+from .gf2 import Gf2Matrix, RankResult, basis_insert, bit_indices, column_space_basis, gf2_rank
 
 
 class CavitySearchError(RuntimeError):
@@ -36,9 +35,10 @@ class SpanningSelection(NamedTuple):
 
     tree_cols: pivot columns of B_k (the order-k spanning selection).
     boundary_cols: pivot columns of B_{k+1}.
-    covered_cliques: non-tree k-cliques accounted for by the chosen
-        boundaries.
-    generator_cliques: the remaining non-tree k-cliques; one per cavity.
+    covered_cliques: pivot rows of B_{k+1} reduced with the tree cleared:
+        the non-tree k-cliques independent of the non-tree ones before them.
+    generator_cliques: the remaining non-tree k-cliques, which that
+        reduction finds dependent; one per cavity.
     """
 
     order: int
@@ -69,50 +69,21 @@ class VerifyResult(NamedTuple):
 
 
 class BoundaryContext:
-    """What selection, search and the re-check of one order k all read.
+    """What search and the re-check of one order k both read.
 
-    Holds k, B_k, and one left-to-right pass over the columns of B_{k+1}:
-    boundary maps its pivot columns to their vectors, and basis spans its
-    column space. verified is that basis extended by every certificate
-    that recheck passed. Build one per order and run; consecutive orders
-    can share their middle matrix.
+    Holds k, B_k, and basis, which spans the column space of B_{k+1}.
+    verified is that basis extended by every certificate that recheck
+    passed. Build one per order and run; consecutive orders can share
+    their middle matrix.
     """
 
-    __slots__ = ("order", "bk", "boundary", "basis", "verified")
+    __slots__ = ("order", "bk", "basis", "verified")
 
     def __init__(self, order: int, bk: Gf2Matrix, bk1: Gf2Matrix) -> None:
         self.order = order
         self.bk = bk
-        self.boundary, self.basis = column_pass(bk1)
+        self.basis = column_space_basis(bk1)
         self.verified = dict(self.basis)
-
-    def select(self, tree_cols: Sequence[int] | None = None) -> SpanningSelection:
-        """Split k-cliques into tree, boundary-covered, and generator sets.
-
-        The tree is the greedy pivot-column set of B_k: tree_cols, or
-        gf2_rank(B_k).pivot_cols when None. Each pivot column of B_{k+1} is
-        projected onto the non-tree coordinates and reduced against the
-        previously chosen projections; its pivot coordinate is the non-tree
-        k-clique that boundary accounts for. The generators are the beta_k
-        non-tree cliques left unaccounted.
-        """
-        if tree_cols is None:
-            tree_cols = gf2_rank(self.bk).pivot_cols
-        tree = set(tree_cols)
-        non_tree = [j for j in range(self.bk.cols) if j not in tree]
-        non_tree_mask = sum(1 << j for j in non_tree)
-        proj_basis: dict[int, int] = {}
-        for c, col in self.boundary.items():
-            if not basis_insert(proj_basis, col & non_tree_mask):
-                raise AssertionError(f"boundary column {c} vanished on non-tree coordinates")
-        # each projection is keyed by its pivot coordinate
-        covered = {low.bit_length() - 1 for low in proj_basis}
-        generators = [j for j in non_tree if j not in covered]
-        # tree, covered, and generators must partition the k-clique indices
-        assert len(tree) + len(covered) + len(generators) == self.bk.cols
-        assert not tree & covered
-        return SpanningSelection(self.order, tuple(tree_cols), tuple(self.boundary),
-                                 tuple(sorted(covered)), tuple(generators))
 
     def search(
         self,
@@ -203,13 +174,30 @@ class BoundaryContext:
         return VerifyResult(True)
 
 
+def spanning_selection(order: int, m_k: int, below: RankResult,
+                       above: RankResult) -> SpanningSelection:
+    """Split the m_k k-cliques into tree, covered and generator sets.
+
+    below is the RankResult of B_k, and above that of B_{k+1} reduced with
+    below's pivot columns, the tree, cleared. above's pivot rows are then
+    the non-tree cliques that B_{k+1}'s columns account for, and the
+    beta_k non-tree cliques it finds dependent are the generators.
+    """
+    tree, covered = set(below.pivot_cols), set(above.pivot_rows)
+    assert tree.isdisjoint(covered), "B_{k+1} was reduced without the tree cleared"
+    generators = tuple(j for j in range(m_k) if j not in tree and j not in covered)
+    return SpanningSelection(order, tuple(below.pivot_cols), tuple(above.pivot_cols),
+                             tuple(above.pivot_rows), generators)
+
+
 def select_spanning_and_generators(bk: Gf2Matrix, bk1: Gf2Matrix) -> SpanningSelection:
-    """BoundaryContext.select on a throwaway context. The order k is read
-    off B_k, whose columns each hold k + 1 ones."""
+    """spanning_selection from fresh ranks of B_k and B_{k+1}. The order k
+    is read off B_k, whose columns each hold k + 1 ones."""
     if bk.cols == 0:
         raise ValueError("cannot infer order from an empty matrix")
     k = sum(row & 1 for row in bk.bits) - 1
-    return BoundaryContext(k, bk, bk1).select()
+    below = gf2_rank(bk)
+    return spanning_selection(k, bk.cols, below, gf2_rank(bk1, cleared=set(below.pivot_cols)))
 
 
 def _parity_rows(bk: Gf2Matrix) -> list[list[int]]:
@@ -318,20 +306,28 @@ def certificate_from_json(
 
     index maps node labels to ids (Network.label_index()); labels are read
     through str(). Raises KeyError for a missing field or unknown label,
-    and ValueError for an order outside 1..top_order, a clique the complex
-    lacks, or a length or node list that disagrees with the cliques.
+    and ValueError for an order or length that is not a JSON integer, an
+    order outside 1..top_order, a clique the complex lacks, or a length or
+    node list that disagrees with the cliques.
     """
-    order = int(entry["order"])
+    order = _json_int(entry, "order")
     if not 1 <= order <= cx.top_order:
         raise ValueError(f"no order-{order} cliques in this network")
     members = [tuple(sorted(index[str(u)] for u in c)) for c in entry["cliques"]]
     generator = tuple(sorted(index[str(u)] for u in entry["generator"]))
     cert = certificate_from_cliques(cx.levels[order], order, members, generator)
-    if cert.length != int(entry["length"]):
+    if cert.length != _json_int(entry, "length"):
         raise ValueError(f"claimed length {entry['length']}, listed {cert.length} cliques")
     if tuple(sorted(index[str(u)] for u in entry["nodes"])) != cert.node_set:
         raise ValueError("node list disagrees with the cliques")
     return cert
+
+
+def _json_int(entry: dict, field: str) -> int:
+    """entry[field], which must be a JSON integer (a bool is not one)."""
+    if type(value := entry[field]) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def certificate_to_dot(

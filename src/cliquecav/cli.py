@@ -218,8 +218,8 @@ def _pipeline(args, cavities: bool):
     also search every order with beta_k > 0, self-check (--verify) and
     write DOT files (--emit-dot). With cavities, the profile, selection,
     search and self-check share one Boundaries, so each B_k is built at
-    most once and ranked at most once; search and self-check of an order
-    share one BoundaryContext.
+    most once and ranked at most once: selection reads the profile's
+    ranks. Search and self-check of an order share one BoundaryContext.
 
     Returns EXIT_GATE when the gate stops the run, otherwise (net, cx,
     profile, certs); a clique level over --budget raises BudgetExceeded.
@@ -237,10 +237,12 @@ def _pipeline(args, cavities: bool):
     profile = homology_profile(cx, boundaries)
     certs: list[CavityCertificate] = []
     if cavities:
-        context = _contexts(boundaries)
+        from .cavities import spanning_selection
+
+        context, rank = _contexts(boundaries), boundaries.rank
         for k in range(1, len(profile.beta)):
             if profile.beta[k]:
-                sel = context(k).select(boundaries.rank(k).pivot_cols)
+                sel = spanning_selection(k, cx.counts[k], rank(k), rank(k + 1))
                 certs.extend(context(k).search(sel, cx.levels[k]))
         if args.verify:
             for cert in certs:
@@ -420,7 +422,10 @@ def cmd_verify(args, parser) -> int:
 
     net = load_edge_list(args.input)
     cx = _build_complex(net, args.cache, args.budget)
-    doc = json.loads(Path(args.certificates).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(args.certificates).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        return _fail(f"{args.certificates}: {exc}")
     if not isinstance(doc, list):
         return _fail(f"{args.certificates}: a certificate file must hold a JSON list")
     index = net.label_index()

@@ -41,6 +41,7 @@ class Gf2Matrix:
 class RankResult(NamedTuple):
     rank: int
     pivot_cols: list[int]
+    pivot_rows: list[int]
 
 
 def zero_cols_matrix(rows: int) -> Gf2Matrix:
@@ -81,7 +82,7 @@ def basis_insert(basis: dict[int, int], v: int) -> bool:
 
 
 def gf2_rank(m: Gf2Matrix, *, cleared: Collection[int] = frozenset()) -> RankResult:
-    """Rank and pivot columns by forward elimination only.
+    """Rank, pivot columns and pivot rows by forward elimination only.
 
     pivot_cols is the left-to-right greedy independent column set, in
     ascending order: the lowest set bits of the forward-eliminated rows.
@@ -91,34 +92,25 @@ def gf2_rank(m: Gf2Matrix, *, cleared: Collection[int] = frozenset()) -> RankRes
     Rows whose index is in cleared are skipped. Each must be a sum of rows
     with higher indices, as the pivot columns of B_{k-1} are for B_k; then
     the kept rows span the same row space, and rank and pivot_cols are
-    those of the whole matrix.
+    those of the whole matrix. pivot_rows are the kept rows that raised
+    the rank: the non-cleared rows independent of the non-cleared rows
+    above them.
     """
     basis: dict[int, int] = {}
+    rows = []
     for i, v in enumerate(m.bits):
-        if i not in cleared:
-            basis_insert(basis, v)
-    return RankResult(len(basis), sorted(low.bit_length() - 1 for low in basis))
-
-
-def column_pass(m: Gf2Matrix) -> tuple[dict[int, int], dict[int, int]]:
-    """One left-to-right pass over m's columns, read as ints over row indices.
-
-    Returns the pivot columns mapped to their vectors, and a basis of the
-    column space keyed by lowest set bit. The pivot columns are the greedy
-    independent set, gf2_rank(m).pivot_cols.
-    """
-    pivots: dict[int, int] = {}
-    basis: dict[int, int] = {}
-    for j, col in enumerate(m.column_vectors()):
-        if basis_insert(basis, col):
-            pivots[j] = col
-    return pivots, basis
+        if i not in cleared and basis_insert(basis, v):
+            rows.append(i)
+    return RankResult(len(basis), sorted(low.bit_length() - 1 for low in basis), rows)
 
 
 def column_space_basis(m: Gf2Matrix) -> dict[int, int]:
     """Basis of the column space, columns read as ints over row indices and
     keyed by lowest set bit; a new dict on every call."""
-    return column_pass(m)[1]
+    basis: dict[int, int] = {}
+    for col in m.column_vectors():
+        basis_insert(basis, col)
+    return basis
 
 
 def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
@@ -149,13 +141,16 @@ class HomologyProfile(NamedTuple):
     euler_poincare_ok: bool
 
 
-def _spanning_forest(cx: CliqueComplex) -> list[int]:
-    """Indices of the edges a union-find keeps, in edge order.
+def _spanning_forest(cx: CliqueComplex) -> RankResult:
+    """The RankResult of B_1, read off a union-find spanning forest.
 
-    They are the greedy independent columns of B_1, so its pivot columns,
-    and there are rank B_1 = n - beta_0 of them.
+    The edges it keeps, in edge order, are the greedy independent columns
+    of B_1, so its pivot columns, and there are rank B_1 = n - beta_0 of
+    them. The rows of a component sum to zero and no fewer of them do, so
+    forward elimination keeps every node row but its component's last.
     """
-    parent = list(range(cx.levels[0][-1][0] + 1))
+    nodes = [u for (u,) in cx.levels[0]]
+    parent = list(range(nodes[-1] + 1))
 
     def find(u: int) -> int:
         while parent[u] != u:
@@ -169,7 +164,8 @@ def _spanning_forest(cx: CliqueComplex) -> list[int]:
         if ru != rv:
             parent[ru] = rv
             forest.append(j)
-    return forest
+    last = set({find(u): i for i, u in enumerate(nodes)}.values())
+    return RankResult(len(forest), forest, [i for i in range(len(nodes)) if i not in last])
 
 
 class Boundaries:
@@ -208,8 +204,7 @@ class Boundaries:
         result = self._ranks.get(k)
         if result is None:
             if k == 1:
-                forest = _spanning_forest(self.cx)
-                result = RankResult(len(forest), forest)
+                result = _spanning_forest(self.cx)
             else:
                 cleared = set(self.rank(k - 1).pivot_cols)
                 result = gf2_rank(self.matrix(k), cleared=cleared)

@@ -5,11 +5,13 @@ library code: different algorithms, different data layouts, no shared
 helpers. Slow is fine; wrong is not.
 
 The exceptions are forward_rank_oracle and edge_rank_oracle, the ranks
-as they were computed before clearing, and select_oracle,
-find_cavities_oracle and verify_certificate_oracle: the cavity stage
-without a shared per-order BoundaryContext, kept verbatim as its reference. Every call rebuilds what
-it reads (ranks, transposes, column bases, and the prior certificates'
-basis), so they stand apart from the context's single column pass.
+as they were computed before clearing (forward_rank_oracle also lists
+the rows it keeps), and select_oracle, find_cavities_oracle and
+verify_certificate_oracle: the cavity stage as it was before the
+per-order BoundaryContext and before selection read the cleared ranks,
+kept verbatim as its reference. Every call rebuilds what it reads
+(ranks, transposes, column bases, and the prior certificates' basis), so
+they stand apart from the shared context and ranks.
 Likewise _Frame, _Search and iter_solutions_oracle are the 0-1 search
 without the pairing bound, kept verbatim; _Search.nodes counts its
 decision nodes.
@@ -111,12 +113,27 @@ def rref_oracle(rows: list[int]) -> tuple[int, list[int]]:
 
 
 def forward_rank_oracle(m: Gf2Matrix) -> RankResult:
-    """Rank and pivot columns by forward elimination of every row, none
-    cleared."""
+    """Rank, pivot columns and pivot rows by forward elimination of every
+    row, none cleared."""
     basis: dict[int, int] = {}
-    for v in m.bits:
-        basis_insert(basis, v)
-    return RankResult(len(basis), sorted(low.bit_length() - 1 for low in basis))
+    rows = [i for i, v in enumerate(m.bits) if basis_insert(basis, v)]
+    return RankResult(len(basis), sorted(low.bit_length() - 1 for low in basis), rows)
+
+
+def pivot_rows_oracle(rows: list[int], cleared: set[int]) -> list[int]:
+    """The rows outside cleared whose row raises the rref_oracle rank of
+    the rows outside cleared up to it."""
+    kept: list[int] = []
+    pivots = []
+    rank = 0
+    for i, v in enumerate(rows):
+        if i not in cleared:
+            kept.append(v)
+            grown = rref_oracle(kept)[0]
+            if grown > rank:
+                pivots.append(i)
+                rank = grown
+    return pivots
 
 
 def edge_rank_oracle(cx: CliqueComplex) -> int:

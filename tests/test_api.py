@@ -47,7 +47,7 @@ RECORD_FIELDS = {
     "CliqueComplex": ("levels", "counts"),
     "EulerNumber": ("chi",),
     "Gf2Matrix": ("rows", "cols", "bits"),
-    "RankResult": ("rank", "pivot_cols"),
+    "RankResult": ("rank", "pivot_cols", "pivot_rows"),
     "HomologyProfile": ("m", "r", "beta", "chi", "euler_poincare_ok"),
     "SpanningSelection": (
         "order", "tree_cols", "boundary_cols", "covered_cliques", "generator_cliques"

@@ -1,17 +1,20 @@
-"""The per-order BoundaryContext against the cavity stage it replaced.
+"""The per-order BoundaryContext and the selection read off the cleared
+ranks, against the cavity stage they replaced.
 
 Selections, certificates (rank_evidence included) and verdicts must match
 the former implementations in oracles.py bit for bit, both through the
-public wrappers and through the contexts the CLI builds.
+public wrappers and through the ranks and contexts the CLI uses.
 """
 
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 from oracles import (
     bernoulli_graph,
     find_cavities_oracle,
     select_oracle,
+    small_graphs,
     verify_certificate_oracle,
 )
 
@@ -21,11 +24,13 @@ from cliquecav import (
     cocktail_party_network,
     enumerate_cliques,
     find_cavities,
+    homology_profile,
     load_edge_list,
     select_spanning_and_generators,
     verify_certificate,
     zero_cols_matrix,
 )
+from cliquecav.cavities import spanning_selection
 from cliquecav.cli import _contexts
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -48,6 +53,12 @@ def _pair(cx, k):
     if k < cx.top_order:
         return bk, build_boundary_matrix(cx, k + 1)
     return bk, zero_cols_matrix(cx.counts[k])
+
+
+def _selection(boundaries, k):
+    """The selection of order k as the CLI takes it, from the profile's ranks."""
+    rank = boundaries.rank
+    return spanning_selection(k, boundaries.cx.counts[k], rank(k), rank(k + 1))
 
 
 def _mutations(certs, cols):
@@ -88,9 +99,8 @@ def test_context_and_wrappers_match_the_former_cavity_stage(name):
         bk, bk1 = _pair(cx, k)
         sel = select_oracle(bk, bk1)
         assert select_spanning_and_generators(bk, bk1) == sel
-        assert context(k).select() == sel
-        # the CLI's tree: the spanning forest for k = 1, the cleared rank above
-        assert context(k).select(boundaries.rank(k).pivot_cols) == sel
+        # the CLI's ranks: the spanning forest for k = 1, the cleared ranks above
+        assert _selection(boundaries, k) == sel
         certs = find_cavities_oracle(bk, bk1, sel, cx.levels[k])
         assert find_cavities(bk, bk1, sel, cx.levels[k]) == certs
         assert context(k).search(sel, cx.levels[k]) == certs
@@ -126,11 +136,25 @@ def test_mutations_reach_every_verdict(sample14):
 
 def test_a_certificate_that_fails_on_length_does_not_join_the_basis(sample14):
     cx = enumerate_cliques(sample14)
-    context = _contexts(Boundaries(cx))(1)
-    certs = context.search(context.select(), cx.levels[1])
+    boundaries = Boundaries(cx)
+    context = _contexts(boundaries)(1)
+    sel = _selection(boundaries, 1)
+    certs = context.search(sel, cx.levels[1])
     cert = certs[0]
     assert context.recheck(cert._replace(length=cert.length + 1)).failed == "length"
     assert context.recheck(cert)
     assert context.recheck(cert).failed == "independence"
     # the re-check extends its own copy of the basis, not the one search reads
-    assert context.search(context.select(), cx.levels[1]) == certs
+    assert context.search(sel, cx.levels[1]) == certs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(small_graphs())
+def test_selection_from_the_profile_ranks_equals_the_former_selection(net):
+    cx = enumerate_cliques(net)
+    boundaries = Boundaries(cx)
+    beta = homology_profile(cx, boundaries).beta
+    for k in range(1, cx.top_order + 1):
+        sel = _selection(boundaries, k)
+        assert sel == select_oracle(*_pair(cx, k))
+        assert len(sel.generator_cliques) == beta[k]

@@ -447,6 +447,32 @@ def test_verify_rejects_a_certificate_file_that_is_not_a_list(tmp_path, capsys):
     assert err == f"error: {certs}: a certificate file must hold a JSON list\n"
 
 
+@pytest.mark.parametrize("field", ["order", "length"])
+@pytest.mark.parametrize("value", [1.9, 4.0, True, "4", None])
+def test_verify_rejects_an_order_or_length_that_is_not_an_integer(tmp_path, capsys, field, value):
+    entry = json.loads((GOLDEN / "cavities.json").read_text())[0]
+    assert (entry["order"], entry["length"]) == (1, 4)
+    entry[field] = value
+    certs = tmp_path / "certs.json"
+    certs.write_text(json.dumps([entry]))
+    rc, out, _ = run(capsys, "verify", "--input", SAMPLE14, str(certs))
+    assert (rc, out) == (1, f"cert 1: FAIL (membership: {field} must be an integer, got {value!r})\n")
+
+
+@pytest.mark.parametrize(
+    "payload, reason",
+    [(b"", "Expecting value"), (b"[{", "Expecting property name"), (b"\xff[]", "codec can't decode")],
+    ids=["empty", "truncated", "not-utf8"],
+)
+def test_verify_names_a_certificate_file_that_is_not_json(tmp_path, capsys, payload, reason):
+    certs = tmp_path / "broken.json"
+    certs.write_bytes(payload)
+    rc, out, err = run(capsys, "verify", "--input", SAMPLE14, str(certs))
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {certs}: ") and reason in err
+    assert len(err.splitlines()) == 1
+
+
 def test_missing_input_file_exits_1(tmp_path, capsys):
     missing = tmp_path / "missing.edges"
     rc, out, err = run(capsys, "analyze", "--input", str(missing))

@@ -26,6 +26,7 @@ from oracles import (
     forward_rank_oracle,
     independent_column_scan,
     naive_rank,
+    pivot_rows_oracle,
     rref_oracle,
     small_graphs,
 )
@@ -156,6 +157,8 @@ def test_union_find_r1_matches_boundary_rank(sample14):
     for name, cx in cases:
         expected = gf2_rank(build_boundary_matrix(cx, 1)).rank
         assert homology_profile(cx).r[1] == expected, name
+        # pivot rows too: every node row but the last of its component
+        assert Boundaries(cx).rank(1) == forward_rank_oracle(build_boundary_matrix(cx, 1)), name
     assert homology_profile(enumerate_cliques(scattered)).beta[0] == 5
 
 
@@ -256,7 +259,8 @@ def test_cleared_ranks_match_forward_elimination(sample8, sample14):
         r = [0]
         for k in range(1, cx.top_order + 1):
             expected = forward_rank_oracle(build_boundary_matrix(cx, k))
-            assert boundaries.rank(k) == expected, f"{name}, B_{k}"
+            # clearing keeps other rows, so pivot_rows differ from k = 2 on
+            assert boundaries.rank(k)[:2] == expected[:2], f"{name}, B_{k}"
             r.append(expected.rank)
         if cx.top_order >= 1:
             assert r[1] == edge_rank_oracle(cx), name
@@ -295,3 +299,21 @@ def test_profile_ranks_equal_the_rref_ranks(net):
     r = homology_profile(cx).r
     for k in range(1, cx.top_order + 1):
         assert r[k] == rref_oracle(build_boundary_matrix(cx, k).bits)[0]
+
+
+def test_pivot_rows_match_the_rref_prefix_ranks(sample8, sample14):
+    rng = random.Random(5)
+    for trial in range(150):
+        m = _random_matrix(rng, max_dim=24)
+        cleared = {i for i in range(m.rows) if rng.random() < 0.3}
+        expected = pivot_rows_oracle(m.bits, cleared)
+        assert gf2_rank(m, cleared=cleared).pivot_rows == expected, f"trial {trial}"
+        assert gf2_rank(m).pivot_rows == pivot_rows_oracle(m.bits, set()), f"trial {trial}"
+    for name, cx in _clearing_complexes(sample8, sample14):
+        if name == "cocktail k=6":
+            continue  # the oracle is quadratic in the rows: 2 s on B_6's 672
+        boundaries = Boundaries(cx)
+        for k in range(2, cx.top_order + 2):
+            cleared = set(boundaries.rank(k - 1).pivot_cols)
+            expected = pivot_rows_oracle(boundaries.matrix(k).bits, cleared)
+            assert boundaries.rank(k).pivot_rows == expected, f"{name}, B_{k}"
