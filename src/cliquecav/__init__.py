@@ -30,18 +30,12 @@ _HOME = {
     **dict.fromkeys(
         (
             "CliqueComplex",
-            "EulerNumber",
             "clique_counts",
             "cocktail_party_network",
             "complex_from_json",
             "complex_to_json",
-            "cross_polytope_count",
             "enumerate_cliques",
             "euler_characteristic",
-            "expand_maximal_cliques",
-            "generate_smallest_cavity_complex",
-            "max_clique_order",
-            "maximal_cliques",
         ),
         "cliques",
     ),
@@ -56,7 +50,6 @@ _HOME = {
             "column_space_basis",
             "gf2_rank",
             "homology_profile",
-            "multiply",
             "zero_cols_matrix",
         ),
         "gf2",
@@ -80,7 +73,7 @@ _HOME = {
         "graph",
     ),
     **dict.fromkeys(
-        ("NodeLimitExceeded", "ZeroOneProgram", "enumerate_solutions", "iter_solutions", "solve"),
+        ("NodeLimitExceeded", "ZeroOneProgram", "iter_solutions"),
         "solver",
     ),
 }

@@ -99,6 +99,8 @@ def _build_complex(net: Network, export: str | None, budget: int) -> CliqueCompl
         try:
             tmp.write_text(text + "\n", encoding="utf-8")
             os.replace(tmp, export)
+        except OSError as exc:  # name the user's path, not the temporary one
+            raise OSError(f"{export}: {exc.strerror or exc}") from None
         finally:
             tmp.unlink(missing_ok=True)
     return cx
@@ -339,14 +341,13 @@ def census_notes(k: int, counts: list[int]) -> list[str]:
 def cmd_smallest_cavity(args, parser) -> int:
     """Generated order-k smallest-cavity complex: census, chi, reference notes.
 
-    The counts come from clique_counts, which lists no clique, and chi is
-    their alternating sum.
+    The counts come from clique_counts, which lists no clique.
     """
-    from .cliques import clique_counts, cocktail_party_network
+    from .cliques import clique_counts, cocktail_party_network, euler_characteristic
 
     k = args.order
     counts = list(clique_counts(cocktail_party_network(k)))
-    chi = sum(m if j % 2 == 0 else -m for j, m in enumerate(counts))
+    chi = euler_characteristic(counts)
     notes = census_notes(k, counts)
     if args.format == "json":
         _print_json({"k": k, "m": counts, "chi": chi, "discrepancy_notes": notes})

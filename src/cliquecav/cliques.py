@@ -13,9 +13,7 @@ cliques, for callers that need only m_k.
 from __future__ import annotations
 
 import json
-from itertools import combinations
-from math import comb
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graph import DEFAULT_BUDGET, BudgetExceeded, Network, network_from_edges
 
@@ -37,10 +35,6 @@ class CliqueComplex(NamedTuple):
     @property
     def top_order(self) -> int:
         return len(self.levels) - 1
-
-
-class EulerNumber(NamedTuple):
-    chi: int
 
 
 def enumerate_cliques(
@@ -129,59 +123,9 @@ def clique_counts(net: Network) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def euler_characteristic(cx: CliqueComplex) -> EulerNumber:
-    """Alternating sum of clique counts."""
-    chi = 0
-    for k, m in enumerate(cx.counts):
-        chi += m if k % 2 == 0 else -m
-    return EulerNumber(chi)
-
-
-def maximal_cliques(net: Network) -> list[Clique]:
-    """All maximal cliques, as sorted tuples in lexicographic order.
-
-    Pivoted recursive expansion; used as an independent cross-check of
-    enumerate_cliques (expanding every maximal clique into all sub-tuples
-    must reproduce the per-order levels exactly).
-    """
-    adj = [set(ns) for ns in net.adjacency]
-    out: list[Clique] = []
-
-    def expand(r: list[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return
-        pivot, best = -1, -1
-        for u in sorted(p | x):
-            c = len(p & adj[u])
-            if c > best:
-                pivot, best = u, c
-        for v in sorted(p - adj[pivot]):
-            expand(r + [v], p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
-
-    expand([], set(range(net.node_count)), set())
-    return sorted(out)
-
-
-def expand_maximal_cliques(maximal: list[Clique]) -> list[tuple[Clique, ...]]:
-    """Expand maximal cliques into full per-order levels (dedup + sort)."""
-    by_order: dict[int, set[Clique]] = {}
-    for c in maximal:
-        for size in range(1, len(c) + 1):
-            level = by_order.setdefault(size - 1, set())
-            for sub in combinations(c, size):
-                level.add(sub)
-    if not by_order:
-        return []
-    return [tuple(sorted(by_order[k])) for k in range(max(by_order) + 1)]
-
-
-def max_clique_order(net: Network) -> int:
-    """Largest k with m_k > 0, via maximal cliques."""
-    # an empty network has the one maximal clique (), so its order is -1
-    return max(len(c) for c in maximal_cliques(net)) - 1
+def euler_characteristic(counts: Sequence[int]) -> int:
+    """Alternating sum m_0 - m_1 + m_2 - ... of per-order counts."""
+    return sum(counts[0::2]) - sum(counts[1::2])
 
 
 def cocktail_party_network(k: int) -> Network:
@@ -200,20 +144,6 @@ def cocktail_party_network(k: int) -> Network:
             if u // 2 != v // 2:
                 pairs.append((str(u + 1), str(v + 1)))
     return network_from_edges([str(i + 1) for i in range(n)], pairs)
-
-
-def generate_smallest_cavity_complex(k: int) -> CliqueComplex:
-    """Clique complex of the smallest k-cavity (cross-polytope boundary).
-
-    Face counts are measured by enumeration, not assumed; they satisfy
-    m_j = 2^(j+1) * C(k+1, j+1) for 0 <= j <= k.
-    """
-    return enumerate_cliques(cocktail_party_network(k))
-
-
-def cross_polytope_count(k: int, j: int) -> int:
-    """Closed-form face count m_j of the smallest k-cavity complex."""
-    return 2 ** (j + 1) * comb(k + 1, j + 1)
 
 
 def _levels_sha256(levels: list) -> str:

@@ -113,20 +113,6 @@ def column_space_basis(m: Gf2Matrix) -> dict[int, int]:
     return basis
 
 
-def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
-    """GF(2) matrix product: row i of the result is the XOR of b's rows
-    selected by the set bits of row i of a."""
-    if a.cols != b.rows:
-        raise ValueError("dimension mismatch")
-    bits = []
-    for row in a.bits:
-        acc = 0
-        for j in bit_indices(row):
-            acc ^= b.bits[j]
-        bits.append(acc)
-    return Gf2Matrix(a.rows, b.cols, bits)
-
-
 class HomologyProfile(NamedTuple):
     """Per-order clique counts, boundary ranks, Betti numbers, and chi.
 
@@ -236,6 +222,6 @@ def homology_profile(cx: CliqueComplex, boundaries: Boundaries | None = None) ->
         if b < 0:
             raise AssertionError(f"negative Betti number at order {k}")
         beta.append(b)
-    chi = euler_characteristic(cx).chi
-    chi_beta = sum(b if k % 2 == 0 else -b for k, b in enumerate(beta))
-    return HomologyProfile(tuple(cx.counts), tuple(r), tuple(beta), chi, chi_beta == chi)
+    chi = euler_characteristic(cx.counts)
+    return HomologyProfile(tuple(cx.counts), tuple(r), tuple(beta), chi,
+                           euler_characteristic(beta) == chi)

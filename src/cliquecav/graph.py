@@ -66,9 +66,6 @@ class GateResult(NamedTuple):
     computable: bool
     reason: str
 
-    def __bool__(self) -> bool:
-        return self.computable
-
 
 def _label_sort_key(labels: Iterable[str]):
     labels = list(labels)
@@ -111,12 +108,19 @@ def load_edge_list(source: str | Path | IO[str]) -> Network:
     that is neither comment nor at least two tokens raises ValueError
     with its line number. An empty source gives an empty Network. Files
     are read as UTF-8 whatever the locale, and one leading byte-order
-    mark (U+FEFF) is dropped, from a file object too.
+    mark (U+FEFF) is dropped, from a file object too. The errors of a
+    path source start with the path.
     """
     if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+        return _parse_edge_text(source.read())
+    try:
+        return _parse_edge_text(Path(source).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or a line without two labels
+        raise ValueError(f"{source}: {exc}") from None
+
+
+def _parse_edge_text(text: str) -> Network:
+    """Parse edge-list text as load_edge_list describes."""
     text = text.removeprefix("\ufeff")
     pairs: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -238,25 +238,3 @@ def iter_solutions(p: ZeroOneProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> I
 
     return solutions()
 
-
-def solve(p: ZeroOneProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> int | None:
-    """Lexicographically smallest feasible assignment, or None if infeasible."""
-    for mask in iter_solutions(p, node_limit):
-        return mask
-    return None
-
-
-def enumerate_solutions(
-    p: ZeroOneProgram,
-    limit: int,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> list[int]:
-    """First `limit` solutions in lexicographic order, from one search pass."""
-    if limit <= 0:
-        raise ValueError("limit must be positive")
-    out: list[int] = []
-    for mask in iter_solutions(p, node_limit):
-        out.append(mask)
-        if len(out) >= limit:
-            break
-    return out

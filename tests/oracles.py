@@ -15,6 +15,13 @@ they stand apart from the shared context and ranks.
 Likewise _Frame, _Search and iter_solutions_oracle are the 0-1 search
 without the pairing bound, kept verbatim; _Search.nodes counts its
 decision nodes.
+
+These references once lived in the package and moved here unchanged,
+since no pipeline path runs them: maximal_cliques (pivoted Bron-Kerbosch),
+expand_maximal_cliques and max_clique_order, the cross-check of clique
+enumeration; multiply, the GF(2) product behind boundary-of-boundary
+checks; and cross_polytope_count, the closed-form face counts of the
+smallest k-cavity complex.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import combinations
+from math import comb
 from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
@@ -194,6 +202,58 @@ def enumerate_cliques_oracle(
     return CliqueComplex(tuple(levels), tuple(len(l) for l in levels))
 
 
+def maximal_cliques(net: Network) -> list[Clique]:
+    """All maximal cliques, as sorted tuples in lexicographic order.
+
+    Pivoted recursive expansion; used as an independent cross-check of
+    enumerate_cliques (expanding every maximal clique into all sub-tuples
+    must reproduce the per-order levels exactly).
+    """
+    adj = [set(ns) for ns in net.adjacency]
+    out: list[Clique] = []
+
+    def expand(r: list[int], p: set[int], x: set[int]) -> None:
+        if not p and not x:
+            out.append(tuple(sorted(r)))
+            return
+        pivot, best = -1, -1
+        for u in sorted(p | x):
+            c = len(p & adj[u])
+            if c > best:
+                pivot, best = u, c
+        for v in sorted(p - adj[pivot]):
+            expand(r + [v], p & adj[v], x & adj[v])
+            p.remove(v)
+            x.add(v)
+
+    expand([], set(range(net.node_count)), set())
+    return sorted(out)
+
+
+def expand_maximal_cliques(maximal: list[Clique]) -> list[tuple[Clique, ...]]:
+    """Expand maximal cliques into full per-order levels (dedup + sort)."""
+    by_order: dict[int, set[Clique]] = {}
+    for c in maximal:
+        for size in range(1, len(c) + 1):
+            level = by_order.setdefault(size - 1, set())
+            for sub in combinations(c, size):
+                level.add(sub)
+    if not by_order:
+        return []
+    return [tuple(sorted(by_order[k])) for k in range(max(by_order) + 1)]
+
+
+def max_clique_order(net: Network) -> int:
+    """Largest k with m_k > 0, via maximal cliques."""
+    # an empty network has the one maximal clique (), so its order is -1
+    return max(len(c) for c in maximal_cliques(net)) - 1
+
+
+def cross_polytope_count(k: int, j: int) -> int:
+    """Closed-form face count m_j of the smallest k-cavity complex."""
+    return 2 ** (j + 1) * comb(k + 1, j + 1)
+
+
 def independent_column_scan(rows: list[int], cols: int) -> list[int]:
     """Columns kept by a left-to-right greedy independence scan."""
     col_vecs = []
@@ -215,6 +275,20 @@ def independent_column_scan(rows: list[int], cols: int) -> list[int]:
                 kept.append(j)
                 break
     return kept
+
+
+def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
+    """GF(2) matrix product: row i of the result is the XOR of b's rows
+    selected by the set bits of row i of a."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    bits = []
+    for row in a.bits:
+        acc = 0
+        for j in bit_indices(row):
+            acc ^= b.bits[j]
+        bits.append(acc)
+    return Gf2Matrix(a.rows, b.cols, bits)
 
 
 def random_er_oracle(n: int, m: int, seed: int) -> Network:

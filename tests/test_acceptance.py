@@ -6,34 +6,38 @@ visible notice when the file has not been fetched.
 """
 
 import time
+from itertools import islice
 
 from cliquecav import (
     ZeroOneProgram,
     build_boundary_matrix,
     certificate_from_cliques,
-    cross_polytope_count,
+    cocktail_party_network,
     enumerate_cliques,
-    enumerate_solutions,
     euler_characteristic,
-    expand_maximal_cliques,
     find_cavities,
-    generate_smallest_cavity_complex,
     gf2_rank,
     homology_profile,
+    iter_solutions,
     k_core_decomposition,
-    max_clique_order,
-    maximal_cliques,
-    multiply,
     random_er,
     select_spanning_and_generators,
-    solve,
     to_edge_text,
     verify_certificate,
     zero_cols_matrix,
 )
 from cliquecav.cli import census_notes
 from conftest import load_dataset
-from oracles import brute_solutions, component_count, naive_rank
+from oracles import (
+    brute_solutions,
+    component_count,
+    cross_polytope_count,
+    expand_maximal_cliques,
+    max_clique_order,
+    maximal_cliques,
+    multiply,
+    naive_rank,
+)
 
 TRIANGLES = [
     ("1", "2", "3"), ("1", "2", "4"), ("1", "2", "5"), ("1", "3", "4"),
@@ -131,7 +135,7 @@ def test_acceptance_1_sample_network_profile_exact(sample14, sample8):
     assert [tuple(sample14.node_labels[u] for u in c) for c in cx.levels[3]] == [
         ("1", "2", "3", "4")
     ]
-    assert euler_characteristic(cx).chi == 0
+    assert euler_characteristic(cx.counts) == 0
     assert profile.r == (0, 13, 11, 1)
     assert profile.beta == (1, 2, 1, 0)
     assert profile.euler_poincare_ok
@@ -161,7 +165,7 @@ def test_acceptance_2_sample_network_cavities_exact(sample14):
         fixed=[(pin, 1)],
         cardinality=7,
     )
-    assert len(enumerate_solutions(program, limit=20)) == 8
+    assert len(list(islice(iter_solutions(program), 20))) == 8
 
     b2m, b3 = _boundary_pair(cx, 2)
     sel2 = select_spanning_and_generators(b2m, b3)
@@ -224,9 +228,9 @@ def test_acceptance_3_celegans_profile_and_order3_cavities():
 def test_acceptance_4_cross_polytope_census():
     started = time.perf_counter()
     for k in range(1, 9):
-        cx = generate_smallest_cavity_complex(k)
+        cx = enumerate_cliques(cocktail_party_network(k))
         assert cx.counts == tuple(cross_polytope_count(k, j) for j in range(k + 1))
-        assert euler_characteristic(cx).chi == 1 + (-1) ** k
+        assert euler_characteristic(cx.counts) == 1 + (-1) ** k
         notes = census_notes(k, list(cx.counts))
         if k in (4, 5):
             assert notes, f"expected a discrepancy note at k={k}"
@@ -236,7 +240,7 @@ def test_acceptance_4_cross_polytope_census():
     assert elapsed < 10.0, f"census took {elapsed:.2f}s, ceiling is 10s"
 
     # k = 9 also disagrees with the printed reference row (report-only)
-    cx9 = generate_smallest_cavity_complex(9)
+    cx9 = enumerate_cliques(cocktail_party_network(9))
     assert cx9.counts == tuple(cross_polytope_count(9, j) for j in range(10))
     assert census_notes(9, list(cx9.counts))
 
@@ -311,9 +315,9 @@ def test_acceptance_6_property_suites(sample14):
             cardinality=t.randrange(0, n + 1) if t.random() < 0.6 else None,
         )
         expected = brute_solutions(program)
-        got = enumerate_solutions(program, limit=1 << n)
+        got = list(islice(iter_solutions(program), 1 << n))
         assert got == expected, f"trial {trial}"
-        assert solve(program) == (expected[0] if expected else None)
+        assert next(iter_solutions(program), None) == (expected[0] if expected else None)
 
     # no strictly shorter certificate exists for either order-1 generator
     b1, b2 = _boundary_pair(cx, 1)
@@ -329,7 +333,7 @@ def test_acceptance_6_property_suites(sample14):
                 fixed=[(cert.generator, 1)],
                 cardinality=length,
             )
-            for mask in enumerate_solutions(program, limit=10000):
+            for mask in islice(iter_solutions(program), 10000):
                 basis = dict(column_space_basis(b2))
                 assert not basis_insert(basis, mask), (
                     f"independent cycle of length {length} < {cert.length}"

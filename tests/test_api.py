@@ -1,9 +1,19 @@
+import ast
+import functools
 import importlib
 import inspect
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
 import cliquecav
+from cliquecav.cavities import BoundaryContext
+from cliquecav.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE14 = ROOT / "data" / "sample14.edges"
 
 
 def test_all_lists_exactly_the_public_names_the_root_exposes():
@@ -45,7 +55,6 @@ RECORD_FIELDS = {
     "CorenessReport": ("coreness", "k_max", "core_size"),
     "GateResult": ("computable", "reason"),
     "CliqueComplex": ("levels", "counts"),
-    "EulerNumber": ("chi",),
     "Gf2Matrix": ("rows", "cols", "bits"),
     "RankResult": ("rank", "pivot_cols", "pivot_rows"),
     "HomologyProfile": ("m", "r", "beta", "chi", "euler_poincare_ok"),
@@ -75,3 +84,74 @@ def test_record_classes_keep_their_fields_and_defaults():
     program = cliquecav.ZeroOneProgram(3)
     assert (program.parity_rows, program.fixed, program.cardinality) == ([], [], None)
     assert cliquecav.ZeroOneProgram(3).parity_rows is not program.parity_rows
+
+
+def _package_defs() -> dict[tuple[str, int], str]:
+    """Every def in the package, keyed by (file, first line) as its code
+    object reports them: a decorated def starts at its first decorator."""
+    defs = {}
+    for path in sorted(Path(cliquecav.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                defs[(str(path), first)] = f"{path.stem}.{node.name}"
+    return defs
+
+
+def _pipeline_runs(tmp_path, monkeypatch) -> None:
+    """Each subcommand, its error exits and output formats, the root's
+    dir(), and the README's Library block."""
+    cycle4 = tmp_path / "c4.edges"
+    cycle4.write_text("1 2\n2 3\n3 4\n4 1\n")
+    sample = str(SAMPLE14)
+    runs = [
+        (0, ["kcore", "--input", sample]),
+        (2, ["kcore", "--input", sample, "--format", "json", "--threshold", "1"]),
+        *((0, ["analyze", "--input", sample, "--format", fmt]) for fmt in ("json", "csv", "table")),
+        (1, ["analyze", "--input", str(tmp_path / "missing.edges")]),
+        (3, ["analyze", "--input", sample, "--budget", "20"]),
+        (0, ["analyze", "--input", sample, "--cavities", "--verify",
+             "--cache", str(tmp_path / "cx.json"), "--emit-dot", str(tmp_path / "dot")]),
+        (0, ["cavities", "--input", str(cycle4)]),
+        (0, ["smallest-cavity", "3"]),
+        (0, ["smallest-cavity", "9"]),
+        (0, ["random-er", "10", "15", str(tmp_path / "er.edges")]),
+        (0, ["fetch", "sample14", "--url", SAMPLE14.as_uri(),
+             "--dest", str(tmp_path / "f.edges")]),
+        (0, ["verify", "--input", sample, str(ROOT / "tests" / "golden" / "cavities.json")]),
+    ]
+    for rc, argv in runs:
+        assert main(argv) == rc, argv
+    # the search's error exit: its length ceiling, lowered below sample14's
+    # second certificate (length 7)
+    with monkeypatch.context() as patch:
+        patch.setattr(BoundaryContext, "search",
+                      functools.partialmethod(BoundaryContext.search, length_ceiling=5))
+        assert main(["cavities", "--input", sample]) == 1
+    dir(cliquecav)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_every_package_function_runs_on_a_pipeline_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)  # the README block reads data/ relative to the checkout
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _pipeline_runs(tmp_path, monkeypatch)
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    defs = _package_defs()
+    for code in entered:
+        defs.pop((str(Path(code.co_filename).resolve()), code.co_firstlineno), None)
+    # the benchmark's tracer (bench/spans.py) wraps complex_from_json by name;
+    # no subcommand reads an exported complex back
+    assert sorted(defs.values()) == ["cliques.complex_from_json"]

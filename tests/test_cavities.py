@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -10,10 +10,10 @@ from cliquecav import (
     certificate_from_json,
     certificate_to_dot,
     certificates_to_json,
+    cocktail_party_network,
     column_space_basis,
     enumerate_cliques,
     find_cavities,
-    generate_smallest_cavity_complex,
     gf2_rank,
     network_from_edges,
     select_spanning_and_generators,
@@ -164,7 +164,7 @@ def test_verify_rejects_wrong_generator_and_length(sample14):
 
 def test_cross_polytope_self_test():
     for k in range(1, 5):
-        cx = generate_smallest_cavity_complex(k)
+        cx = enumerate_cliques(cocktail_party_network(k))
         bk, bk1 = _pair(cx, k)
         sel = select_spanning_and_generators(bk, bk1)
         certs = find_cavities(bk, bk1, sel, cx.levels[k])
@@ -202,7 +202,7 @@ def test_independence_rank_is_processing_order_free(sample14):
 
 
 def test_minimality_no_shorter_independent_cycle(sample14):
-    from cliquecav import column_space_basis, enumerate_solutions
+    from cliquecav import column_space_basis, iter_solutions
     from cliquecav.cavities import _parity_rows
     from cliquecav.gf2 import basis_insert
     from cliquecav.solver import ZeroOneProgram
@@ -221,7 +221,7 @@ def test_minimality_no_shorter_independent_cycle(sample14):
                 fixed=[(cert.generator, 1)],
                 cardinality=shorter,
             )
-            for mask in enumerate_solutions(program, limit=10000):
+            for mask in islice(iter_solutions(program), 10000):
                 basis = dict(column_space_basis(b2))
                 for a in accepted:
                     assert basis_insert(basis, a)

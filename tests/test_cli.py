@@ -15,13 +15,10 @@ from referencing import Registry, Resource
 
 from cliquecav.cavities import BoundaryContext, VerifyResult
 from cliquecav.cli import build_parser, main
-from cliquecav.cliques import (
-    CliqueComplex,
-    complex_to_json,
-    cross_polytope_count,
-    enumerate_cliques,
-)
+from cliquecav.cliques import CliqueComplex, complex_to_json, enumerate_cliques
 from cliquecav.graph import edge_text_checksum, load_edge_list
+
+from oracles import cross_polytope_count
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -487,6 +484,34 @@ def test_input_that_is_a_directory_exits_1(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "payload, reason",
+    [(b"1 2\n2\n", "line 2: expected two node labels, got '2'"),
+     (b"1 2\n\xff 3\n", "'utf-8' codec can't decode byte 0xff in position 4")],
+    ids=["malformed-line", "not-utf8"],
+)
+@pytest.mark.parametrize("command", ["analyze", "kcore", "verify"])
+def test_input_read_errors_name_the_input_file(tmp_path, capsys, command, payload, reason):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(payload)
+    extra = [str(GOLDEN / "cavities.json")] if command == "verify" else []
+    rc, out, err = run(capsys, command, "--input", str(bad), *extra)
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {bad}: {reason}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "adir"], ids=["missing-dir", "directory"])
+def test_cache_write_errors_name_the_given_path(tmp_path, capsys, target):
+    (tmp_path / "adir").mkdir()
+    cache = tmp_path / target
+    rc, out, err = run(capsys, "analyze", "--input", SAMPLE14, "--cache", str(cache))
+    assert (rc, out) == (1, "")
+    reason = "Is a directory" if target == "adir" else "No such file or directory"
+    assert err == f"error: {cache}: {reason}\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_emit_dot_onto_an_existing_file_exits_1(tmp_path, capsys):
     target = tmp_path / "taken"
     target.write_text("")
@@ -796,10 +821,16 @@ UNUSED = ("logging", "hashlib", "dataclasses", "inspect")
 )
 def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
     run_main = f"from cliquecav.cli import main; main({argv!r}); " if argv else ""
-    code = f"import sys, cliquecav; {run_main}print(' '.join(sorted(sys.modules)))"
-    loaded = set(_run_subprocess(["-c", code], 0).splitlines()[-1].split())
+    code = (f"import sys; before = set(sys.modules); import cliquecav; {run_main}"
+            "print(' '.join(sorted(sys.modules)));"
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    *_, loaded_line, new_line = _run_subprocess(["-c", code], 0).splitlines()
+    loaded = set(loaded_line.split())
     assert "cliquecav" in loaded
     assert loaded.isdisjoint(unloaded)
+    # pure standard library: every module loaded from `import cliquecav` on
+    top_level = {name.partition(".")[0] for name in new_line.split()}
+    assert "cliquecav" in top_level and top_level - {"cliquecav"} <= sys.stdlib_module_names
 
 
 def test_node_limit_exits_1_with_message(monkeypatch, capsys):

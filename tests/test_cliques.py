@@ -11,19 +11,22 @@ from cliquecav import (
     cocktail_party_network,
     complex_from_json,
     complex_to_json,
-    cross_polytope_count,
     edge_text_checksum,
     enumerate_cliques,
     euler_characteristic,
-    expand_maximal_cliques,
-    generate_smallest_cavity_complex,
-    max_clique_order,
-    maximal_cliques,
     network_from_edges,
     random_er,
 )
 
-from oracles import bernoulli_graph, enumerate_cliques_oracle, small_graphs
+from oracles import (
+    bernoulli_graph,
+    cross_polytope_count,
+    enumerate_cliques_oracle,
+    expand_maximal_cliques,
+    max_clique_order,
+    maximal_cliques,
+    small_graphs,
+)
 
 TRIANGLES_14 = [
     ("1", "2", "3"), ("1", "2", "4"), ("1", "2", "5"), ("1", "3", "4"),
@@ -40,7 +43,7 @@ def _labeled(net, level):
 def test_sample14_census(sample14):
     cx = enumerate_cliques(sample14)
     assert cx.counts == (14, 26, 13, 1)
-    assert euler_characteristic(cx).chi == 0
+    assert euler_characteristic(cx.counts) == 0
 
 
 def test_sample14_triangles_and_tetrahedron_exact(sample14):
@@ -105,7 +108,7 @@ def test_budget_truncation_at_level_zero(sample14):
 def test_max_order_stops_cleanly(sample14):
     cx = enumerate_cliques(sample14, max_order=1)
     assert cx.counts == (14, 26)
-    assert euler_characteristic(cx).chi == 14 - 26
+    assert euler_characteristic(cx.counts) == 14 - 26
 
 
 def test_max_clique_order(sample14):
@@ -148,11 +151,11 @@ def test_cocktail_party_structure():
 
 def test_smallest_cavity_counts_match_formula():
     for k in range(1, 9):
-        cx = generate_smallest_cavity_complex(k)
+        cx = enumerate_cliques(cocktail_party_network(k))
         assert cx.top_order == k
         for j, m in enumerate(cx.counts):
             assert m == cross_polytope_count(k, j), (k, j)
-        chi = euler_characteristic(cx).chi
+        chi = euler_characteristic(cx.counts)
         assert chi == 1 + (-1) ** k
 
 

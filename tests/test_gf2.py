@@ -9,12 +9,11 @@ from cliquecav import (
     Gf2Matrix,
     basis_insert,
     build_boundary_matrix,
+    cocktail_party_network,
     column_space_basis,
     enumerate_cliques,
-    generate_smallest_cavity_complex,
     gf2_rank,
     homology_profile,
-    multiply,
     network_from_edges,
     random_er,
 )
@@ -25,6 +24,7 @@ from oracles import (
     edge_rank_oracle,
     forward_rank_oracle,
     independent_column_scan,
+    multiply,
     naive_rank,
     pivot_rows_oracle,
     rref_oracle,
@@ -126,7 +126,7 @@ def test_rank_is_permutation_invariant():
 def _differential_complexes(sample14):
     yield "sample14", enumerate_cliques(sample14)
     for k in range(1, 7):
-        yield f"cocktail k={k}", generate_smallest_cavity_complex(k)
+        yield f"cocktail k={k}", enumerate_cliques(cocktail_party_network(k))
     for seed in range(6):
         yield f"bernoulli seed={seed}", enumerate_cliques(bernoulli_graph(22, 0.35, seed))
 
@@ -242,7 +242,7 @@ def _clearing_complexes(sample8, sample14):
     yield "sample8", enumerate_cliques(sample8)
     yield "sample14", enumerate_cliques(sample14)
     for k in range(1, 7):
-        yield f"cocktail k={k}", generate_smallest_cavity_complex(k)
+        yield f"cocktail k={k}", enumerate_cliques(cocktail_party_network(k))
     # a cleared set off by one row, or one row too many, leaves the samples
     # and the cocktail parties correct but not most of these
     for n in range(10, 15):
@@ -285,7 +285,7 @@ def test_clearing_skips_the_rows_the_previous_order_ranks(monkeypatch, sample14)
 
     monkeypatch.setattr(cliquecav.gf2, "basis_insert", counted_insert)
     monkeypatch.setattr(cliquecav.gf2, "gf2_rank", recorded_rank)
-    for cx in (enumerate_cliques(sample14), generate_smallest_cavity_complex(3)):
+    for cx in (enumerate_cliques(sample14), enumerate_cliques(cocktail_party_network(3))):
         calls.clear()
         prof = homology_profile(cx)
         expected = [(prof.m[k - 1], prof.m[k - 1] - prof.r[k - 1]) for k in range(2, len(prof.m))]

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -68,6 +69,22 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_edge_list(p)
 
 
+def test_read_errors_of_a_path_source_start_with_the_path(tmp_path):
+    bad = tmp_path / "bad.edges"
+    bad.write_text("1 2\n2\n")
+    line = "line 2: expected two node labels, got '2'"
+    for source in (bad, str(bad)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{bad}: {line}')}$"):
+            load_edge_list(source)
+    binary = tmp_path / "binary.edges"
+    binary.write_bytes(b"1 2\n\xff 3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(binary))}: 'utf-8' codec can't decode"):
+        load_edge_list(binary)
+    # a file object has no path to name
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+        load_edge_list(io.StringIO("1 2\n2\n"))
+
+
 def test_k5_coreness():
     labels = [str(i) for i in range(1, 6)]
     pairs = [(str(u), str(v)) for u in range(1, 6) for v in range(u + 1, 6)]
@@ -120,11 +137,11 @@ def test_empty_input_has_kmax_zero(tmp_path):
 
 def test_gate_verdicts(sample14):
     rep = k_core_decomposition(sample14)
-    assert computability_gate(rep, coreness_threshold=25)
+    assert computability_gate(rep, coreness_threshold=25).computable
     assert computability_gate(rep, coreness_threshold=4).computable
     blocked = computability_gate(rep, coreness_threshold=3)
     assert isinstance(blocked, GateResult)
-    assert not blocked
+    assert not blocked.computable
     assert "exceeds" in blocked.reason
     with pytest.raises(ValueError):
         computability_gate(rep, coreness_threshold=-1)

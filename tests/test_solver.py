@@ -11,15 +11,24 @@ from cliquecav import (
     build_boundary_matrix,
     cocktail_party_network,
     enumerate_cliques,
-    enumerate_solutions,
+    iter_solutions,
     network_from_edges,
     random_er,
-    solve,
 )
 from cliquecav.cavities import length_schedule
 from cliquecav.solver import DEFAULT_NODE_LIMIT
 
 from oracles import _Search, bernoulli_graph, brute_solutions
+
+
+def _first(p):
+    """The lexicographically smallest solution of p, or None."""
+    return next(iter_solutions(p), None)
+
+
+def _solutions(p, limit, node_limit=DEFAULT_NODE_LIMIT):
+    """The first limit solutions of p, in lexicographic order."""
+    return list(islice(iter_solutions(p, node_limit), limit))
 
 
 def _boundary_rows(cx, order):
@@ -53,12 +62,12 @@ def _random_program(rng, n):
 
 def test_pinned_pair():
     p = ZeroOneProgram(num_vars=2, parity_rows=[[0, 1]], fixed=[(0, 1)], cardinality=2)
-    assert solve(p) == 0b11
+    assert _first(p) == 0b11
 
 
 def test_contradictory_pins_are_infeasible():
     p = ZeroOneProgram(num_vars=3, parity_rows=[[0, 1]], fixed=[(0, 1), (0, 0)])
-    assert solve(p) is None
+    assert _first(p) is None
 
 
 def test_validation_rejects_bad_programs():
@@ -74,12 +83,12 @@ def test_length4_cycle_instance(sample14):
     # pinning the last edge (7,8) at four total ones forces the unique
     # 4-edge cycle on nodes 3,6,7,8: edge indices 8, 9, 11, 13
     p = _edge_cycle_program(sample14, pin=13, length=4)
-    assert solve(p) == (1 << 8) | (1 << 9) | (1 << 11) | (1 << 13)
+    assert _first(p) == (1 << 8) | (1 << 9) | (1 << 11) | (1 << 13)
 
 
 def test_eight_alternatives_at_length_seven(sample14):
     p = _edge_cycle_program(sample14, pin=10, length=7)
-    sols = enumerate_solutions(p, limit=100)
+    sols = _solutions(p, 100)
     assert len(sols) == 8
     assert len(set(sols)) == 8
     for mask in sols:
@@ -88,9 +97,9 @@ def test_eight_alternatives_at_length_seven(sample14):
 
 
 def test_infeasible_short_length(sample14):
-    assert solve(_edge_cycle_program(sample14, pin=10, length=4)) is None
-    assert solve(_edge_cycle_program(sample14, pin=10, length=5)) is None
-    assert solve(_edge_cycle_program(sample14, pin=10, length=6)) is None
+    assert _first(_edge_cycle_program(sample14, pin=10, length=4)) is None
+    assert _first(_edge_cycle_program(sample14, pin=10, length=5)) is None
+    assert _first(_edge_cycle_program(sample14, pin=10, length=6)) is None
 
 
 def test_tree_has_no_cycle_through_any_edge():
@@ -99,7 +108,7 @@ def test_tree_has_no_cycle_through_any_edge():
     )
     for pin in range(3):
         for length in range(1, 7):
-            assert solve(_edge_cycle_program(tree, pin, length)) is None
+            assert _first(_edge_cycle_program(tree, pin, length)) is None
 
 
 def test_matches_exhaustive_oracle_small():
@@ -107,7 +116,7 @@ def test_matches_exhaustive_oracle_small():
     for trial in range(150):
         n = rng.randrange(2, 13)
         p = _random_program(rng, n)
-        got = enumerate_solutions(p, limit=1 << n)
+        got = _solutions(p, 1 << n)
         assert got == brute_solutions(p), f"trial {trial}"
 
 
@@ -115,7 +124,7 @@ def test_matches_exhaustive_oracle_n20():
     rng = random.Random(77)
     rows = [sorted(rng.sample(range(20), rng.randrange(2, 6))) for _ in range(6)]
     p = ZeroOneProgram(num_vars=20, parity_rows=rows, fixed=[(3, 1)], cardinality=6)
-    got = enumerate_solutions(p, limit=1 << 20)
+    got = _solutions(p, 1 << 20)
     assert got == brute_solutions(p)
 
 
@@ -125,36 +134,34 @@ def test_first_solution_is_lexicographically_smallest():
         n = rng.randrange(2, 11)
         p = _random_program(rng, n)
         expected = brute_solutions(p)
-        got = solve(p)
+        got = _first(p)
         assert got == (expected[0] if expected else None), f"trial {trial}"
 
 
 def test_enumerate_limit_and_validation():
     p = ZeroOneProgram(num_vars=4, parity_rows=[[0, 1], [2, 3]])
-    all_sols = enumerate_solutions(p, limit=100)
+    all_sols = _solutions(p, 100)
     assert len(all_sols) == 4  # {00,11} x {00,11}
-    assert enumerate_solutions(p, limit=2) == all_sols[:2]
-    with pytest.raises(ValueError):
-        enumerate_solutions(p, limit=0)
+    assert _solutions(p, 2) == all_sols[:2]
 
 
 def test_parity_only_solution_count_is_power_of_two():
     # one independent cycle of length 4: kernel dimension 3 over its edges
     p = ZeroOneProgram(num_vars=4, parity_rows=[[0, 1, 2, 3]])
-    sols = enumerate_solutions(p, limit=100)
+    sols = _solutions(p, 100)
     assert len(sols) == 8  # all even-weight vectors
 
 
 def test_node_limit_raises(sample14):
     p = _edge_cycle_program(sample14, pin=10, length=7)
     with pytest.raises(NodeLimitExceeded):
-        list_all = enumerate_solutions(p, limit=100, node_limit=5)
+        list_all = _solutions(p, 100, 5)
         del list_all
 
 
 def test_determinism(sample14):
     p = _edge_cycle_program(sample14, pin=10, length=7)
-    assert enumerate_solutions(p, limit=100) == enumerate_solutions(p, limit=100)
+    assert _solutions(p, 100) == _solutions(p, 100)
 
 
 def _even_row_count_program(rng, n):
@@ -175,11 +182,11 @@ def _matches_unpruned_oracle(p):
     first = 1 << p.num_vars if p.num_vars <= 16 else 50
     oracle = _Search(p, DEFAULT_NODE_LIMIT)
     expected = list(islice(oracle.solutions(), first))
-    assert enumerate_solutions(p, first, node_limit=oracle.nodes) == expected
+    assert _solutions(p, first, oracle.nodes) == expected
     if not oracle.nodes:
         return False
     try:
-        enumerate_solutions(p, first, node_limit=oracle.nodes - 1)
+        _solutions(p, first, oracle.nodes - 1)
     except NodeLimitExceeded:
         return False
     return True
@@ -218,7 +225,7 @@ def test_the_pairing_bound_stays_on():
     p = ZeroOneProgram(cols, rows, [(20, 1)], 8)
     oracle = _Search(p, DEFAULT_NODE_LIMIT)
     expected = list(oracle.solutions())
-    assert enumerate_solutions(p, 1 << 20, node_limit=oracle.nodes // 3) == expected
+    assert _solutions(p, 1 << 20, oracle.nodes // 3) == expected
 
 
 @st.composite
@@ -245,4 +252,4 @@ def _small_programs(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(_small_programs())
 def test_enumeration_equals_brute_force(p):
-    assert enumerate_solutions(p, limit=2**p.num_vars) == brute_solutions(p)
+    assert _solutions(p, 2**p.num_vars) == brute_solutions(p)
