@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import deque
+from itertools import chain
 from math import isqrt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -42,9 +44,6 @@ class Network(NamedTuple):
     adjacency: tuple[tuple[int, ...], ...]
     edge_count: int
 
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield (u, v) id pairs with u < v in lexicographic order."""
         for u in range(self.node_count):
@@ -79,23 +78,30 @@ def _label_sort_key(labels: Iterable[str]):
 
 def network_from_edges(labels: Iterable[str], label_pairs: Iterable[tuple[str, str]]) -> Network:
     """Build a canonical Network from label pairs; isolated labels are kept."""
-    label_set = set(labels)
-    pair_set = set()
+    heads: list[str] = []
+    tails: list[str] = []
     for a, b in label_pairs:
-        if a == b:
-            continue
-        label_set.add(a)
-        label_set.add(b)
-        pair_set.add((a, b) if a <= b else (b, a))
+        if a != b:
+            heads.append(a)
+            tails.append(b)
+    return _network_on_ids(labels, heads, tails)
+
+
+def _network_on_ids(labels: Iterable[str], heads: list[str], tails: list[str]) -> Network:
+    """The Network on labels and the edges heads[i]-tails[i], none a self-loop.
+
+    Duplicate and reversed edges are merged on the integer ids.
+    """
+    label_set = set(labels).union(heads, tails)
     ordered = sorted(label_set, key=_label_sort_key(label_set))
-    index = {lab: i for i, lab in enumerate(ordered)}
-    neighbors: list[set[int]] = [set() for _ in ordered]
-    for a, b in pair_set:
-        u, v = index[a], index[b]
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-    edge_count = sum(len(ns) for ns in neighbors) // 2
+    index = dict(zip(ordered, range(len(ordered))))
+    us = list(map(index.__getitem__, heads))
+    vs = list(map(index.__getitem__, tails))
+    neighbors: list[list[int]] = [[] for _ in ordered]
+    # neighbors[u].append(v) for both ends of every edge, run to exhaustion in C
+    deque(map(list.append, map(neighbors.__getitem__, us + vs), vs + us), maxlen=0)
+    adjacency = tuple(map(tuple, map(sorted, map(set, neighbors))))
+    edge_count = sum(map(len, adjacency)) // 2
     return Network(len(ordered), tuple(ordered), adjacency, edge_count)
 
 
@@ -121,17 +127,22 @@ def load_edge_list(source: str | Path | IO[str]) -> Network:
 
 def _parse_edge_text(text: str) -> Network:
     """Parse edge-list text as load_edge_list describes."""
-    text = text.removeprefix("\ufeff")
-    pairs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(COMMENT_PREFIXES):
-            continue
-        tokens = line.replace(",", " ").split()
-        if len(tokens) < 2:
-            raise ValueError(f"line {lineno}: expected two node labels, got {raw!r}")
-        pairs.append((tokens[0], tokens[1]))
-    return network_from_edges((), pairs)
+    heads: list[str] = []
+    tails: list[str] = []
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        tokens = raw.replace(",", " ").split(None, 2)
+        if len(tokens) < 2 or tokens[0].startswith(COMMENT_PREFIXES):
+            # a comment starts with '#' or '%' after whitespace, not after a comma
+            line = raw.strip()
+            if not line or line.startswith(COMMENT_PREFIXES):
+                continue
+            if len(tokens) < 2:
+                raise ValueError(f"line {lineno}: expected two node labels, got {raw!r}")
+        a, b = tokens[0], tokens[1]
+        if a != b:
+            heads.append(a)
+            tails.append(b)
+    return _network_on_ids((), heads, tails)
 
 
 def to_edge_text(net: Network) -> str:
@@ -147,36 +158,38 @@ def edge_text_checksum(net: Network) -> str:
 
 
 def k_core_decomposition(net: Network) -> CorenessReport:
-    """Iterative peeling: a node's coreness is the last threshold it survives.
+    """Bucket peeling (Batagelj and Zaversnik 2003) in O(n + m).
 
-    The result is independent of deletion order within a threshold.
+    Nodes sit in one bucket per current degree and leave in smallest-last
+    order (Matula and Beck 1983): at level d, a node of degree d is removed
+    with coreness d, and each neighbour of degree above d loses one and
+    moves down a bucket, to d at the lowest. A bucket entry whose node has
+    since moved lower is skipped. The result is independent of the removal
+    order within a level.
     """
-    n = net.node_count
-    deg = [net.degree(u) for u in range(n)]
-    coreness = [0] * n
-    removed = [False] * n
-    remaining = n
-    k = 0
-    while remaining:
-        k += 1
-        stack = [u for u in range(n) if not removed[u] and deg[u] < k]
-        while stack:
-            u = stack.pop()
-            if removed[u]:
+    adjacency = net.adjacency
+    deg = list(map(len, adjacency))
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=-1) + 1)]
+    for u, d in enumerate(deg):
+        buckets[d].append(u)
+    for d, bucket in enumerate(buckets):
+        for u in bucket:  # grows while it is read: neighbours that fall to d join it
+            if deg[u] != d:
                 continue
-            removed[u] = True
-            coreness[u] = k - 1
-            remaining -= 1
-            for w in net.adjacency[u]:
-                if not removed[w]:
-                    deg[w] -= 1
-                    if deg[w] < k:
-                        stack.append(w)
+            for w in adjacency[u]:
+                dw = deg[w]
+                if dw > d:
+                    deg[w] = dw - 1
+                    buckets[dw - 1].append(w)
+    coreness = deg  # a node's degree when it left
     k_max = max(coreness, default=0)
-    core = [u for u in range(n) if coreness[u] == k_max] if n else []
-    core_set = set(core)
-    core_edges = sum(1 for u in core for v in net.adjacency[u] if v in core_set and v > u)
-    return CorenessReport(tuple(coreness), k_max, (len(core), core_edges))
+    in_core = [c == k_max for c in coreness]
+    core = [u for u in range(net.node_count) if in_core[u]]
+    outside = [u for u in range(net.node_count) if not in_core[u]]
+    # the edges that leave the core, counted from the side outside it
+    cut = sum(map(in_core.__getitem__, chain.from_iterable(map(adjacency.__getitem__, outside))))
+    core_degree = sum(map(len, map(adjacency.__getitem__, core)))
+    return CorenessReport(tuple(coreness), k_max, (len(core), (core_degree - cut) // 2))
 
 
 def computability_gate(

@@ -14,7 +14,10 @@ kept verbatim as its reference. Every call rebuilds what it reads
 they stand apart from the shared context and ranks.
 Likewise _Frame, _Search and iter_solutions_oracle are the 0-1 search
 without the pairing bound, kept verbatim; _Search.nodes counts its
-decision nodes.
+decision nodes. And parse_edge_text_oracle, network_from_edges_oracle and
+k_core_oracle are the edge-list loader on label pairs and the
+threshold-by-threshold peel, as they were before both moved to integer ids
+and bucket peeling; k_core_oracle reads a degree as len(adjacency[u]).
 
 These references once lived in the package and moved here unchanged,
 since no pipeline path runs them: maximal_cliques (pivoted Bron-Kerbosch),
@@ -30,11 +33,17 @@ import random
 from collections import deque
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from hypothesis import strategies as st
 
-from cliquecav import BudgetExceeded, CliqueComplex, Network, network_from_edges
+from cliquecav import (
+    BudgetExceeded,
+    CliqueComplex,
+    CorenessReport,
+    Network,
+    network_from_edges,
+)
 from cliquecav.cavities import (
     CavityCertificate,
     CavitySearchError,
@@ -45,13 +54,14 @@ from cliquecav.cavities import (
 )
 from cliquecav.cliques import Clique
 from cliquecav.gf2 import Gf2Matrix, RankResult, basis_insert, bit_indices, column_space_basis
+from cliquecav.graph import COMMENT_PREFIXES, _label_sort_key
 from cliquecav.solver import DEFAULT_NODE_LIMIT, NodeLimitExceeded, ZeroOneProgram
 
 
 def peel_coreness(net: Network) -> list[int]:
     """Degeneracy ordering: always remove a minimum-degree node."""
     n = net.node_count
-    deg = [net.degree(u) for u in range(n)]
+    deg = [len(net.adjacency[u]) for u in range(n)]
     alive = set(range(n))
     core = [0] * n
     k = 0
@@ -64,6 +74,78 @@ def peel_coreness(net: Network) -> list[int]:
             if w in alive:
                 deg[w] -= 1
     return core
+
+
+def k_core_oracle(net: Network) -> CorenessReport:
+    """Iterative peeling: a node's coreness is the last threshold it survives.
+
+    The result is independent of deletion order within a threshold.
+    """
+    n = net.node_count
+    deg = [len(net.adjacency[u]) for u in range(n)]
+    coreness = [0] * n
+    removed = [False] * n
+    remaining = n
+    k = 0
+    while remaining:
+        k += 1
+        stack = [u for u in range(n) if not removed[u] and deg[u] < k]
+        while stack:
+            u = stack.pop()
+            if removed[u]:
+                continue
+            removed[u] = True
+            coreness[u] = k - 1
+            remaining -= 1
+            for w in net.adjacency[u]:
+                if not removed[w]:
+                    deg[w] -= 1
+                    if deg[w] < k:
+                        stack.append(w)
+    k_max = max(coreness, default=0)
+    core = [u for u in range(n) if coreness[u] == k_max] if n else []
+    core_set = set(core)
+    core_edges = sum(1 for u in core for v in net.adjacency[u] if v in core_set and v > u)
+    return CorenessReport(tuple(coreness), k_max, (len(core), core_edges))
+
+
+def network_from_edges_oracle(
+    labels: Iterable[str], label_pairs: Iterable[tuple[str, str]]
+) -> Network:
+    """Build a canonical Network from label pairs; isolated labels are kept."""
+    label_set = set(labels)
+    pair_set = set()
+    for a, b in label_pairs:
+        if a == b:
+            continue
+        label_set.add(a)
+        label_set.add(b)
+        pair_set.add((a, b) if a <= b else (b, a))
+    ordered = sorted(label_set, key=_label_sort_key(label_set))
+    index = {lab: i for i, lab in enumerate(ordered)}
+    neighbors: list[set[int]] = [set() for _ in ordered]
+    for a, b in pair_set:
+        u, v = index[a], index[b]
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
+    edge_count = sum(len(ns) for ns in neighbors) // 2
+    return Network(len(ordered), tuple(ordered), adjacency, edge_count)
+
+
+def parse_edge_text_oracle(text: str) -> Network:
+    """Parse edge-list text as load_edge_list describes."""
+    text = text.removeprefix("\ufeff")
+    pairs: list[tuple[str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith(COMMENT_PREFIXES):
+            continue
+        tokens = line.replace(",", " ").split()
+        if len(tokens) < 2:
+            raise ValueError(f"line {lineno}: expected two node labels, got {raw!r}")
+        pairs.append((tokens[0], tokens[1]))
+    return network_from_edges_oracle((), pairs)
 
 
 def component_count(net: Network) -> int:

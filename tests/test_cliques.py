@@ -146,7 +146,7 @@ def test_cocktail_party_structure():
     net = cocktail_party_network(2)
     # three antipodal pairs, each node adjacent to all but its partner
     assert net.node_count == 6
-    assert all(net.degree(u) == 4 for u in range(6))
+    assert all(len(net.adjacency[u]) == 4 for u in range(6))
 
 
 def test_smallest_cavity_counts_match_formula():

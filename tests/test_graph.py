@@ -1,7 +1,10 @@
 import io
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquecav import (
     GateResult,
@@ -14,7 +17,15 @@ from cliquecav import (
     to_edge_text,
 )
 
-from oracles import peel_coreness, random_er_oracle
+from oracles import (
+    bernoulli_graph,
+    k_core_oracle,
+    network_from_edges_oracle,
+    parse_edge_text_oracle,
+    peel_coreness,
+    random_er_oracle,
+    small_graphs,
+)
 
 
 def test_parse_canonicalizes_messy_input(tmp_path):
@@ -106,11 +117,51 @@ def test_sample14_coreness(sample14):
     assert rep.core_size == (6, 12)
 
 
-def test_coreness_matches_min_degree_peeling_oracle():
-    for seed in range(20):
-        net = random_er(25, 60, seed)
+def _graph_on(n: int, edges):
+    return network_from_edges([str(i) for i in range(n)], [(str(u), str(v)) for u, v in edges])
+
+
+def _complete(n: int, first: int = 0) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(first, first + n) for v in range(u + 1, first + n)]
+
+
+def _star(leaves: int, first: int = 0) -> list[tuple[int, int]]:
+    return [(first, first + i) for i in range(1, leaves + 1)]
+
+
+def _path(n: int, first: int = 0) -> list[tuple[int, int]]:
+    return [(u, u + 1) for u in range(first, first + n - 1)]
+
+
+@pytest.fixture(scope="module")
+def peel_graphs():
+    """Graphs whose peel is checked against the oracles, with a name each."""
+    graphs = {"empty": _graph_on(0, []), "isolated 5": _graph_on(5, [])}
+    graphs.update((f"K_{n}", _graph_on(n, _complete(n))) for n in range(1, 9))
+    graphs.update((f"star {k}", _graph_on(k + 1, _star(k))) for k in (1, 2, 5, 30))
+    graphs.update((f"path {n}", _graph_on(n, _path(n))) for n in (2, 3, 10))
+    # K_5, K_3, a path, a star and three isolated nodes side by side
+    union = _complete(5) + _complete(3, 5) + _path(4, 8) + _star(6, 12)
+    graphs["disjoint union"] = _graph_on(22, union)
+    graphs["K_4 and K_4"] = _graph_on(8, _complete(4) + _complete(4, 4))
+    for n in (10, 60, 300):
+        for density in (0.01, 0.05, 0.2, 0.6, 0.95):
+            m = round(density * n * (n - 1) / 2)
+            for seed in range(2):
+                graphs[f"random_er({n}, {m}, {seed})"] = random_er(n, m, seed)
+                graphs[f"bernoulli({n}, {density}, {seed})"] = bernoulli_graph(n, density, seed)
+    return graphs
+
+
+def test_coreness_matches_min_degree_peeling_oracle(peel_graphs):
+    for name, net in peel_graphs.items():
         rep = k_core_decomposition(net)
-        assert list(rep.coreness) == peel_coreness(net), f"seed {seed}"
+        assert list(rep.coreness) == peel_coreness(net), name
+
+
+def test_coreness_report_matches_the_threshold_peel(peel_graphs):
+    for name, net in peel_graphs.items():
+        assert k_core_decomposition(net) == k_core_oracle(net), name
 
 
 def test_coreness_is_input_order_independent(sample14, tmp_path):
@@ -185,3 +236,108 @@ def test_leading_byte_order_mark_is_not_part_of_a_label(tmp_path):
         net = load_edge_list(source)
         assert net.node_labels == ("1", "2", "3", "4")
         assert net.edge_count == 4
+
+
+# Edge-list texts the loader must read as the label-pair parse it replaced:
+# the same Network, or a ValueError with the same text
+LOADER_FRAGMENTS = [
+    "",
+    "# only\n% comments\n\n",
+    "#\n%\n1 2\n",
+    "  # indented comment\n\t% tabbed comment\n1 2\n",
+    "#a b\n%1 2\n2 3\n",
+    "1 2 # trailing\na #b\n",
+    ",# x\n",
+    " , % y\n1 2\n",
+    " , \n",
+    "1 2\n , \n",
+    ",#\n",
+    "1 2\n2\n",
+    "1 2\n2 3\nnope\n",
+    "1 2 0.5\n2 3\t1.5 extra\n",
+    "1\t2\n2\u00a03\n3\u30001\n",
+    "1 2\r\n2 3\r\n\r\n3 1\r\n",
+    "1 2\r2 3\x1c3 4\u20284 1\x85\x0c1 3",
+    "\n\n1 2\n\n\n",
+    "\ufeff1 2\n2 3\n",
+    "\ufeff# comment\n1 2\n",
+    "1 \ufeff2\n",
+    "1,2\n,2,3\n3,,4\na, b\n",
+    "2 1\n1 2\n1 2\n2,1\n",
+    "1 1\n1 2\n9 9\n",
+    "5 5\n",
+    "loop loop\n",
+    "1 2\n01 1_0\n10 1\n1 01\n",
+    "1 a\nb 2\n10 a\n",
+    "-1 +1\n1 2\n",
+]
+
+
+def _assert_loads_like_the_oracle(text: str, path) -> None:
+    path.write_text(text, encoding="utf-8", newline="")
+    for source, want_text, prefix in (
+        (io.StringIO(text), text, ""),
+        (path, path.read_text(encoding="utf-8"), f"{path}: "),
+    ):
+        try:
+            want = parse_edge_text_oracle(want_text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_edge_list(source)
+            assert str(got.value) == prefix + str(exc), repr(text)
+        else:
+            assert load_edge_list(source) == want, repr(text)
+
+
+def test_loader_matches_the_label_pair_parse_on_fragments(tmp_path):
+    for text in LOADER_FRAGMENTS:
+        _assert_loads_like_the_oracle(text, tmp_path / "fragment.edges")
+
+
+# lines inserted into a G(n, m) edge list; {u} {v} is one of its edges
+DECORATIONS = [
+    "# comment", "  % indented", "", "   ", ",# x", " , % y", "{u} {v} 0.5",
+    "{u}\t{v}", "{u}\u00a0{v}", "{v} {u}", "{u} {v}", "{u},{v}", "{u} {u}",
+    "only{u} only{u}", "0{u} {v}", "{u}_0 {v}",
+]
+
+
+def _decorated_edge_text(seed: int) -> str:
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    name = rng.choice(["{}", "v{}"]).format
+    edges = rng.sample(_complete(n, 1), rng.randint(1, n * (n - 1) // 2))
+    lines = [f"{name(u)} {name(v)}" for u, v in edges]
+    for _ in range(rng.randint(1, 12)):
+        u, v = map(name, rng.choice(edges))
+        lines.insert(rng.randint(0, len(lines)), rng.choice(DECORATIONS).format(u=u, v=v))
+    if seed % 10 == 9:
+        lines.insert(rng.randint(0, len(lines)), rng.choice([" , ", "x", ",#"]))
+    eol = rng.choice(["\n", "\r\n"])
+    return rng.choice(["", "\ufeff"]) + eol.join(lines) + rng.choice(["", eol])
+
+
+def test_loader_matches_the_label_pair_parse_on_decorated_gnm(tmp_path):
+    for seed in range(30):
+        _assert_loads_like_the_oracle(_decorated_edge_text(seed), tmp_path / "gnm.edges")
+
+
+def test_network_from_edges_matches_the_label_pair_build():
+    rng = random.Random(3)
+    labels = ["1", "01", "1_0", "10", "2", "3", "x", "y", "isolated"]
+    for _ in range(40):
+        pairs = [tuple(rng.choices(labels[:-1], k=2)) for _ in range(rng.randint(0, 30))]
+        for extra in ((), labels[-1:], ["2", "1"]):
+            got = network_from_edges(extra, pairs)
+            assert got == network_from_edges_oracle(extra, pairs), (extra, pairs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(small_graphs(), st.data())
+def test_line_order_and_pair_direction_leave_the_network_unchanged(net, data):
+    lines = to_edge_text(net).splitlines()
+    order = data.draw(st.permutations(lines))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+    shuffled = [" ".join(line.split()[::-1]) if flip else line for line, flip in zip(order, flips)]
+    want = load_edge_list(io.StringIO(to_edge_text(net)))
+    assert load_edge_list(io.StringIO("\n".join(shuffled))) == want
