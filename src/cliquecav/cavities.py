@@ -22,8 +22,9 @@ from .gf2 import Gf2Matrix, RankResult, basis_insert, bit_indices, column_space_
 
 
 class CavitySearchError(RuntimeError):
-    """Search exhausted its length ceiling; carries the partial result,
-    whose size ends the message."""
+    """No independent cycle through a generator on the length schedule,
+    which runs up to m_k; a guard, since each generator has one. Carries
+    the partial result, whose size ends the message."""
 
     def __init__(self, message: str, partial: list[CavityCertificate]):
         super().__init__(f"{message} ({len(partial)} certificates of that order found)")
@@ -31,20 +32,14 @@ class CavitySearchError(RuntimeError):
 
 
 class SpanningSelection(NamedTuple):
-    """Deterministic split of the k-clique index set.
+    """The generator k-cliques of order k, one per cavity, ascending.
 
-    tree_cols: pivot columns of B_k (the order-k spanning selection).
-    boundary_cols: pivot columns of B_{k+1}.
-    covered_cliques: pivot rows of B_{k+1} reduced with the tree cleared:
-        the non-tree k-cliques independent of the non-tree ones before them.
-    generator_cliques: the remaining non-tree k-cliques, which that
-        reduction finds dependent; one per cavity.
+    They are the k-cliques in neither the tree, the pivot columns of B_k,
+    nor the covered set, the pivot rows of B_{k+1} reduced with the tree
+    cleared; both sets are read off those RankResults.
     """
 
     order: int
-    tree_cols: tuple[int, ...]
-    boundary_cols: tuple[int, ...]
-    covered_cliques: tuple[int, ...]
     generator_cliques: tuple[int, ...]
 
 
@@ -54,7 +49,6 @@ class CavityCertificate(NamedTuple):
     generator: int  # k-clique index with the indicator bit set
     length: int
     node_set: tuple[int, ...]
-    rank_evidence: int | None = None
 
     def support(self) -> list[int]:
         return bit_indices(self.indicator)
@@ -90,17 +84,17 @@ class BoundaryContext:
         sel: SpanningSelection,
         cliques: Sequence[Clique],
         node_limit: int | None = None,
-        length_ceiling: int | None = None,
     ) -> list[CavityCertificate]:
         """One minimal independent certificate per generator clique of sel.
 
         Generators are processed in ascending index order. For each length
-        on the schedule, the cycles through the generator with exactly that
-        many ones are enumerated in lexicographic order, and the first one
-        that raises the rank of (accepted certificates | B_{k+1} columns) is
-        accepted. node_limit caps the solver's decision nodes per program
-        (default: solver.DEFAULT_NODE_LIMIT); the schedule stops at
-        length_ceiling (default: the number of k-cliques).
+        on the schedule, which runs up to the number of k-cliques, the
+        cycles through the generator with exactly that many ones are
+        enumerated in lexicographic order, and the first one that raises
+        the rank of (accepted certificates | B_{k+1} columns) is accepted.
+        node_limit caps the solver's decision nodes per program (default:
+        solver.DEFAULT_NODE_LIMIT). Raises CavitySearchError if a generator
+        has no such cycle on the schedule.
         """
         # imported here: `cliquecav verify` loads this module but never searches
         from .solver import DEFAULT_NODE_LIMIT, ZeroOneProgram, iter_solutions
@@ -108,7 +102,7 @@ class BoundaryContext:
         if node_limit is None:
             node_limit = DEFAULT_NODE_LIMIT
         basis = dict(self.basis)
-        ceiling = length_ceiling if length_ceiling is not None else self.bk.cols
+        lengths = list(length_schedule(self.order, self.bk.cols))
         # one program for every generator and length: the solver derives
         # the row incidence on the first search and keeps it on the program
         program = ZeroOneProgram(self.bk.cols, _parity_rows(self.bk))
@@ -122,22 +116,21 @@ class BoundaryContext:
             found = next(
                 (
                     (length, mask)
-                    for length in length_schedule(self.order, ceiling)
+                    for length in lengths
                     for mask in cycles(v, length)
                     if basis_insert(basis, mask)
                 ),
                 None,
             )
             if found is None:
+                longest = max(lengths, default=0)
                 raise CavitySearchError(
-                    f"no independent cycle through generator {v} up to length {ceiling}",
+                    f"no independent cycle through generator {v} up to length {longest}",
                     accepted,
                 )
             length, mask = found
             nodes = {u for j in bit_indices(mask) for u in cliques[j]}
-            # rank_evidence: the rank of B_{k+1}'s columns and the certificates so far
-            cert = CavityCertificate(self.order, mask, v, length, tuple(sorted(nodes)), len(basis))
-            accepted.append(cert)
+            accepted.append(CavityCertificate(self.order, mask, v, length, tuple(sorted(nodes))))
         return accepted
 
     def _malformed(self, cert: CavityCertificate) -> str | None:
@@ -186,8 +179,7 @@ def spanning_selection(order: int, m_k: int, below: RankResult,
     tree, covered = set(below.pivot_cols), set(above.pivot_rows)
     assert tree.isdisjoint(covered), "B_{k+1} was reduced without the tree cleared"
     generators = tuple(j for j in range(m_k) if j not in tree and j not in covered)
-    return SpanningSelection(order, tuple(below.pivot_cols), tuple(above.pivot_cols),
-                             tuple(above.pivot_rows), generators)
+    return SpanningSelection(order, generators)
 
 
 def select_spanning_and_generators(bk: Gf2Matrix, bk1: Gf2Matrix) -> SpanningSelection:
@@ -225,10 +217,10 @@ def find_cavities(
     sel: SpanningSelection,
     cliques: Sequence[Clique],
     node_limit: int | None = None,
-    length_ceiling: int | None = None,
 ) -> list[CavityCertificate]:
-    """BoundaryContext.search on a throwaway context of order sel.order."""
-    return BoundaryContext(sel.order, bk, bk1).search(sel, cliques, node_limit, length_ceiling)
+    """BoundaryContext.search on a throwaway context of order sel.order;
+    raises CavitySearchError as search does."""
+    return BoundaryContext(sel.order, bk, bk1).search(sel, cliques, node_limit)
 
 
 def verify_certificate(
@@ -254,7 +246,8 @@ def certificate_from_cliques(
     members: Sequence[Clique],
     generator: Clique,
 ) -> CavityCertificate:
-    """Build a certificate from explicit clique node-tuples for verification."""
+    """Build a certificate from explicit clique node-tuples for verification;
+    raises ValueError for a clique not in level or a member listed twice."""
     index = {c: i for i, c in enumerate(level)}
     mask = 0
     nodes: set[int] = set()
@@ -262,7 +255,10 @@ def certificate_from_cliques(
         key = tuple(sorted(c))
         if key not in index:
             raise ValueError(f"{key} is not an order-{order} clique of the complex")
-        mask |= 1 << index[key]
+        bit = 1 << index[key]
+        if mask & bit:
+            raise ValueError(f"clique {key} is listed twice")
+        mask |= bit
         nodes.update(key)
     gen_key = tuple(sorted(generator))
     if gen_key not in index:

@@ -26,11 +26,14 @@ class CliqueComplex(NamedTuple):
     Attributes
     ----------
     levels : tuple of per-order clique tuples, lexicographically sorted.
-    counts : m_k = len(levels[k]) per order.
+    counts : m_k = len(levels[k]) per order, read off levels.
     """
 
     levels: tuple[tuple[Clique, ...], ...]
-    counts: tuple[int, ...]
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(map(len, self.levels))
 
     @property
     def top_order(self) -> int:
@@ -93,7 +96,7 @@ def enumerate_cliques(
             break
         levels.append(tuple(nxt_cliques))
         cliques, exts = nxt_cliques, nxt_exts
-    return CliqueComplex(tuple(levels), tuple(len(l) for l in levels))
+    return CliqueComplex(tuple(levels))
 
 
 def clique_counts(net: Network) -> tuple[int, ...]:
@@ -172,8 +175,7 @@ def complex_from_json(doc: dict) -> tuple[CliqueComplex, str]:
     """
     if _levels_sha256(doc["levels"]) != doc["levels_sha256"]:
         raise ValueError("cache levels do not match levels_sha256")
-    levels = tuple(tuple(tuple(c) for c in level) for level in doc["levels"])
-    counts = tuple(doc["counts"])
-    if counts != tuple(len(l) for l in levels):
+    cx = CliqueComplex(tuple(tuple(tuple(c) for c in level) for level in doc["levels"]))
+    if tuple(doc["counts"]) != cx.counts:
         raise ValueError("cache counts disagree with levels")
-    return CliqueComplex(levels, counts), doc["source_checksum"]
+    return cx, doc["source_checksum"]

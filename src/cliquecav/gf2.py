@@ -18,14 +18,12 @@ def bit_indices(mask: int) -> list[int]:
 
 
 class Gf2Matrix:
-    """Row-major bitset matrix: bit j of bits[i] is entry (i, j)."""
+    """Row-major bitset matrix: bit j of bits[i] is entry (i, j), so the
+    matrix has len(bits) rows."""
 
-    __slots__ = ("rows", "cols", "bits")
+    __slots__ = ("cols", "bits")
 
-    def __init__(self, rows: int, cols: int, bits: list[int]) -> None:
-        if len(bits) != rows:
-            raise ValueError("bits length disagrees with row count")
-        self.rows = rows
+    def __init__(self, cols: int, bits: list[int]) -> None:
         self.cols = cols
         self.bits = bits
 
@@ -46,7 +44,7 @@ class RankResult(NamedTuple):
 
 def zero_cols_matrix(rows: int) -> Gf2Matrix:
     """A rows x 0 matrix; stands in for the boundary above the top order."""
-    return Gf2Matrix(rows, 0, [0] * rows)
+    return Gf2Matrix(0, [0] * rows)
 
 
 def build_boundary_matrix(cx: CliqueComplex, k: int) -> Gf2Matrix:
@@ -67,7 +65,7 @@ def build_boundary_matrix(cx: CliqueComplex, k: int) -> Gf2Matrix:
         for drop in range(len(cell)):
             face = cell[:drop] + cell[drop + 1 :]
             bits[face_index[face]] |= 1 << j
-    return Gf2Matrix(len(faces), len(cells), bits)
+    return Gf2Matrix(len(cells), bits)
 
 
 def basis_insert(basis: dict[int, int], v: int) -> bool:
@@ -215,13 +213,14 @@ def homology_profile(cx: CliqueComplex, boundaries: Boundaries | None = None) ->
     r = [0] * (top + 1)
     for k in range(1, top + 1):
         r[k] = boundaries.rank(k).rank
+    m = cx.counts
     beta = []
     for k in range(top + 1):
         nxt = r[k + 1] if k + 1 <= top else 0
-        b = cx.counts[k] - r[k] - nxt
+        b = m[k] - r[k] - nxt
         if b < 0:
             raise AssertionError(f"negative Betti number at order {k}")
         beta.append(b)
-    chi = euler_characteristic(cx.counts)
-    return HomologyProfile(tuple(cx.counts), tuple(r), tuple(beta), chi,
+    chi = euler_characteristic(m)
+    return HomologyProfile(m, tuple(r), tuple(beta), chi,
                            euler_characteristic(beta) == chi)

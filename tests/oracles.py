@@ -9,9 +9,11 @@ as they were computed before clearing (forward_rank_oracle also lists
 the rows it keeps), and select_oracle, find_cavities_oracle and
 verify_certificate_oracle: the cavity stage as it was before the
 per-order BoundaryContext and before selection read the cleared ranks,
-kept verbatim as its reference. Every call rebuilds what it reads
-(ranks, transposes, column bases, and the prior certificates' basis), so
-they stand apart from the shared context and ranks.
+kept as its reference; select_oracle returns its tree and covered sets
+beside the selection, which holds only the generators. Every call
+rebuilds what it reads (ranks, transposes, column bases, and the prior
+certificates' basis), so they stand apart from the shared context and
+ranks.
 Likewise _Frame, _Search and iter_solutions_oracle are the 0-1 search
 without the pairing bound, kept verbatim; _Search.nodes counts its
 decision nodes. And parse_edge_text_oracle, network_from_edges_oracle and
@@ -33,7 +35,7 @@ import random
 from collections import deque
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
@@ -261,10 +263,10 @@ def enumerate_cliques_oracle(
     if n > budget:
         raise BudgetExceeded(budget, ())
     if n == 0:
-        return CliqueComplex((), ())
+        return CliqueComplex(())
     levels.append(tuple((u,) for u in range(n)))
     if max_order == 0:
-        return CliqueComplex(tuple(levels), tuple(len(l) for l in levels))
+        return CliqueComplex(tuple(levels))
     adj_sets = [set(ns) for ns in net.adjacency]
     current = [((u,), tuple(v for v in net.adjacency[u] if v > u)) for u in range(n)]
     order = 0
@@ -281,7 +283,7 @@ def enumerate_cliques_oracle(
             break
         levels.append(tuple(c for c, _ in nxt))
         current = nxt
-    return CliqueComplex(tuple(levels), tuple(len(l) for l in levels))
+    return CliqueComplex(tuple(levels))
 
 
 def maximal_cliques(net: Network) -> list[Clique]:
@@ -362,7 +364,7 @@ def independent_column_scan(rows: list[int], cols: int) -> list[int]:
 def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     """GF(2) matrix product: row i of the result is the XOR of b's rows
     selected by the set bits of row i of a."""
-    if a.cols != b.rows:
+    if a.cols != len(b.bits):
         raise ValueError("dimension mismatch")
     bits = []
     for row in a.bits:
@@ -370,7 +372,7 @@ def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
         for j in bit_indices(row):
             acc ^= b.bits[j]
         bits.append(acc)
-    return Gf2Matrix(a.rows, b.cols, bits)
+    return Gf2Matrix(b.cols, bits)
 
 
 def random_er_oracle(n: int, m: int, seed: int) -> Network:
@@ -628,7 +630,17 @@ def infer_order(bk: Gf2Matrix) -> int:
     return _column_weight(bk, 0) - 1
 
 
-def select_oracle(bk: Gf2Matrix, bk1: Gf2Matrix) -> SpanningSelection:
+class Split(NamedTuple):
+    """select_oracle's split of the k-cliques, with the pivot columns of
+    B_{k+1} it reads; each tuple ascending."""
+
+    tree: tuple[int, ...]
+    boundary_cols: tuple[int, ...]
+    covered: tuple[int, ...]
+    selection: SpanningSelection
+
+
+def select_oracle(bk: Gf2Matrix, bk1: Gf2Matrix) -> Split:
     """Split k-cliques into tree, boundary-covered, and generator sets.
 
     The tree is the greedy pivot-column set of B_k. Each pivot column of
@@ -667,12 +679,11 @@ def select_oracle(bk: Gf2Matrix, bk1: Gf2Matrix) -> SpanningSelection:
     # tree, covered, and generators must partition the k-clique indices
     assert len(tree) + len(covered_set) + len(generators) == bk.cols
     assert not tree & covered_set
-    return SpanningSelection(
-        k,
+    return Split(
         tuple(rk.pivot_cols),
         tuple(boundary_cols),
         tuple(sorted(covered)),
-        tuple(generators),
+        SpanningSelection(k, tuple(generators)),
     )
 
 
@@ -682,17 +693,16 @@ def find_cavities_oracle(
     sel: SpanningSelection,
     cliques: Sequence[Clique],
     node_limit: int | None = None,
-    length_ceiling: int | None = None,
 ) -> list[CavityCertificate]:
     """One minimal independent certificate per generator clique.
 
     Generators are processed in ascending index order. For each length on
-    the schedule, the cycles through the generator with exactly that many
-    ones are enumerated in lexicographic order, and the first one that
-    raises the rank of (accepted certificates | B_{k+1} columns) is
-    accepted. node_limit caps the solver's decision nodes per program
-    (default: solver.DEFAULT_NODE_LIMIT); the schedule stops at
-    length_ceiling (default: the number of k-cliques).
+    the schedule, which runs up to the number of k-cliques, the cycles
+    through the generator with exactly that many ones are enumerated in
+    lexicographic order, and the first one that raises the rank of
+    (accepted certificates | B_{k+1} columns) is accepted. node_limit caps
+    the solver's decision nodes per program (default:
+    solver.DEFAULT_NODE_LIMIT).
     """
     # imported here: `cliquecav verify` loads this module but never searches
     from cliquecav.solver import DEFAULT_NODE_LIMIT, ZeroOneProgram, iter_solutions
@@ -703,8 +713,7 @@ def find_cavities_oracle(
     if not sel.generator_cliques:
         return []
     basis = dict(column_space_basis(bk1))
-    r_next = len(basis)
-    ceiling = length_ceiling if length_ceiling is not None else bk.cols
+    ceiling = bk.cols
     rows = _parity_rows(bk)
     accepted: list[CavityCertificate] = []
     for v in sel.generator_cliques:
@@ -727,7 +736,6 @@ def find_cavities_oracle(
                         generator=v,
                         length=length,
                         node_set=tuple(sorted(nodes)),
-                        rank_evidence=r_next + len(accepted) + 1,
                     )
                     break
             if found is not None:

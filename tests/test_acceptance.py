@@ -298,7 +298,7 @@ def test_acceptance_6_property_suites(sample14):
         rows = rng.randrange(1, 24)
         cols = rng.randrange(1, 24)
         bits = [rng.getrandbits(cols) for _ in range(rows)]
-        m = Gf2Matrix(rows, cols, list(bits))
+        m = Gf2Matrix(cols, list(bits))
         assert gf2_rank(m).rank == naive_rank(bits, seed=trial), f"trial {trial}"
 
     # solver agrees with the exhaustive oracle

@@ -1,5 +1,4 @@
 import ast
-import functools
 import importlib
 import inspect
 import re
@@ -9,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cliquecav
-from cliquecav.cavities import BoundaryContext
+from cliquecav import cavities
 from cliquecav.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,21 +53,16 @@ RECORD_FIELDS = {
     "Network": ("node_count", "node_labels", "adjacency", "edge_count"),
     "CorenessReport": ("coreness", "k_max", "core_size"),
     "GateResult": ("computable", "reason"),
-    "CliqueComplex": ("levels", "counts"),
-    "Gf2Matrix": ("rows", "cols", "bits"),
+    "CliqueComplex": ("levels",),
+    "Gf2Matrix": ("cols", "bits"),
     "RankResult": ("rank", "pivot_cols", "pivot_rows"),
     "HomologyProfile": ("m", "r", "beta", "chi", "euler_poincare_ok"),
-    "SpanningSelection": (
-        "order", "tree_cols", "boundary_cols", "covered_cliques", "generator_cliques"
-    ),
-    "CavityCertificate": (
-        "order", "indicator", "generator", "length", "node_set", "rank_evidence"
-    ),
+    "SpanningSelection": ("order", "generator_cliques"),
+    "CavityCertificate": ("order", "indicator", "generator", "length", "node_set"),
     "VerifyResult": ("ok", "failed"),
     "ZeroOneProgram": ("num_vars", "parity_rows", "fixed", "cardinality"),
 }
 RECORD_DEFAULTS = {
-    "CavityCertificate": {"rank_evidence": None},
     "VerifyResult": {"failed": None},
     # None stands for a fresh empty list
     "ZeroOneProgram": {"parity_rows": None, "fixed": None, "cardinality": None},
@@ -122,11 +116,11 @@ def _pipeline_runs(tmp_path, monkeypatch) -> None:
     ]
     for rc, argv in runs:
         assert main(argv) == rc, argv
-    # the search's error exit: its length ceiling, lowered below sample14's
-    # second certificate (length 7)
+    # the search's error exit: a length schedule that stops at 5, below
+    # sample14's second certificate (length 7)
+    schedule = cavities.length_schedule
     with monkeypatch.context() as patch:
-        patch.setattr(BoundaryContext, "search",
-                      functools.partialmethod(BoundaryContext.search, length_ceiling=5))
+        patch.setattr(cavities, "length_schedule", lambda k, ceiling: schedule(k, 5))
         assert main(["cavities", "--input", sample]) == 1
     dir(cliquecav)
     readme = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]

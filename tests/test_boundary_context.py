@@ -1,9 +1,11 @@
 """The per-order BoundaryContext and the selection read off the cleared
 ranks, against the cavity stage they replaced.
 
-Selections, certificates (rank_evidence included) and verdicts must match
-the former implementations in oracles.py bit for bit, both through the
-public wrappers and through the ranks and contexts the CLI uses.
+Selections, certificates and verdicts must match the former
+implementations in oracles.py bit for bit, both through the public
+wrappers and through the ranks and contexts the CLI uses. The oracle's
+tree and covered sets must equal the pivot columns of B_k and the pivot
+rows of B_{k+1} reduced with the tree cleared, which the selection reads.
 """
 
 from pathlib import Path
@@ -61,6 +63,15 @@ def _selection(boundaries, k):
     return spanning_selection(k, boundaries.cx.counts[k], rank(k), rank(k + 1))
 
 
+def _assert_split_is_the_ranks(split, boundaries, k):
+    """The oracle's tree, B_{k+1} pivot columns and covered set against
+    the ranks of the shared Boundaries."""
+    below, above = boundaries.rank(k), boundaries.rank(k + 1)
+    assert split.tree == tuple(below.pivot_cols)
+    assert split.boundary_cols == tuple(above.pivot_cols)
+    assert split.covered == tuple(above.pivot_rows)
+
+
 def _mutations(certs, cols):
     """Certificate sequences for the re-check, each checked in order."""
     sequences = [certs, certs + certs]
@@ -97,7 +108,9 @@ def test_context_and_wrappers_match_the_former_cavity_stage(name):
     context = _contexts(boundaries)
     for k in range(1, cx.top_order + 1):
         bk, bk1 = _pair(cx, k)
-        sel = select_oracle(bk, bk1)
+        split = select_oracle(bk, bk1)
+        _assert_split_is_the_ranks(split, boundaries, k)
+        sel = split.selection
         assert select_spanning_and_generators(bk, bk1) == sel
         # the CLI's ranks: the spanning forest for k = 1, the cleared ranks above
         assert _selection(boundaries, k) == sel
@@ -126,7 +139,7 @@ def test_context_and_wrappers_match_the_former_cavity_stage(name):
 def test_mutations_reach_every_verdict(sample14):
     cx = enumerate_cliques(sample14)
     bk, bk1 = _pair(cx, 1)
-    certs = find_cavities_oracle(bk, bk1, select_oracle(bk, bk1), cx.levels[1])
+    certs = find_cavities_oracle(bk, bk1, select_oracle(bk, bk1).selection, cx.levels[1])
     seen = set()
     for sequence in _mutations(certs, bk.cols):
         fresh = _contexts(Boundaries(cx))(1)
@@ -155,6 +168,8 @@ def test_selection_from_the_profile_ranks_equals_the_former_selection(net):
     boundaries = Boundaries(cx)
     beta = homology_profile(cx, boundaries).beta
     for k in range(1, cx.top_order + 1):
+        split = select_oracle(*_pair(cx, k))
+        _assert_split_is_the_ranks(split, boundaries, k)
         sel = _selection(boundaries, k)
-        assert sel == select_oracle(*_pair(cx, k))
+        assert sel == split.selection
         assert len(sel.generator_cliques) == beta[k]

@@ -1,8 +1,12 @@
 from itertools import combinations, islice
+from pathlib import Path
 
 import pytest
+from oracles import bernoulli_graph
 
+from cliquecav import cavities
 from cliquecav import (
+    Boundaries,
     CavitySearchError,
     basis_insert,
     build_boundary_matrix,
@@ -15,11 +19,15 @@ from cliquecav import (
     enumerate_cliques,
     find_cavities,
     gf2_rank,
+    load_edge_list,
     network_from_edges,
     select_spanning_and_generators,
     verify_certificate,
     zero_cols_matrix,
 )
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def _pair(cx, k):
@@ -38,11 +46,13 @@ def test_sub_network_selection(sample8):
     b1, b2 = _pair(cx, 1)
     sel = select_spanning_and_generators(b1, b2)
     assert sel.order == 1
-    assert _labeled(sample8, cx, 1, sel.tree_cols) == {
+    # the tree and the covered set, read off the ranks the selection uses
+    boundaries = Boundaries(cx)
+    assert _labeled(sample8, cx, 1, boundaries.rank(1).pivot_cols) == {
         ("1", "2"), ("1", "3"), ("1", "4"), ("1", "5"),
         ("3", "6"), ("3", "8"), ("6", "7"),
     }
-    assert _labeled(sample8, cx, 1, sel.covered_cliques) == {
+    assert _labeled(sample8, cx, 1, boundaries.rank(2).pivot_rows) == {
         ("2", "3"), ("2", "4"), ("2", "5"), ("3", "4"),
     }
     assert _labeled(sample8, cx, 1, sel.generator_cliques) == {("7", "8")}
@@ -52,8 +62,9 @@ def test_full_network_selection_counts(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_spanning_and_generators(b1, b2)
-    assert len(sel.tree_cols) == 13
-    assert len(sel.covered_cliques) == 11
+    boundaries = Boundaries(cx)
+    assert len(boundaries.rank(1).pivot_cols) == 13
+    assert len(boundaries.rank(2).pivot_rows) == 11
     assert sel.generator_cliques == (13, 25)
     assert _labeled(sample14, cx, 1, sel.generator_cliques) == {("7", "8"), ("13", "14")}
     b2_, b3 = _pair(cx, 2)
@@ -69,7 +80,7 @@ def test_selection_on_tree_has_no_generators():
     b1, b2 = _pair(cx, 1)
     sel = select_spanning_and_generators(b1, b2)
     assert sel.generator_cliques == ()
-    assert len(sel.tree_cols) == 3
+    assert len(Boundaries(cx).rank(1).pivot_cols) == 3
 
 
 def test_find_cavities_order1(sample14):
@@ -84,8 +95,6 @@ def test_find_cavities_order1(sample14):
     assert certs[0].node_set == tuple(
         sample14.label_index()[lab] for lab in ("3", "6", "7", "8")
     )
-    assert certs[0].rank_evidence == gf2_rank(b2).rank + 1
-    assert certs[1].rank_evidence == gf2_rank(b2).rank + 2
 
 
 def test_find_cavities_order2_is_the_octahedron(sample14):
@@ -108,13 +117,17 @@ def test_find_cavities_order2_is_the_octahedron(sample14):
     assert cycles8 == [certs[0].indicator]
 
 
-def test_cavity_search_error_reports_partial(sample14):
+def test_cavity_search_error_reports_partial(sample14, monkeypatch):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_spanning_and_generators(b1, b2)
+    # a schedule that stops at 5, below the second certificate's length 7
+    schedule = cavities.length_schedule
+    monkeypatch.setattr(cavities, "length_schedule", lambda k, ceiling: schedule(k, 5))
     with pytest.raises(CavitySearchError) as err:
-        find_cavities(b1, b2, sel, cx.levels[1], length_ceiling=5)
+        find_cavities(b1, b2, sel, cx.levels[1])
     assert [c.length for c in err.value.partial] == [4]
+    assert "up to length 5 (1 certificates of that order found)" in str(err.value)
 
 
 def test_verify_accepts_search_output(sample14):
@@ -239,16 +252,37 @@ def test_certificate_json_round_trip(sample14):
     certs = find_cavities(b1, b2, sel, cx.levels[1])
     doc = certificates_to_json(certs, cx, sample14.node_labels)
     index = sample14.label_index()
-    again = [certificate_from_json(entry, cx, index) for entry in doc]
-    assert [c.indicator for c in again] == [c.indicator for c in certs]
-    assert [c.generator for c in again] == [c.generator for c in certs]
-    assert [c.node_set for c in again] == [c.node_set for c in certs]
+    assert [certificate_from_json(entry, cx, index) for entry in doc] == certs
     # labels are read through str(), so integer labels name the same nodes
     first = dict(doc[0])
     first["cliques"] = [[int(u) for u in c] for c in first["cliques"]]
     first["generator"] = [int(u) for u in first["generator"]]
     first["nodes"] = [int(u) for u in first["nodes"]]
     assert certificate_from_json(first, cx, index).indicator == certs[0].indicator
+
+
+ROUND_TRIP_NETWORKS = {
+    "sample14": lambda: load_edge_list(DATA / "sample14.edges"),
+    **{f"cocktail{k}": (lambda k=k: cocktail_party_network(k)) for k in (1, 2, 3)},
+    **{
+        f"bernoulli({n},{p},{s})": (lambda n=n, p=p, s=s: bernoulli_graph(n, p, s))
+        for n, p, s in ((12, 0.35, 0), (12, 0.35, 1), (12, 0.35, 2), (14, 0.5, 0))
+    },
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_NETWORKS)
+def test_every_searched_certificate_equals_its_json_round_trip(name):
+    net = ROUND_TRIP_NETWORKS[name]()
+    cx = enumerate_cliques(net)
+    certs = []
+    for k in range(1, cx.top_order + 1):
+        bk, bk1 = _pair(cx, k)
+        certs += find_cavities(bk, bk1, select_spanning_and_generators(bk, bk1), cx.levels[k])
+    assert certs
+    doc = certificates_to_json(certs, cx, net.node_labels)
+    index = net.label_index()
+    assert [certificate_from_json(entry, cx, index) for entry in doc] == certs
 
 
 def test_certificate_from_json_rejects_bad_entries(sample14):
@@ -275,6 +309,14 @@ def test_certificate_from_cliques_rejects_unknown_clique(sample14):
     cx = enumerate_cliques(sample14)
     with pytest.raises(ValueError, match="not an order-1 clique"):
         certificate_from_cliques(cx.levels[1], 1, [(0, 5)], (0, 5))
+
+
+def test_certificate_from_cliques_rejects_a_repeated_clique(sample14):
+    cx = enumerate_cliques(sample14)
+    square = [(2, 5), (5, 6), (6, 7), (2, 7)]
+    assert certificate_from_cliques(cx.levels[1], 1, square, (2, 5)).length == 4
+    with pytest.raises(ValueError, match=r"clique \(2, 5\) is listed twice"):
+        certificate_from_cliques(cx.levels[1], 1, square + [(5, 2)], (2, 5))
 
 
 def test_dot_output(sample14):

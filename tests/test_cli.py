@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+from cliquecav import cavities
 from cliquecav.cavities import BoundaryContext, VerifyResult
 from cliquecav.cli import build_parser, main
 from cliquecav.cliques import CliqueComplex, complex_to_json, enumerate_cliques
@@ -266,7 +267,7 @@ def _replace_triangle_with_non_clique(doc):
 def _rehashed(doc):
     """doc with levels_sha256 and counts recomputed for its edited levels."""
     levels = tuple(tuple(tuple(c) for c in level) for level in doc["levels"])
-    cx = CliqueComplex(levels, tuple(len(level) for level in levels))
+    cx = CliqueComplex(levels)
     return complex_to_json(cx, doc["source_checksum"])
 
 
@@ -425,6 +426,22 @@ def test_verify_flags_a_certificate_listed_twice(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", "--input", SAMPLE14, str(certs))
     assert rc == 1
     assert out.splitlines() == ["cert 1: PASS (order 1, length 4)", "cert 2: FAIL (independence)"]
+
+
+def test_verify_flags_a_clique_listed_twice_in_one_entry(tmp_path, capsys):
+    cycle4 = tmp_path / "c4.edges"
+    cycle4.write_text("1 2\n2 3\n3 4\n4 1\n")
+    entry = {
+        "order": 1,
+        "generator": ["1", "2"],
+        "cliques": [["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"], ["2", "1"]],
+        "length": 4,
+        "nodes": ["1", "2", "3", "4"],
+    }
+    certs = tmp_path / "certs.json"
+    certs.write_text(json.dumps([entry]))
+    rc, out, _ = run(capsys, "verify", "--input", str(cycle4), str(certs))
+    assert (rc, out) == (1, "cert 1: FAIL (membership: clique (0, 1) is listed twice)\n")
 
 
 def test_verify_against_wrong_network_fails(tmp_path, capsys):
@@ -844,11 +861,9 @@ def test_node_limit_exits_1_with_message(monkeypatch, capsys):
 
 
 def test_cavity_search_error_reports_partial_count(monkeypatch, capsys):
-    # order 1 of sample14 has certificates of length 4 and 7
-    monkeypatch.setattr(
-        BoundaryContext, "search",
-        functools.partialmethod(BoundaryContext.search, length_ceiling=5),
-    )
+    # order 1 of sample14 has certificates of length 4 and 7; the schedule stops at 5
+    schedule = cavities.length_schedule
+    monkeypatch.setattr(cavities, "length_schedule", lambda k, ceiling: schedule(k, 5))
     rc, out, err = run(capsys, "analyze", "--cavities", "--input", SAMPLE14)
     assert rc == 1
     assert out == ""

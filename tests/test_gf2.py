@@ -42,13 +42,13 @@ def _random_matrix(rng, max_dim=64):
     rows = rng.randrange(1, max_dim + 1)
     cols = rng.randrange(1, max_dim + 1)
     bits = [rng.getrandbits(cols) for _ in range(rows)]
-    return Gf2Matrix(rows, cols, bits)
+    return Gf2Matrix(cols, bits)
 
 
 def test_sub_network_node_edge_matrix(sample8):
     cx = enumerate_cliques(sample8)
     b1 = build_boundary_matrix(cx, 1)
-    assert (b1.rows, b1.cols) == (8, 12)
+    assert (len(b1.bits), b1.cols) == (8, 12)
     for j, (u, v) in enumerate(SUB8_EDGE_ENDPOINTS):
         ones = [i for i in range(8) if (b1.bits[i] >> j) & 1]
         assert ones == [u, v]
@@ -58,7 +58,7 @@ def test_sub_network_node_edge_matrix(sample8):
 def test_sub_network_edge_face_matrix(sample8):
     cx = enumerate_cliques(sample8)
     b2 = build_boundary_matrix(cx, 2)
-    assert (b2.rows, b2.cols) == (12, 5)
+    assert (len(b2.bits), b2.cols) == (12, 5)
     assert gf2_rank(b2).rank == 4
     nonzero_rows = {i for i in range(12) if b2.bits[i]}
     assert nonzero_rows == set(range(8))
@@ -67,7 +67,7 @@ def test_sub_network_edge_face_matrix(sample8):
 def test_triangle_boundary_is_all_ones():
     net = network_from_edges(["1", "2", "3"], [("1", "2"), ("1", "3"), ("2", "3")])
     b2 = build_boundary_matrix(enumerate_cliques(net), 2)
-    assert (b2.rows, b2.cols) == (3, 1)
+    assert (len(b2.bits), b2.cols) == (3, 1)
     assert all(b2.bits[i] & 1 for i in range(3))
 
 
@@ -88,7 +88,7 @@ def test_boundary_matrix_errors(sample14):
 
 
 def test_identity_rank():
-    m = Gf2Matrix(5, 5, [1 << i for i in range(5)])
+    m = Gf2Matrix(5, [1 << i for i in range(5)])
     res = gf2_rank(m)
     assert res.rank == 5
     assert list(res.pivot_cols) == [0, 1, 2, 3, 4]
@@ -120,7 +120,7 @@ def test_rank_is_permutation_invariant():
         shuffled = [
             sum(((r >> j) & 1) << perm[j] for j in range(m.cols)) for r in rows
         ]
-        assert gf2_rank(Gf2Matrix(m.rows, m.cols, shuffled)).rank == base
+        assert gf2_rank(Gf2Matrix(m.cols, shuffled)).rank == base
 
 
 def _differential_complexes(sample14):
@@ -280,7 +280,7 @@ def test_clearing_skips_the_rows_the_previous_order_ranks(monkeypatch, sample14)
     def recorded_rank(m, **kwargs):
         before = reached[0]
         result = rank(m, **kwargs)
-        calls.append((m.rows, reached[0] - before))
+        calls.append((len(m.bits), reached[0] - before))
         return result
 
     monkeypatch.setattr(cliquecav.gf2, "basis_insert", counted_insert)
@@ -305,7 +305,7 @@ def test_pivot_rows_match_the_rref_prefix_ranks(sample8, sample14):
     rng = random.Random(5)
     for trial in range(150):
         m = _random_matrix(rng, max_dim=24)
-        cleared = {i for i in range(m.rows) if rng.random() < 0.3}
+        cleared = {i for i in range(len(m.bits)) if rng.random() < 0.3}
         expected = pivot_rows_oracle(m.bits, cleared)
         assert gf2_rank(m, cleared=cleared).pivot_rows == expected, f"trial {trial}"
         assert gf2_rank(m).pivot_rows == pivot_rows_oracle(m.bits, set()), f"trial {trial}"
