@@ -47,19 +47,23 @@ class CavityCertificate(NamedTuple):
     order: int
     indicator: int  # bitmask over k-clique indices
     generator: int  # k-clique index with the indicator bit set
-    length: int
     node_set: tuple[int, ...]
+
+    @property
+    def length(self) -> int:
+        return self.indicator.bit_count()
 
     def support(self) -> list[int]:
         return bit_indices(self.indicator)
 
 
 class VerifyResult(NamedTuple):
-    ok: bool
+    """The constraint a re-check failed, or None; true iff it passed."""
+
     failed: str | None = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.failed is None
 
 
 class BoundaryContext:
@@ -113,24 +117,23 @@ class BoundaryContext:
 
         accepted: list[CavityCertificate] = []
         for v in sel.generator_cliques:
-            found = next(
+            mask = next(
                 (
-                    (length, mask)
+                    mask
                     for length in lengths
                     for mask in cycles(v, length)
                     if basis_insert(basis, mask)
                 ),
                 None,
             )
-            if found is None:
+            if mask is None:
                 longest = max(lengths, default=0)
                 raise CavitySearchError(
                     f"no independent cycle through generator {v} up to length {longest}",
                     accepted,
                 )
-            length, mask = found
             nodes = {u for j in bit_indices(mask) for u in cliques[j]}
-            accepted.append(CavityCertificate(self.order, mask, v, length, tuple(sorted(nodes))))
+            accepted.append(CavityCertificate(self.order, mask, v, tuple(sorted(nodes))))
         return accepted
 
     def _malformed(self, cert: CavityCertificate) -> str | None:
@@ -151,20 +154,18 @@ class BoundaryContext:
 
         Checks, in order: the indicator fits B_k; the generator bit is set;
         the indicator is a GF(2) cycle of B_k; it is independent of
-        verified; the recorded length is the popcount and is at least the
-        order-k minimum 2^(k+1). A clique boundary therefore fails on
-        independence, not on length.
+        verified; its length is at least the order-k minimum 2^(k+1). A
+        clique boundary therefore fails on independence, not on length.
         """
         failed = self._malformed(cert)
         if failed:
-            return VerifyResult(False, failed)
-        x = cert.indicator
-        if not basis_insert(self.verified, x):
-            return VerifyResult(False, "independence")
-        if x.bit_count() != cert.length or cert.length < 2 ** (cert.order + 1):
+            return VerifyResult(failed)
+        if not basis_insert(self.verified, cert.indicator):
+            return VerifyResult("independence")
+        if cert.length < 2 ** (cert.order + 1):
             self.verified.popitem()  # the entry basis_insert just added
-            return VerifyResult(False, "length")
-        return VerifyResult(True)
+            return VerifyResult("length")
+        return VerifyResult()
 
 
 def spanning_selection(order: int, m_k: int, below: RankResult,
@@ -236,7 +237,7 @@ def verify_certificate(
     ctx = BoundaryContext(cert.order, bk, bk1)
     for p in prior:
         if not basis_insert(ctx.verified, p.indicator):
-            return VerifyResult(False, ctx._malformed(cert) or "independence")
+            return VerifyResult(ctx._malformed(cert) or "independence")
     return ctx.recheck(cert)
 
 
@@ -263,13 +264,7 @@ def certificate_from_cliques(
     gen_key = tuple(sorted(generator))
     if gen_key not in index:
         raise ValueError(f"generator {gen_key} is not an order-{order} clique")
-    return CavityCertificate(
-        order=order,
-        indicator=mask,
-        generator=index[gen_key],
-        length=mask.bit_count(),
-        node_set=tuple(sorted(nodes)),
-    )
+    return CavityCertificate(order, mask, index[gen_key], tuple(sorted(nodes)))
 
 
 def certificates_to_json(
@@ -303,15 +298,29 @@ def certificate_from_json(
     index maps node labels to ids (Network.label_index()); labels are read
     through str(). Raises KeyError for a missing field or unknown label,
     and ValueError for an order or length that is not a JSON integer, an
-    order outside 1..top_order, a clique the complex lacks, or a length or
-    node list that disagrees with the cliques.
+    order outside 1..top_order, a clique the complex lacks or lists twice,
+    or a length or node list that disagrees with the cliques. These checks
+    are made here, before certificate_from_cliques, so that the errors name
+    a clique by its labels, as (a,b), not by its ids.
     """
     order = _json_int(entry, "order")
     if not 1 <= order <= cx.top_order:
         raise ValueError(f"no order-{order} cliques in this network")
-    members = [tuple(sorted(index[str(u)] for u in c)) for c in entry["cliques"]]
-    generator = tuple(sorted(index[str(u)] for u in entry["generator"]))
-    cert = certificate_from_cliques(cx.levels[order], order, members, generator)
+    level = cx.levels[order]
+    known, members = set(level), {}  # members: an insertion-ordered set
+    for c in entry["cliques"]:
+        labels = sorted(map(str, c), key=index.__getitem__)
+        key = tuple(index[u] for u in labels)
+        if key not in known:
+            raise ValueError(f"({','.join(labels)}) is not an order-{order} clique of the complex")
+        if key in members:
+            raise ValueError(f"clique ({','.join(labels)}) is listed twice")
+        members[key] = None
+    labels = sorted(map(str, entry["generator"]), key=index.__getitem__)
+    generator = tuple(index[u] for u in labels)
+    if generator not in known:
+        raise ValueError(f"generator ({','.join(labels)}) is not an order-{order} clique")
+    cert = certificate_from_cliques(level, order, list(members), generator)
     if cert.length != _json_int(entry, "length"):
         raise ValueError(f"claimed length {entry['length']}, listed {cert.length} cliques")
     if tuple(sorted(index[str(u)] for u in entry["nodes"])) != cert.node_set:

@@ -241,9 +241,9 @@ def _pipeline(args, cavities: bool):
     if cavities:
         from .cavities import spanning_selection
 
-        context, rank = _contexts(boundaries), boundaries.rank
-        for k in range(1, len(profile.beta)):
-            if profile.beta[k]:
+        context, rank, beta = _contexts(boundaries), boundaries.rank, profile.beta
+        for k in range(1, len(beta)):
+            if beta[k]:
                 sel = spanning_selection(k, cx.counts[k], rank(k), rank(k + 1))
                 certs.extend(context(k).search(sel, cx.levels[k]))
         if args.verify:
@@ -263,6 +263,8 @@ def cmd_analyze(args, parser) -> int:
     """Full pipeline: gate, census, ranks, Betti numbers, optional cavities."""
     if args.emit_dot and not args.cavities:
         parser.error("--emit-dot requires --cavities")
+    if args.verify and not args.cavities:
+        parser.error("--verify requires --cavities")
     result = _pipeline(args, args.cavities)
     if isinstance(result, int):
         return result

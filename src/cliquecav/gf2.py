@@ -37,9 +37,12 @@ class Gf2Matrix:
 
 
 class RankResult(NamedTuple):
-    rank: int
     pivot_cols: list[int]
     pivot_rows: list[int]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_cols)
 
 
 def zero_cols_matrix(rows: int) -> Gf2Matrix:
@@ -99,7 +102,7 @@ def gf2_rank(m: Gf2Matrix, *, cleared: Collection[int] = frozenset()) -> RankRes
     for i, v in enumerate(m.bits):
         if i not in cleared and basis_insert(basis, v):
             rows.append(i)
-    return RankResult(len(basis), sorted(low.bit_length() - 1 for low in basis), rows)
+    return RankResult(sorted(low.bit_length() - 1 for low in basis), rows)
 
 
 def column_space_basis(m: Gf2Matrix) -> dict[int, int]:
@@ -112,17 +115,34 @@ def column_space_basis(m: Gf2Matrix) -> dict[int, int]:
 
 
 class HomologyProfile(NamedTuple):
-    """Per-order clique counts, boundary ranks, Betti numbers, and chi.
+    """Per-order clique counts and boundary ranks, and what they give:
+    Betti numbers and chi.
 
     r has one entry per order 0..K with r[0] = 0; ranks past the top
-    order are zero by convention. beta[k] = m[k] - r[k] - r[k+1].
+    order are zero by convention. Each property is computed on every
+    read, so a loop binds it once.
     """
 
     m: tuple[int, ...]
     r: tuple[int, ...]
-    beta: tuple[int, ...]
-    chi: int
-    euler_poincare_ok: bool
+
+    @property
+    def beta(self) -> tuple[int, ...]:
+        """beta[k] = m[k] - r[k] - r[k+1]."""
+        r = self.r + (0,)
+        return tuple(m - r[k] - r[k + 1] for k, m in enumerate(self.m))
+
+    @property
+    def chi(self) -> int:
+        return euler_characteristic(self.m)
+
+    @property
+    def euler_poincare_ok(self) -> bool:
+        """Whether the alternating sum of beta equals chi. Always true
+        until beta is computed apart from r (the strong collapse planned
+        in ROADMAP.md): beta comes from the ranks r, so its alternating
+        sum telescopes to that of m."""
+        return euler_characteristic(self.beta) == self.chi
 
 
 def _spanning_forest(cx: CliqueComplex) -> RankResult:
@@ -149,7 +169,7 @@ def _spanning_forest(cx: CliqueComplex) -> RankResult:
             parent[ru] = rv
             forest.append(j)
     last = set({find(u): i for i, u in enumerate(nodes)}.values())
-    return RankResult(len(forest), forest, [i for i in range(len(nodes)) if i not in last])
+    return RankResult(forest, [i for i in range(len(nodes)) if i not in last])
 
 
 class Boundaries:
@@ -206,21 +226,13 @@ def homology_profile(cx: CliqueComplex, boundaries: Boundaries | None = None) ->
     column equals plain forward elimination.
     """
     top = len(cx.levels) - 1
-    if top < 0:
-        return HomologyProfile((), (), (), 0, True)
     if boundaries is None:
         boundaries = Boundaries(cx, keep_matrices=False)
     r = [0] * (top + 1)
     for k in range(1, top + 1):
         r[k] = boundaries.rank(k).rank
-    m = cx.counts
-    beta = []
-    for k in range(top + 1):
-        nxt = r[k + 1] if k + 1 <= top else 0
-        b = m[k] - r[k] - nxt
+    profile = HomologyProfile(cx.counts, tuple(r))
+    for k, b in enumerate(profile.beta):
         if b < 0:
             raise AssertionError(f"negative Betti number at order {k}")
-        beta.append(b)
-    chi = euler_characteristic(m)
-    return HomologyProfile(m, tuple(r), tuple(beta), chi,
-                           euler_characteristic(beta) == chi)
+    return profile

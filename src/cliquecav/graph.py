@@ -39,10 +39,16 @@ class Network(NamedTuple):
     strictly increasing, symmetric, self-loop free.
     """
 
-    node_count: int
     node_labels: tuple[str, ...]
     adjacency: tuple[tuple[int, ...], ...]
-    edge_count: int
+
+    @property
+    def node_count(self) -> int:
+        return len(self.node_labels)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self.adjacency)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield (u, v) id pairs with u < v in lexicographic order."""
@@ -57,8 +63,11 @@ class Network(NamedTuple):
 
 class CorenessReport(NamedTuple):
     coreness: tuple[int, ...]
-    k_max: int
     core_size: tuple[int, int]  # (nodes, edges) of the k_max-core
+
+    @property
+    def k_max(self) -> int:
+        return max(self.coreness, default=0)
 
 
 class GateResult(NamedTuple):
@@ -100,9 +109,7 @@ def _network_on_ids(labels: Iterable[str], heads: list[str], tails: list[str]) -
     neighbors: list[list[int]] = [[] for _ in ordered]
     # neighbors[u].append(v) for both ends of every edge, run to exhaustion in C
     deque(map(list.append, map(neighbors.__getitem__, us + vs), vs + us), maxlen=0)
-    adjacency = tuple(map(tuple, map(sorted, map(set, neighbors))))
-    edge_count = sum(map(len, adjacency)) // 2
-    return Network(len(ordered), tuple(ordered), adjacency, edge_count)
+    return Network(tuple(ordered), tuple(map(tuple, map(sorted, map(set, neighbors)))))
 
 
 def load_edge_list(source: str | Path | IO[str]) -> Network:
@@ -189,7 +196,7 @@ def k_core_decomposition(net: Network) -> CorenessReport:
     # the edges that leave the core, counted from the side outside it
     cut = sum(map(in_core.__getitem__, chain.from_iterable(map(adjacency.__getitem__, outside))))
     core_degree = sum(map(len, map(adjacency.__getitem__, core)))
-    return CorenessReport(tuple(coreness), k_max, (len(core), (core_degree - cut) // 2))
+    return CorenessReport(tuple(coreness), (len(core), (core_degree - cut) // 2))
 
 
 def computability_gate(

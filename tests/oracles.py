@@ -108,7 +108,7 @@ def k_core_oracle(net: Network) -> CorenessReport:
     core = [u for u in range(n) if coreness[u] == k_max] if n else []
     core_set = set(core)
     core_edges = sum(1 for u in core for v in net.adjacency[u] if v in core_set and v > u)
-    return CorenessReport(tuple(coreness), k_max, (len(core), core_edges))
+    return CorenessReport(tuple(coreness), (len(core), core_edges))
 
 
 def network_from_edges_oracle(
@@ -130,9 +130,7 @@ def network_from_edges_oracle(
         u, v = index[a], index[b]
         neighbors[u].add(v)
         neighbors[v].add(u)
-    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-    edge_count = sum(len(ns) for ns in neighbors) // 2
-    return Network(len(ordered), tuple(ordered), adjacency, edge_count)
+    return Network(tuple(ordered), tuple(tuple(sorted(ns)) for ns in neighbors))
 
 
 def parse_edge_text_oracle(text: str) -> Network:
@@ -209,7 +207,7 @@ def forward_rank_oracle(m: Gf2Matrix) -> RankResult:
     row, none cleared."""
     basis: dict[int, int] = {}
     rows = [i for i, v in enumerate(m.bits) if basis_insert(basis, v)]
-    return RankResult(len(basis), sorted(low.bit_length() - 1 for low in basis), rows)
+    return RankResult(sorted(low.bit_length() - 1 for low in basis), rows)
 
 
 def pivot_rows_oracle(rows: list[int], cleared: set[int]) -> list[int]:
@@ -394,6 +392,30 @@ def bernoulli_graph(n: int, p: float, seed: int) -> Network:
         if rng.random() < p
     ]
     return network_from_edges(labels, pairs)
+
+
+def cycle_edges(n: int, first: int = 1) -> list[tuple[int, int]]:
+    """The n-cycle on first..first+n-1."""
+    return [(first + i, first + (i + 1) % n) for i in range(n)]
+
+
+def join_edges(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Edges of the graph join: both graphs plus every edge between them."""
+    nodes_a = {u for e in a for u in e}
+    nodes_b = {u for e in b for u in e}
+    return a + b + [(u, v) for u in sorted(nodes_a) for v in sorted(nodes_b)]
+
+
+def cocktail_edges(k: int, first: int = 1) -> list[tuple[int, int]]:
+    """The order-k cocktail party on first..first+2k+1: all pairs but (first+2i, first+2i+1)."""
+    nodes = range(first, first + 2 * k + 2)
+    return [(u, v) for u in nodes for v in nodes if u < v and (u - first) // 2 != (v - first) // 2]
+
+
+def suspension_edges(edges: list[tuple[int, int]], apexes=(101, 102)) -> list[tuple[int, int]]:
+    """edges plus two non-adjacent apexes joined to every node."""
+    nodes = sorted({u for e in edges for u in e})
+    return edges + [(u, a) for a in apexes for u in nodes]
 
 
 @st.composite
@@ -734,7 +756,6 @@ def find_cavities_oracle(
                         order=k,
                         indicator=mask,
                         generator=v,
-                        length=length,
                         node_set=tuple(sorted(nodes)),
                     )
                     break
@@ -759,24 +780,64 @@ def verify_certificate_oracle(
 
     Checks, in order: the generator bit is set; the indicator is a GF(2)
     cycle of B_k; adjoining the indicator after all prior certificates to
-    the B_{k+1} column space raises the rank each time; the recorded
-    length is the popcount and is at least the order-k minimum 2^(k+1).
-    A clique boundary therefore fails on independence, not on length.
+    the B_{k+1} column space raises the rank each time; the number of
+    ones is at least the order-k minimum 2^(k+1). A clique boundary
+    therefore fails on independence, not on length.
     """
     x = cert.indicator
     if x < 0 or x >> bk.cols:
-        return VerifyResult(False, "dimension")
+        return VerifyResult("dimension")
     if not (x >> cert.generator) & 1:
-        return VerifyResult(False, "generator-membership")
+        return VerifyResult("generator-membership")
     for row in bk.bits:
         if (row & x).bit_count() & 1:
-            return VerifyResult(False, "cycle")
+            return VerifyResult("cycle")
     basis = dict(column_space_basis(bk1))
     for p in prior:
         if not basis_insert(basis, p.indicator):
-            return VerifyResult(False, "independence")
+            return VerifyResult("independence")
     if not basis_insert(basis, x):
-        return VerifyResult(False, "independence")
-    if x.bit_count() != cert.length or cert.length < 2 ** (cert.order + 1):
-        return VerifyResult(False, "length")
-    return VerifyResult(True)
+        return VerifyResult("independence")
+    if bin(x).count("1") < 2 ** (cert.order + 1):
+        return VerifyResult("length")
+    return VerifyResult()
+
+
+def cavities_bruteforce(bk: Gf2Matrix, bk1: Gf2Matrix, generators: Sequence[int]) -> list[int]:
+    """The indicators find_cavities accepts, read off a list of every cycle.
+
+    Column elimination of B_k gives a basis of its nullspace, the cycle
+    space, of dimension d = m_k - r_k, and all 2^d - 1 nonzero cycles are
+    listed. For each generator in order, the accepted cycle is the one
+    through it with the fewest ones that is independent of the columns of
+    B_{k+1} and of the cycles accepted before. Ties go to the solver's
+    lexicographic order: at the lowest index where two cycles differ, the
+    one with a 0 comes first, so the smaller bit-reversed int wins. No
+    solver and no length schedule.
+    """
+    n = bk.cols
+    # eliminate on the highest set bit, carrying the columns each sum is made of
+    pivots: dict[int, tuple[int, int]] = {}
+    nullspace = []
+    for j, col in enumerate(bk.column_vectors()):
+        combo = 1 << j
+        while col and col.bit_length() in pivots:
+            pcol, pcombo = pivots[col.bit_length()]
+            col, combo = col ^ pcol, combo ^ pcombo
+        if col:
+            pivots[col.bit_length()] = (col, combo)
+        else:
+            nullspace.append(combo)
+    cycles = [0]
+    for z in nullspace:
+        cycles += [c ^ z for c in cycles]
+    cycles = sorted(cycles[1:], key=lambda c: (bin(c).count("1"), int(f"{c:0{n}b}"[::-1], 2)))
+
+    span = dict(column_space_basis(bk1))
+    accepted = []
+    for g in generators:
+        found = next((c for c in cycles if (c >> g) & 1 and basis_insert(span, c)), None)
+        if found is None:
+            raise AssertionError(f"no independent cycle through generator {g}")
+        accepted.append(found)
+    return accepted

@@ -22,6 +22,8 @@ from oracles import (
 
 from cliquecav import (
     Boundaries,
+    CavityCertificate,
+    Gf2Matrix,
     build_boundary_matrix,
     cocktail_party_network,
     enumerate_cliques,
@@ -32,7 +34,7 @@ from cliquecav import (
     verify_certificate,
     zero_cols_matrix,
 )
-from cliquecav.cavities import spanning_selection
+from cliquecav.cavities import BoundaryContext, spanning_selection
 from cliquecav.cli import _contexts
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -77,17 +79,21 @@ def _mutations(certs, cols):
     sequences = [certs, certs + certs]
     for cert in certs:
         other = next(j for j in range(cols) if j != cert.generator)
-        wrong_length = cert._replace(length=cert.length + 1)
         sequences += [
             [cert._replace(indicator=cert.indicator ^ (1 << other))] + certs,
             [cert._replace(indicator=cert.indicator ^ (1 << cert.generator))],
             [cert._replace(indicator=cert.indicator | (1 << cols))],
             [cert, cert],
-            # independent but of the wrong length, then the valid one
-            [wrong_length, cert],
-            [wrong_length] + certs,
         ]
     return sequences
+
+
+def _hollow_triangle():
+    """B_1 of the 3-cycle on nodes 0, 1, 2 (edges 01, 02, 12), no triangle
+    above it, and its one cycle: independent, and shorter than the order-1
+    minimum of 4, which no searched certificate is."""
+    b1 = Gf2Matrix(3, [0b011, 0b101, 0b110])
+    return b1, zero_cols_matrix(3), CavityCertificate(1, 0b111, 0, (0, 1, 2))
 
 
 def _verdicts(check, sequence):
@@ -144,20 +150,29 @@ def test_mutations_reach_every_verdict(sample14):
     for sequence in _mutations(certs, bk.cols):
         fresh = _contexts(Boundaries(cx))(1)
         seen.update(_verdicts(lambda c, prior: fresh.recheck(c), sequence))
-    assert seen == {None, "dimension", "generator-membership", "cycle", "independence", "length"}
+    assert seen == {None, "dimension", "generator-membership", "cycle", "independence"}
+    b1, b2, short = _hollow_triangle()
+    assert _verdicts(lambda c, prior: verify_certificate(c, b1, b2, prior), [short]) == ["length"]
 
 
-def test_a_certificate_that_fails_on_length_does_not_join_the_basis(sample14):
+def test_a_certificate_that_fails_on_length_does_not_join_the_basis():
+    b1, b2, short = _hollow_triangle()
+    context = BoundaryContext(1, b1, b2)
+    for _ in range(2):  # a second re-check would fail on independence had the first kept it
+        assert context.recheck(short).failed == "length"
+        assert verify_certificate(short, b1, b2) == verify_certificate_oracle(short, b1, b2)
+    assert verify_certificate(short, b1, b2, [short]).failed == "independence"
+
+
+def test_the_recheck_extends_its_own_copy_of_the_basis(sample14):
     cx = enumerate_cliques(sample14)
     boundaries = Boundaries(cx)
     context = _contexts(boundaries)(1)
     sel = _selection(boundaries, 1)
     certs = context.search(sel, cx.levels[1])
-    cert = certs[0]
-    assert context.recheck(cert._replace(length=cert.length + 1)).failed == "length"
-    assert context.recheck(cert)
-    assert context.recheck(cert).failed == "independence"
-    # the re-check extends its own copy of the basis, not the one search reads
+    assert context.recheck(certs[0])
+    assert context.recheck(certs[0]).failed == "independence"
+    # the search reads the basis of B_2 alone, not the one the re-check grew
     assert context.search(sel, cx.levels[1]) == certs
 
 

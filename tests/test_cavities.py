@@ -2,7 +2,13 @@ from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
-from oracles import bernoulli_graph
+from oracles import (
+    bernoulli_graph,
+    cavities_bruteforce,
+    cycle_edges,
+    join_edges,
+    suspension_edges,
+)
 
 from cliquecav import cavities
 from cliquecav import (
@@ -162,7 +168,7 @@ def test_verify_rejects_bit_flip(sample14):
     assert result.failed == "cycle"
 
 
-def test_verify_rejects_wrong_generator_and_length(sample14):
+def test_verify_rejects_wrong_generator_and_duplicate(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_spanning_and_generators(b1, b2)
@@ -170,7 +176,6 @@ def test_verify_rejects_wrong_generator_and_length(sample14):
     assert verify_certificate(cert._replace(generator=0), b1, b2, []).failed == (
         "generator-membership"
     )
-    assert verify_certificate(cert._replace(length=6), b1, b2, []).failed == "length"
     # a duplicate of an accepted certificate is dependent
     assert verify_certificate(cert, b1, b2, [cert]).failed == "independence"
 
@@ -243,6 +248,54 @@ def test_minimality_no_shorter_independent_cycle(sample14):
                     f"through generator {cert.generator}"
                 )
         accepted.append(cert.indicator)
+
+
+def _edges_network(edges):
+    return network_from_edges([], [(str(u), str(v)) for u, v in edges])
+
+
+# each set of complexes; the largest cycle-space dimension d = m_k - r_k
+# listed in full (2^d cycles), so an order of higher d is left out; and
+# the orders whose certificates the set holds
+BRUTEFORCE_SETS = {
+    "cocktail": ([cocktail_party_network(k) for k in (1, 2, 3)], 14, {1, 2, 3}),
+    # d = 17 at order 1 of S(C5 + C4), and d <= 2 at the orders with cavities of the rest
+    "joins-and-suspensions": (
+        [_edges_network(edges) for edges in (
+            join_edges(cycle_edges(5), cycle_edges(5, 6)),
+            join_edges(cycle_edges(7), cycle_edges(5, 8)),
+            suspension_edges(cycle_edges(5)),
+            suspension_edges(cycle_edges(5) + cycle_edges(4, 6)),
+        )],
+        17,
+        {1, 2, 3},
+    ),
+    "bernoulli": (
+        [bernoulli_graph(n, p, s)
+         for n in range(6, 17) for p in (0.25, 0.35, 0.5, 0.65) for s in range(5)],
+        14,
+        {1, 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BRUTEFORCE_SETS)
+def test_find_cavities_equals_the_bruteforce_over_all_cycles(name):
+    networks, max_dim, expected_orders = BRUTEFORCE_SETS[name]
+    orders = set()
+    for i, net in enumerate(networks):
+        cx = enumerate_cliques(net)
+        for k in range(1, cx.top_order + 1):
+            bk, bk1 = _pair(cx, k)
+            if bk.cols - gf2_rank(bk).rank > max_dim:
+                continue
+            sel = select_spanning_and_generators(bk, bk1)
+            certs = find_cavities(bk, bk1, sel, cx.levels[k])
+            assert [c.indicator for c in certs] == (
+                cavities_bruteforce(bk, bk1, sel.generator_cliques)
+            ), f"{name} {i}, order {k}"
+            orders.update(c.order for c in certs)
+    assert orders == expected_orders
 
 
 def test_certificate_json_round_trip(sample14):

@@ -19,7 +19,13 @@ from cliquecav.cli import build_parser, main
 from cliquecav.cliques import CliqueComplex, complex_to_json, enumerate_cliques
 from cliquecav.graph import edge_text_checksum, load_edge_list
 
-from oracles import cross_polytope_count
+from oracles import (
+    cocktail_edges,
+    cross_polytope_count,
+    cycle_edges,
+    join_edges,
+    suspension_edges,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -101,50 +107,29 @@ def test_stdout_matches_golden(capsys, name, args, fmt):
     assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
-def _cycle(n: int, first: int = 1) -> list[tuple[int, int]]:
-    return [(first + i, first + (i + 1) % n) for i in range(n)]
-
-
-def _join(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Edges of the graph join: both graphs plus every edge between them."""
-    nodes_a = {u for e in a for u in e}
-    nodes_b = {u for e in b for u in e}
-    return a + b + [(u, v) for u in sorted(nodes_a) for v in sorted(nodes_b)]
-
-
-def _cocktail(k: int, first: int = 1) -> list[tuple[int, int]]:
-    """The order-k cocktail party on first..first+2k+1: all pairs but (first+2i, first+2i+1)."""
-    nodes = range(first, first + 2 * k + 2)
-    return [(u, v) for u in nodes for v in nodes if u < v and (u - first) // 2 != (v - first) // 2]
-
-
-def _suspension(edges: list[tuple[int, int]], apexes=(101, 102)) -> list[tuple[int, int]]:
-    """edges plus two non-adjacent apexes joined to every node."""
-    nodes = sorted({u for e in edges for u in e})
-    return edges + [(u, a) for a in apexes for u in nodes]
-
-
 # the order-2 cocktail party on nodes 6..11
-OCTAHEDRON = _cocktail(2, 6)
+OCTAHEDRON = cocktail_edges(2, 6)
 
 
 @pytest.mark.parametrize(
     "edges, beta, certificates",
     [
-        *((_cycle(n), [1, 1], [(1, n)]) for n in range(4, 10)),
+        *((cycle_edges(n), [1, 1], [(1, n)]) for n in range(4, 10)),
         # disjoint union: beta adds up
-        (_cycle(5) + OCTAHEDRON, [2, 1, 1], [(1, 5), (2, 8)]),
+        (cycle_edges(5) + OCTAHEDRON, [2, 1, 1], [(1, 5), (2, 8)]),
         # joins of two cycles are 3-spheres, with one cavity of order 3
-        (_join(_cycle(5), _cycle(5, 6)), [1, 0, 0, 1], [(3, 25)]),
-        (_join(_cycle(7), _cycle(5, 8)), [1, 0, 0, 1], [(3, 35)]),
+        (join_edges(cycle_edges(5), cycle_edges(5, 6)), [1, 0, 0, 1], [(3, 25)]),
+        (join_edges(cycle_edges(7), cycle_edges(5, 8)), [1, 0, 0, 1], [(3, 35)]),
         # wedge sum at node 5: reduced beta adds up
-        (_cycle(5) + _cocktail(2, 5), [1, 1, 1], [(1, 5), (2, 8)]),
+        (cycle_edges(5) + cocktail_edges(2, 5), [1, 1, 1], [(1, 5), (2, 8)]),
         # suspension: reduced beta moves up one order, and the two cones of
         # a disjoint union add one order-1 cavity
-        (_suspension(_cycle(5)), [1, 0, 1], [(2, 10)]),
-        (_suspension(_cycle(5) + _cycle(4, 6)), [1, 1, 2], [(1, 4), (2, 10), (2, 8)]),
+        (suspension_edges(cycle_edges(5)), [1, 0, 1], [(2, 10)]),
+        (suspension_edges(cycle_edges(5) + cycle_edges(4, 6)), [1, 1, 2],
+         [(1, 4), (2, 10), (2, 8)]),
         # cocktail parties: the smallest order-k cavity
-        *((_cocktail(k), [1] + [0] * (k - 1) + [1], [(k, 2 ** (k + 1))]) for k in range(1, 6)),
+        *((cocktail_edges(k), [1] + [0] * (k - 1) + [1], [(k, 2 ** (k + 1))])
+          for k in range(1, 6)),
     ],
     ids=[*(f"C{n}" for n in range(4, 10)), "C5+octahedron", "C5*C5", "C7*C5",
          "C5vOctahedron", "SC5", "S(C5+C4)", *(f"cocktail{k}" for k in range(1, 6))],
@@ -234,10 +219,12 @@ def test_non_positive_threshold_or_budget_is_a_usage_error(capsys, args, flag):
     assert f"argument {flag}: must be a positive integer" in err
 
 
-def test_analyze_emit_dot_requires_cavities(capsys):
+@pytest.mark.parametrize("flag", [["--emit-dot", "out"], ["--verify"]])
+def test_analyze_flags_that_need_cavities_require_it(capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--input", SAMPLE14, "--emit-dot", "out"])
+        main(["analyze", "--input", SAMPLE14, *flag])
     assert exc.value.code == 2
+    assert f"error: {flag[0]} requires --cavities" in capsys.readouterr().err
 
 
 def test_warm_cache_is_byte_identical(tmp_path, capsys):
@@ -428,20 +415,32 @@ def test_verify_flags_a_certificate_listed_twice(tmp_path, capsys):
     assert out.splitlines() == ["cert 1: PASS (order 1, length 4)", "cert 2: FAIL (independence)"]
 
 
-def test_verify_flags_a_clique_listed_twice_in_one_entry(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "change, line",
+    [
+        (dict(cliques=[["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"], ["2", "1"]]),
+         "clique (1,2) is listed twice"),
+        (dict(cliques=[["1", "2"], ["2", "3"], ["3", "1"], ["1", "4"]]),
+         "(1,3) is not an order-1 clique of the complex"),
+        (dict(generator=["4", "2"]), "generator (2,4) is not an order-1 clique"),
+    ],
+    ids=["listed-twice", "non-clique", "non-clique-generator"],
+)
+def test_verify_names_a_bad_clique_by_its_labels(tmp_path, capsys, change, line):
     cycle4 = tmp_path / "c4.edges"
     cycle4.write_text("1 2\n2 3\n3 4\n4 1\n")
     entry = {
         "order": 1,
         "generator": ["1", "2"],
-        "cliques": [["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"], ["2", "1"]],
+        "cliques": [["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]],
         "length": 4,
         "nodes": ["1", "2", "3", "4"],
+        **change,
     }
     certs = tmp_path / "certs.json"
     certs.write_text(json.dumps([entry]))
     rc, out, _ = run(capsys, "verify", "--input", str(cycle4), str(certs))
-    assert (rc, out) == (1, "cert 1: FAIL (membership: clique (0, 1) is listed twice)\n")
+    assert (rc, out) == (1, f"cert 1: FAIL (membership: {line})\n")
 
 
 def test_verify_against_wrong_network_fails(tmp_path, capsys):
@@ -618,6 +617,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     "args",
     [
         ["analyze", "--input", SAMPLE14, "--max-order", "2"],
+        ["analyze", "--input", SAMPLE14, "--verify", "--format", "json"],
         ["cavities", "--input", SAMPLE14, "--max-order", "2"],
         ["smallest-cavity", "3", "--input", "x"],
         ["verify", "--input", SAMPLE14, "--format", "json", "certs.json"],
@@ -874,7 +874,7 @@ def test_cavity_search_error_reports_partial_count(monkeypatch, capsys):
 
 def test_failed_self_check_exits_1_with_message(monkeypatch, capsys):
     monkeypatch.setattr(
-        BoundaryContext, "recheck", lambda *a: VerifyResult(False, "independence")
+        BoundaryContext, "recheck", lambda *a: VerifyResult("independence")
     )
     rc, out, err = run(capsys, "cavities", "--verify", "--input", SAMPLE14)
     assert rc == 1

@@ -260,7 +260,7 @@ def test_cleared_ranks_match_forward_elimination(sample8, sample14):
         for k in range(1, cx.top_order + 1):
             expected = forward_rank_oracle(build_boundary_matrix(cx, k))
             # clearing keeps other rows, so pivot_rows differ from k = 2 on
-            assert boundaries.rank(k)[:2] == expected[:2], f"{name}, B_{k}"
+            assert boundaries.rank(k).pivot_cols == expected.pivot_cols, f"{name}, B_{k}"
             r.append(expected.rank)
         if cx.top_order >= 1:
             assert r[1] == edge_rank_oracle(cx), name
