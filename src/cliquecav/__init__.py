@@ -17,7 +17,6 @@ _HOME = {
             "CavitySearchError",
             "SpanningSelection",
             "VerifyResult",
-            "certificate_from_cliques",
             "certificate_from_json",
             "certificate_to_dot",
             "certificates_to_json",

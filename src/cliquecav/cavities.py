@@ -107,8 +107,7 @@ class BoundaryContext:
             node_limit = DEFAULT_NODE_LIMIT
         basis = dict(self.basis)
         lengths = list(length_schedule(self.order, self.bk.cols))
-        # one program for every generator and length: the solver derives
-        # the row incidence on the first search and keeps it on the program
+        # one program, and one row incidence, for every generator and length
         program = ZeroOneProgram(self.bk.cols, _parity_rows(self.bk))
 
         def cycles(v: int, length: int):
@@ -241,32 +240,6 @@ def verify_certificate(
     return ctx.recheck(cert)
 
 
-def certificate_from_cliques(
-    level: Sequence[Clique],
-    order: int,
-    members: Sequence[Clique],
-    generator: Clique,
-) -> CavityCertificate:
-    """Build a certificate from explicit clique node-tuples for verification;
-    raises ValueError for a clique not in level or a member listed twice."""
-    index = {c: i for i, c in enumerate(level)}
-    mask = 0
-    nodes: set[int] = set()
-    for c in members:
-        key = tuple(sorted(c))
-        if key not in index:
-            raise ValueError(f"{key} is not an order-{order} clique of the complex")
-        bit = 1 << index[key]
-        if mask & bit:
-            raise ValueError(f"clique {key} is listed twice")
-        mask |= bit
-        nodes.update(key)
-    gen_key = tuple(sorted(generator))
-    if gen_key not in index:
-        raise ValueError(f"generator {gen_key} is not an order-{order} clique")
-    return CavityCertificate(order, mask, index[gen_key], tuple(sorted(nodes)))
-
-
 def certificates_to_json(
     certs: Sequence[CavityCertificate],
     cx: CliqueComplex,
@@ -296,43 +269,59 @@ def certificate_from_json(
     """Rebuild one entry exported by certificates_to_json.
 
     index maps node labels to ids (Network.label_index()); labels are read
-    through str(). Raises KeyError for a missing field or unknown label,
-    and ValueError for an order or length that is not a JSON integer, an
-    order outside 1..top_order, a clique the complex lacks or lists twice,
-    or a length or node list that disagrees with the cliques. These checks
-    are made here, before certificate_from_cliques, so that the errors name
-    a clique by its labels, as (a,b), not by its ids.
+    through str(). Raises ValueError, naming a clique by its labels as
+    (a,b), for an entry that is not an object or lacks a field, a field of
+    the wrong JSON type (cliques, each clique, generator and nodes are
+    lists), an unknown label, an order outside 1..top_order, a clique the
+    complex lacks or lists twice, or a length or node list that disagrees.
     """
-    order = _json_int(entry, "order")
+    if type(entry) is not dict:
+        raise ValueError(f"an entry must be a JSON object, got {entry!r}")
+    order = _field(entry, "order", int)
     if not 1 <= order <= cx.top_order:
         raise ValueError(f"no order-{order} cliques in this network")
-    level = cx.levels[order]
-    known, members = set(level), {}  # members: an insertion-ordered set
-    for c in entry["cliques"]:
-        labels = sorted(map(str, c), key=index.__getitem__)
-        key = tuple(index[u] for u in labels)
-        if key not in known:
-            raise ValueError(f"({','.join(labels)}) is not an order-{order} clique of the complex")
-        if key in members:
-            raise ValueError(f"clique ({','.join(labels)}) is listed twice")
-        members[key] = None
-    labels = sorted(map(str, entry["generator"]), key=index.__getitem__)
-    generator = tuple(index[u] for u in labels)
-    if generator not in known:
-        raise ValueError(f"generator ({','.join(labels)}) is not an order-{order} clique")
-    cert = certificate_from_cliques(level, order, list(members), generator)
-    if cert.length != _json_int(entry, "length"):
+    position = {c: j for j, c in enumerate(cx.levels[order])}
+    mask = 0
+    nodes: set[int] = set()
+    for clique in _field(entry, "cliques", list):
+        if type(clique) is not list:
+            raise ValueError(f"a clique must be a list, got {clique!r}")
+        key, name = _node_ids(clique, index)
+        if (j := position.get(key)) is None:
+            raise ValueError(f"{name} is not an order-{order} clique of the complex")
+        if mask >> j & 1:
+            raise ValueError(f"clique {name} is listed twice")
+        mask |= 1 << j
+        nodes.update(key)
+    key, name = _node_ids(_field(entry, "generator", list), index)
+    if (generator := position.get(key)) is None:
+        raise ValueError(f"generator {name} is not an order-{order} clique")
+    cert = CavityCertificate(order, mask, generator, tuple(sorted(nodes)))
+    if cert.length != _field(entry, "length", int):
         raise ValueError(f"claimed length {entry['length']}, listed {cert.length} cliques")
-    if tuple(sorted(index[str(u)] for u in entry["nodes"])) != cert.node_set:
+    if _node_ids(_field(entry, "nodes", list), index)[0] != cert.node_set:
         raise ValueError("node list disagrees with the cliques")
     return cert
 
 
-def _json_int(entry: dict, field: str) -> int:
-    """entry[field], which must be a JSON integer (a bool is not one)."""
-    if type(value := entry[field]) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
+def _field(entry: dict, field: str, kind: type):
+    """entry[field], of JSON type kind: int (a bool is not one) or list."""
+    if field not in entry:
+        raise ValueError(f"missing field {field}")
+    if type(value := entry[field]) is not kind:
+        raise ValueError(f"{field} must be {'an integer' if kind is int else 'a list'}, got {value!r}")
     return value
+
+
+def _node_ids(labels: list, index: Mapping[str, int]) -> tuple[tuple[int, ...], str]:
+    """The ids of labels (read through str()), ascending, and the labels as (a,b)."""
+    pairs = []
+    for label in map(str, labels):
+        if (u := index.get(label)) is None:
+            raise ValueError(f"unknown label {label}")
+        pairs.append((u, label))
+    pairs.sort()
+    return tuple(u for u, _ in pairs), f"({','.join(s for _, s in pairs)})"
 
 
 def certificate_to_dot(

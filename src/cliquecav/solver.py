@@ -5,8 +5,12 @@ value 0 before 1, so the first solution found is the lexicographically
 smallest assignment and enumeration streams solutions in lexicographic
 order. Parity rows are propagated natively in GF(2), first in first out,
 and an exact cardinality bounds the search by counting ones. The search
-state is three bitmasks (free variables, ones, odd rows), so backtracking
-restores a saved triple.
+state is three bitmasks (free variables, ones, odd rows), and one loop
+runs over a stack of pending choices (variable, value, state before):
+it pops a choice, counts one decision node and propagates it. A state
+that is not a solution pushes 1 for its lowest free variable, then 0
+unless the count forces a 1, so 0 is tried first. Pins are propagated
+before the loop and are not decision nodes.
 
 Pairing bound. It applies when every variable lies in an even number of
 rows: on B_1, where each edge has two endpoint rows, and on B_k for every
@@ -48,12 +52,13 @@ class ZeroOneProgram:
     cardinality: exact number of ones required among all variables, or
         None for no count constraint.
 
-    The first search derives the row incidence and keeps it on the
-    program: fixed and cardinality may change between searches, the rows
-    may not.
+    The loop that validates the rows also builds the row incidence the
+    search reads, so fixed and cardinality may change between searches,
+    but the rows may not.
     """
 
-    __slots__ = ("num_vars", "parity_rows", "fixed", "cardinality", "_incidence")
+    __slots__ = ("num_vars", "parity_rows", "fixed", "cardinality",
+                 "_rows_of", "_row_vars", "_var_rows", "_maxr", "_pairable")
 
     def __init__(
         self,
@@ -66,10 +71,10 @@ class ZeroOneProgram:
         self.parity_rows = [] if parity_rows is None else parity_rows
         self.fixed = [] if fixed is None else fixed
         self.cardinality = cardinality
-        self._incidence: tuple | None = None
         if self.num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        for row in self.parity_rows:
+        self._rows_of: list[list[int]] = [[] for _ in range(num_vars)]
+        for r, row in enumerate(self.parity_rows):
             if not row:
                 raise ValueError("parity rows must be non-empty")
             if len(set(row)) != len(row):
@@ -77,6 +82,11 @@ class ZeroOneProgram:
             for v in row:
                 if not 0 <= v < self.num_vars:
                     raise ValueError(f"parity row index {v} out of range")
+                self._rows_of[v].append(r)
+        self._row_vars = [sum(1 << v for v in row) for row in self.parity_rows]
+        self._var_rows = [sum(1 << r for r in rs) for rs in self._rows_of]
+        self._maxr = max(map(len, self._rows_of), default=0)
+        self._pairable = all(len(rs) % 2 == 0 for rs in self._rows_of)
         for v, x in self.fixed:
             if not 0 <= v < self.num_vars:
                 raise ValueError(f"pinned variable {v} out of range")
@@ -84,22 +94,6 @@ class ZeroOneProgram:
                 raise ValueError(f"pinned value must be 0 or 1, got {x}")
         if self.cardinality is not None and self.cardinality < 0:
             raise ValueError("cardinality must be nonnegative")
-
-
-def _incidence(p: ZeroOneProgram) -> tuple:
-    """rows_of (rows per variable), row_vars and var_rows (the same
-    incidence as bitmasks), maxr, and whether every row count is even."""
-    rows_of: list[list[int]] = [[] for _ in range(p.num_vars)]
-    row_vars = []
-    for r, row in enumerate(p.parity_rows):
-        bits = 0
-        for v in row:
-            rows_of[v].append(r)
-            bits |= 1 << v
-        row_vars.append(bits)
-    var_rows = [sum(1 << r for r in rs) for rs in rows_of]
-    maxr = max(map(len, rows_of), default=0)
-    return rows_of, row_vars, var_rows, maxr, all(len(rs) % 2 == 0 for rs in rows_of)
 
 
 def _unpaired(odd: int, free: int, budget: int, row_vars: list[int], var_rows: list[int]) -> bool:
@@ -150,9 +144,8 @@ def _unpaired(odd: int, free: int, budget: int, row_vars: list[int], var_rows: l
 
 def iter_solutions(p: ZeroOneProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> Iterator[int]:
     """Stream every solution of p as a bitmask, in lexicographic order."""
-    if p._incidence is None:
-        p._incidence = _incidence(p)
-    rows_of, row_vars, var_rows, maxr, pairable = p._incidence
+    rows_of, row_vars, var_rows = p._rows_of, p._row_vars, p._var_rows
+    maxr, pairable = p._maxr, p._pairable
     n, target, pins = p.num_vars, p.cardinality, list(p.fixed)
 
     def assign(var: int, val: int, free: int, ones_mask: int, odd: int):
@@ -195,46 +188,29 @@ def iter_solutions(p: ZeroOneProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> I
             return
         state = ((1 << n) - 1, 0, 0)
         for v, x in pins:
-            state = assign(v, x, *state)
-            if state is None:
-                return
-        free, ones_mask, odd = state
+            state = state and assign(v, x, *state)  # None after a conflict: nothing to search
         nodes = 0
         stack: list[tuple[int, int, tuple[int, int, int]]] = []  # (var, value, state before)
-        descend = True
         while True:
-            if descend:
+            if state is not None:
+                free, ones_mask, odd = state
                 ones = ones_mask.bit_count()
                 # exact-count shortcut: remaining variables are all zero
                 if not free or (ones == target and not odd):
                     yield ones_mask
-                    descend = False
-                    continue
-                # ones == target never gets here: it yields above or fails the counts
-                var = (free & -free).bit_length() - 1
-                val = 1 if target is not None and ones + free.bit_count() == target else 0
-                parent = (free, ones_mask, odd)
-            else:
-                if not stack:
-                    return
-                var, val, parent = stack.pop()
-                if val:
-                    continue
-                val = 1
-            while True:
-                nodes += 1
-                if nodes > node_limit:
-                    raise NodeLimitExceeded(f"node limit {node_limit} exceeded; search is incomplete")
-                state = assign(var, val, *parent)
-                if state is not None:
-                    stack.append((var, val, parent))
-                    free, ones_mask, odd = state
-                    descend = True
-                    break
-                if val:
-                    descend = False
-                    break
-                val = 1
+                else:
+                    # ones == target never gets here: it yields above or fails the counts
+                    var = (free & -free).bit_length() - 1
+                    stack.append((var, 1, state))
+                    if target is None or ones + free.bit_count() > target:  # 1 is not forced
+                        stack.append((var, 0, state))
+            if not stack:
+                return
+            var, val, parent = stack.pop()
+            nodes += 1
+            if nodes > node_limit:
+                raise NodeLimitExceeded(f"node limit {node_limit} exceeded; search is incomplete")
+            state = assign(var, val, *parent)
 
     return solutions()
 

@@ -11,7 +11,7 @@ from itertools import islice
 from cliquecav import (
     ZeroOneProgram,
     build_boundary_matrix,
-    certificate_from_cliques,
+    certificate_from_json,
     cocktail_party_network,
     enumerate_cliques,
     euler_characteristic,
@@ -122,6 +122,14 @@ def _edge_labels(net, cx, mask):
     return out
 
 
+def _entry(order, cliques, generator):
+    """A certificate entry as certificates_to_json writes it, from node labels."""
+    cliques = [[str(u) for u in c] for c in cliques]
+    nodes = sorted({u for c in cliques for u in c})
+    return {"order": order, "cliques": cliques, "generator": [str(u) for u in generator],
+            "length": len(cliques), "nodes": nodes}
+
+
 def test_acceptance_1_sample_network_profile_exact(sample14, sample8):
     started = time.perf_counter()
     cx = enumerate_cliques(sample14)
@@ -215,9 +223,7 @@ def test_acceptance_3_celegans_profile_and_order3_cavities():
     index = net.label_index()
     prior = []
     for members, generator in zip(CELEGANS_CAVITY3_BOUNDARIES, CELEGANS_CAVITY3_GENERATORS):
-        as_ids = [tuple(sorted(index[str(u)] for u in c)) for c in members]
-        gen = tuple(sorted(index[str(u)] for u in generator))
-        cert = certificate_from_cliques(cx.levels[3], 3, as_ids, gen)
+        cert = certificate_from_json(_entry(3, members, generator), cx, index)
         result = verify_certificate(cert, b3, b4, prior)
         assert result, f"reference cavity {len(prior) + 1} fails: {result.failed}"
         prior.append(cert)
@@ -363,8 +369,7 @@ def test_acceptance_7_random_network_seed_sweep(sample14):
     sel = select_spanning_and_generators(b1, b2)
     certs = find_cavities(b1, b2, sel, cx.levels[1])
     seven_cycle = [("1", "3"), ("1", "5"), ("3", "6"), ("5", "9"), ("6", "14"), ("9", "10"), ("10", "14")]
-    members = [tuple(sorted((index[a], index[b]))) for a, b in seven_cycle]
-    replacement = certificate_from_cliques(cx.levels[1], 1, members, members[3])
+    replacement = certificate_from_json(_entry(1, seven_cycle, seven_cycle[3]), cx, index)
     assert replacement.length == certs[1].length
     result = verify_certificate(replacement, b1, b2, [certs[0]])
     assert result, result.failed

@@ -2,11 +2,13 @@ from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 from oracles import (
     bernoulli_graph,
     cavities_bruteforce,
     cycle_edges,
     join_edges,
+    small_graphs,
     suspension_edges,
 )
 
@@ -16,7 +18,6 @@ from cliquecav import (
     CavitySearchError,
     basis_insert,
     build_boundary_matrix,
-    certificate_from_cliques,
     certificate_from_json,
     certificate_to_dot,
     certificates_to_json,
@@ -148,10 +149,10 @@ def test_verify_accepts_search_output(sample14):
 def test_verify_rejects_clique_boundary_as_fake_cavity(sample14):
     cx = enumerate_cliques(sample14)
     b2, b3 = _pair(cx, 2)
-    faces = [("1", "2", "3"), ("1", "2", "4"), ("1", "3", "4"), ("2", "3", "4")]
-    idx = sample14.label_index()
-    members = [tuple(sorted(idx[u] for u in f)) for f in faces]
-    fake = certificate_from_cliques(cx.levels[2], 2, members, members[0])
+    faces = [["1", "2", "3"], ["1", "2", "4"], ["1", "3", "4"], ["2", "3", "4"]]
+    entry = {"order": 2, "cliques": faces, "generator": faces[0], "length": 4,
+             "nodes": ["1", "2", "3", "4"]}
+    fake = certificate_from_json(entry, cx, sample14.label_index())
     result = verify_certificate(fake, b2, b3, [])
     assert not result
     assert result.failed == "independence"
@@ -298,6 +299,22 @@ def test_find_cavities_equals_the_bruteforce_over_all_cycles(name):
     assert orders == expected_orders
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(small_graphs())
+def test_find_cavities_equals_the_bruteforce_on_small_graphs(net):
+    # at each order whose cycle space has dimension d <= 14
+    cx = enumerate_cliques(net)
+    for k in range(1, cx.top_order + 1):
+        bk, bk1 = _pair(cx, k)
+        if bk.cols - gf2_rank(bk).rank > 14:
+            continue
+        sel = select_spanning_and_generators(bk, bk1)
+        certs = find_cavities(bk, bk1, sel, cx.levels[k])
+        assert [c.indicator for c in certs] == cavities_bruteforce(bk, bk1, sel.generator_cliques)
+        for i, cert in enumerate(certs):
+            assert verify_certificate(cert, bk, bk1, certs[:i])
+
+
 def test_certificate_json_round_trip(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
@@ -344,32 +361,28 @@ def test_certificate_from_json_rejects_bad_entries(sample14):
     sel = select_spanning_and_generators(b1, b2)
     entry = certificates_to_json(find_cavities(b1, b2, sel, cx.levels[1]), cx,
                                  sample14.node_labels)[0]
+    assert entry["cliques"] == [["3", "6"], ["3", "8"], ["6", "7"], ["7", "8"]]
     index = sample14.label_index()
-    for order in (0, cx.top_order + 1):
-        with pytest.raises(ValueError, match=f"no order-{order} cliques"):
-            certificate_from_json({**entry, "order": order}, cx, index)
-    with pytest.raises(ValueError, match="claimed length 5"):
-        certificate_from_json({**entry, "length": 5}, cx, index)
-    with pytest.raises(ValueError, match="node list"):
-        certificate_from_json({**entry, "nodes": entry["nodes"][:-1]}, cx, index)
-    with pytest.raises(KeyError):
-        certificate_from_json({**entry, "nodes": ["3", "6", "7", "99"]}, cx, index)
-    with pytest.raises(KeyError):
-        certificate_from_json({k: v for k, v in entry.items() if k != "nodes"}, cx, index)
-
-
-def test_certificate_from_cliques_rejects_unknown_clique(sample14):
-    cx = enumerate_cliques(sample14)
-    with pytest.raises(ValueError, match="not an order-1 clique"):
-        certificate_from_cliques(cx.levels[1], 1, [(0, 5)], (0, 5))
-
-
-def test_certificate_from_cliques_rejects_a_repeated_clique(sample14):
-    cx = enumerate_cliques(sample14)
-    square = [(2, 5), (5, 6), (6, 7), (2, 7)]
-    assert certificate_from_cliques(cx.levels[1], 1, square, (2, 5)).length == 4
-    with pytest.raises(ValueError, match=r"clique \(2, 5\) is listed twice"):
-        certificate_from_cliques(cx.levels[1], 1, square + [(5, 2)], (2, 5))
+    top = cx.top_order + 1
+    cases = [
+        ({**entry, "order": 0}, "no order-0 cliques"),
+        ({**entry, "order": top}, f"no order-{top} cliques"),
+        ({**entry, "length": 5}, "claimed length 5"),
+        ({**entry, "nodes": entry["nodes"][:-1]}, "node list"),
+        ({**entry, "nodes": ["3", "6", "7", "99"]}, "^unknown label 99$"),
+        ({k: v for k, v in entry.items() if k != "nodes"}, "^missing field nodes$"),
+        ({**entry, "cliques": [["1", "6"]]}, r"^\(1,6\) is not an order-1 clique of the complex$"),
+        ({**entry, "generator": ["6", "1"]}, r"^generator \(1,6\) is not an order-1 clique$"),
+        ({**entry, "cliques": entry["cliques"] + [["6", "3"]]}, r"^clique \(3,6\) is listed twice$"),
+        ({**entry, "cliques": ["36", "38", "67", "78"]}, "^a clique must be a list, got '36'$"),
+        ({**entry, "cliques": {"3": "6"}}, "^cliques must be a list"),
+        ({**entry, "generator": "36"}, "^generator must be a list, got '36'$"),
+        ({**entry, "nodes": "3678"}, "^nodes must be a list, got '3678'$"),
+        ([entry], "^an entry must be a JSON object"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            certificate_from_json(bad, cx, index)
 
 
 def test_dot_output(sample14):

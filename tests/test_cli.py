@@ -423,8 +423,10 @@ def test_verify_flags_a_certificate_listed_twice(tmp_path, capsys):
         (dict(cliques=[["1", "2"], ["2", "3"], ["3", "1"], ["1", "4"]]),
          "(1,3) is not an order-1 clique of the complex"),
         (dict(generator=["4", "2"]), "generator (2,4) is not an order-1 clique"),
+        (dict(nodes=None), "missing field nodes"),
+        (dict(cliques=[["1", "2"], ["2", "3"], ["3", "4"], ["1", "zz"]]), "unknown label zz"),
     ],
-    ids=["listed-twice", "non-clique", "non-clique-generator"],
+    ids=["listed-twice", "non-clique", "non-clique-generator", "missing-field", "unknown-label"],
 )
 def test_verify_names_a_bad_clique_by_its_labels(tmp_path, capsys, change, line):
     cycle4 = tmp_path / "c4.edges"
@@ -437,10 +439,38 @@ def test_verify_names_a_bad_clique_by_its_labels(tmp_path, capsys, change, line)
         "nodes": ["1", "2", "3", "4"],
         **change,
     }
+    entry = {k: v for k, v in entry.items() if v is not None}  # None drops the field
     certs = tmp_path / "certs.json"
     certs.write_text(json.dumps([entry]))
     rc, out, _ = run(capsys, "verify", "--input", str(cycle4), str(certs))
     assert (rc, out) == (1, f"cert 1: FAIL (membership: {line})\n")
+
+
+@pytest.mark.parametrize(
+    "change, line",
+    [
+        (dict(cliques=["12", "14", "23", "34"], generator="34", nodes="1234"),
+         "a clique must be a list, got '12'"),
+        (dict(cliques="12 14 23 34"), "cliques must be a list, got '12 14 23 34'"),
+        (dict(generator="12"), "generator must be a list, got '12'"),
+        (dict(nodes="1234"), "nodes must be a list, got '1234'"),
+    ],
+    ids=["all-strings", "cliques", "generator", "nodes"],
+)
+def test_verify_requires_the_certificate_lists_to_be_json_lists(tmp_path, capsys, change, line):
+    cycle4 = tmp_path / "c4.edges"
+    cycle4.write_text("1 2\n2 3\n3 4\n4 1\n")
+    entry = {
+        "order": 1,
+        "generator": ["1", "2"],
+        "cliques": [["1", "2"], ["1", "4"], ["2", "3"], ["3", "4"]],
+        "length": 4,
+        "nodes": ["1", "2", "3", "4"],
+    }
+    certs = tmp_path / "certs.json"
+    certs.write_text(json.dumps([entry, {**entry, **change}]))
+    rc, out, _ = run(capsys, "verify", "--input", str(cycle4), str(certs))
+    assert (rc, out) == (1, f"cert 1: PASS (order 1, length 4)\ncert 2: FAIL (membership: {line})\n")
 
 
 def test_verify_against_wrong_network_fails(tmp_path, capsys):

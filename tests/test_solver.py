@@ -253,3 +253,32 @@ def _small_programs(draw):
 @given(_small_programs())
 def test_enumeration_equals_brute_force(p):
     assert _solutions(p, 2**p.num_vars) == brute_solutions(p)
+
+
+@pytest.mark.parametrize(
+    "net, order, pin, length, first, count, nodes",
+    [
+        ("random_er(40, 60, 1)", 1, 20, 8, None, 21, 700),
+        ("sample14", 1, 10, 7, None, 8, 102),
+        ("cocktail3", 2, 0, 8, 1, 1, 23),
+    ],
+)
+def test_decision_node_counts_are_pinned(sample14, net, order, pin, length, first, count, nodes):
+    # nodes: the smallest node_limit that completes the run (every solution,
+    # or the first); neither the root nor the pins are decision nodes
+    net = {"random_er(40, 60, 1)": lambda: random_er(40, 60, 1), "sample14": lambda: sample14,
+           "cocktail3": lambda: cocktail_party_network(3)}[net]()
+    rows, cols = _boundary_rows(enumerate_cliques(net), order)
+    p = ZeroOneProgram(cols, rows, [(pin, 1)], length)
+    first = first or 1 << cols
+    assert len(_solutions(p, first, nodes)) == count
+    with pytest.raises(NodeLimitExceeded):
+        _solutions(p, first, nodes - 1)
+
+
+def test_fixed_and_cardinality_are_read_when_the_search_is_called():
+    # BoundaryContext.search reuses one program and changes both between calls
+    p = ZeroOneProgram(3, [[0, 1, 2]], [(0, 1)], 2)
+    stream = iter_solutions(p)
+    p.fixed, p.cardinality = [(2, 1)], 0
+    assert list(stream) == [0b101, 0b011]
