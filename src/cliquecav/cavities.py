@@ -3,9 +3,9 @@
 A k-cavity certificate is a 0-1 vector over k-cliques that is a GF(2)
 cycle, passes through its generator clique, has exactly L ones, and is
 linearly independent of the (k+1)-clique boundaries together with all
-previously accepted certificates. spanning_selection reads the
-generators off the profile's ranks; minimal representatives are found by
-exact-length 0-1 search over an increasing length schedule.
+previously accepted certificates. select_spanning_and_generators reads
+the generators off the profile's ranks; minimal representatives are
+found by exact-length 0-1 search over an increasing length schedule.
 
 Search and the re-check of order k share one BoundaryContext (B_k and a
 basis of B_{k+1}'s column space); find_cavities and verify_certificate
@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from .cliques import Clique, CliqueComplex
-from .gf2 import Gf2Matrix, RankResult, basis_insert, bit_indices, column_space_basis, gf2_rank
+from .gf2 import Gf2Matrix, RankResult, basis_insert, bit_indices, column_space_basis
 
 
 class CavitySearchError(RuntimeError):
@@ -108,19 +108,14 @@ class BoundaryContext:
         basis = dict(self.basis)
         lengths = list(length_schedule(self.order, self.bk.cols))
         # one program, and one row incidence, for every generator and length
-        program = ZeroOneProgram(self.bk.cols, _parity_rows(self.bk))
-
-        def cycles(v: int, length: int):
-            program.fixed, program.cardinality = [(v, 1)], length
-            return iter_solutions(program, node_limit)
-
+        program = ZeroOneProgram(self.bk.cols, [row for row in self.bk.bits if row])
         accepted: list[CavityCertificate] = []
         for v in sel.generator_cliques:
             mask = next(
                 (
                     mask
                     for length in lengths
-                    for mask in cycles(v, length)
+                    for mask in iter_solutions(program, v, length, node_limit)
                     if basis_insert(basis, mask)
                 ),
                 None,
@@ -167,33 +162,21 @@ class BoundaryContext:
         return VerifyResult()
 
 
-def spanning_selection(order: int, m_k: int, below: RankResult,
-                       above: RankResult) -> SpanningSelection:
+def select_spanning_and_generators(order: int, m_k: int, below: RankResult,
+                                   above: RankResult) -> SpanningSelection:
     """Split the m_k k-cliques into tree, covered and generator sets.
 
     below is the RankResult of B_k, and above that of B_{k+1} reduced with
-    below's pivot columns, the tree, cleared. above's pivot rows are then
-    the non-tree cliques that B_{k+1}'s columns account for, and the
-    beta_k non-tree cliques it finds dependent are the generators.
+    below's pivot columns, the tree, cleared, as Boundaries.rank(k) and
+    rank(k + 1) are. above's pivot rows are then the non-tree cliques that
+    B_{k+1}'s columns account for, and the beta_k non-tree cliques it
+    finds dependent are the generators.
     """
     tree, covered = set(below.pivot_cols), set(above.pivot_rows)
-    assert tree.isdisjoint(covered), "B_{k+1} was reduced without the tree cleared"
+    if not tree.isdisjoint(covered):
+        raise ValueError("B_{k+1} was reduced without the tree cleared")
     generators = tuple(j for j in range(m_k) if j not in tree and j not in covered)
     return SpanningSelection(order, generators)
-
-
-def select_spanning_and_generators(bk: Gf2Matrix, bk1: Gf2Matrix) -> SpanningSelection:
-    """spanning_selection from fresh ranks of B_k and B_{k+1}. The order k
-    is read off B_k, whose columns each hold k + 1 ones."""
-    if bk.cols == 0:
-        raise ValueError("cannot infer order from an empty matrix")
-    k = sum(row & 1 for row in bk.bits) - 1
-    below = gf2_rank(bk)
-    return spanning_selection(k, bk.cols, below, gf2_rank(bk1, cleared=set(below.pivot_cols)))
-
-
-def _parity_rows(bk: Gf2Matrix) -> list[list[int]]:
-    return [bit_indices(bits) for bits in bk.bits if bits]
 
 
 def length_schedule(k: int, ceiling: int):

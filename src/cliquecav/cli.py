@@ -120,6 +120,10 @@ class SelfCheckError(RuntimeError):
     """A freshly found certificate failed re-verification."""
 
 
+class GateRefused(RuntimeError):
+    """The computability gate stopped the run, which --force overrides."""
+
+
 def _emit_dot_files(certs, cx: CliqueComplex, labels, directory: str) -> list[str]:
     from .cavities import certificate_to_dot
 
@@ -223,28 +227,27 @@ def _pipeline(args, cavities: bool):
     most once and ranked at most once: selection reads the profile's
     ranks. Search and self-check of an order share one BoundaryContext.
 
-    Returns EXIT_GATE when the gate stops the run, otherwise (net, cx,
-    profile, certs); a clique level over --budget raises BudgetExceeded.
+    Returns (net, cx, profile, certs). A gate refusal without --force
+    raises GateRefused, and a clique level over --budget BudgetExceeded.
     """
     from .gf2 import Boundaries, homology_profile
 
     net = load_edge_list(args.input)
     gate = computability_gate(k_core_decomposition(net), args.threshold)
     if not gate.computable and not args.force:
-        print(f"not computable: {gate.reason} (use --force to override)", file=sys.stderr)
-        return EXIT_GATE
+        raise GateRefused(f"not computable: {gate.reason} (use --force to override)")
     cx = _build_complex(net, args.cache, args.budget)
     # without cavities, no matrix outlives its rank
     boundaries = Boundaries(cx, keep_matrices=cavities)
     profile = homology_profile(cx, boundaries)
     certs: list[CavityCertificate] = []
     if cavities:
-        from .cavities import spanning_selection
+        from .cavities import select_spanning_and_generators
 
         context, rank, beta = _contexts(boundaries), boundaries.rank, profile.beta
         for k in range(1, len(beta)):
             if beta[k]:
-                sel = spanning_selection(k, cx.counts[k], rank(k), rank(k + 1))
+                sel = select_spanning_and_generators(k, cx.counts[k], rank(k), rank(k + 1))
                 certs.extend(context(k).search(sel, cx.levels[k]))
         if args.verify:
             for cert in certs:
@@ -265,10 +268,7 @@ def cmd_analyze(args, parser) -> int:
         parser.error("--emit-dot requires --cavities")
     if args.verify and not args.cavities:
         parser.error("--verify requires --cavities")
-    result = _pipeline(args, args.cavities)
-    if isinstance(result, int):
-        return result
-    net, cx, profile, certs = result
+    net, cx, profile, certs = _pipeline(args, args.cavities)
     if args.format == "json":
         doc = {
             "m": list(profile.m),
@@ -297,10 +297,7 @@ def cmd_analyze(args, parser) -> int:
 
 def cmd_cavities(args, parser) -> int:
     """Cavity certificates only (the analyze pipeline minus the profile)."""
-    result = _pipeline(args, True)
-    if isinstance(result, int):
-        return result
-    net, cx, _, certs = result
+    net, cx, _, certs = _pipeline(args, True)
     if args.format == "csv":
         rows = [["order", "length", "generator", "nodes"]]
         for cert in certs:
@@ -438,7 +435,7 @@ def cmd_verify(args, parser) -> int:
         try:
             cert = certificate_from_json(entry, cx, index)
         except ValueError as exc:
-            print(f"cert {i}: FAIL (membership: {exc})")
+            print(f"cert {i}: FAIL ({exc})")
             failures += 1
             continue
         result = context(cert.order).recheck(cert)
@@ -552,6 +549,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(exc, file=sys.stderr)
         return EXIT_BUDGET
+    except GateRefused as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_GATE
     # NodeLimitExceeded, CavitySearchError and SelfCheckError are RuntimeErrors;
     # naming the first two here would import solver and cavities into every subcommand
     except (OSError, ValueError, RuntimeError) as exc:

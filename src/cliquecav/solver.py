@@ -4,13 +4,14 @@ Depth-first branch and bound over variables in ascending index order,
 value 0 before 1, so the first solution found is the lexicographically
 smallest assignment and enumeration streams solutions in lexicographic
 order. Parity rows are propagated natively in GF(2), first in first out,
-and an exact cardinality bounds the search by counting ones. The search
+and the exact cardinality bounds the search by counting ones. The search
 state is three bitmasks (free variables, ones, odd rows), and one loop
 runs over a stack of pending choices (variable, value, state before):
 it pops a choice, counts one decision node and propagates it. A state
 that is not a solution pushes 1 for its lowest free variable, then 0
-unless the count forces a 1, so 0 is tried first. Pins are propagated
-before the loop and are not decision nodes.
+unless the count forces a 1, so 0 is tried first. Each search pins one
+variable to 1 and fixes the number of ones; the pin is propagated before
+the loop and is not a decision node.
 
 Pairing bound. It applies when every variable lies in an even number of
 rows: on B_1, where each edge has two endpoint rows, and on B_k for every
@@ -44,56 +45,35 @@ class NodeLimitExceeded(RuntimeError):
 
 
 class ZeroOneProgram:
-    """Feasibility program over binary variables x_0 .. x_{num_vars-1}.
+    """Parity rows over binary variables x_0 .. x_{num_vars-1}.
 
-    parity_rows: index groups each required to hold an even number of ones
-        (default: none).
-    fixed: (var, value) pins applied before branching (default: none).
-    cardinality: exact number of ones required among all variables, or
-        None for no count constraint.
-
-    The loop that validates the rows also builds the row incidence the
-    search reads, so fixed and cardinality may change between searches,
-    but the rows may not.
+    parity_rows: nonzero bitmasks, bit v for variable v, each required to
+    hold an even number of ones: the nonzero rows of a boundary matrix B_k
+    as Gf2Matrix.bits holds them. The row incidence the search reads is
+    built here once; no search changes the program, so one program serves
+    every pin and length.
     """
 
-    __slots__ = ("num_vars", "parity_rows", "fixed", "cardinality",
-                 "_rows_of", "_row_vars", "_var_rows", "_maxr", "_pairable")
+    __slots__ = ("num_vars", "parity_rows", "_rows_of", "_var_rows", "_maxr", "_pairable")
 
-    def __init__(
-        self,
-        num_vars: int,
-        parity_rows: list[list[int]] | None = None,
-        fixed: list[tuple[int, int]] | None = None,
-        cardinality: int | None = None,
-    ) -> None:
-        self.num_vars = num_vars
-        self.parity_rows = [] if parity_rows is None else parity_rows
-        self.fixed = [] if fixed is None else fixed
-        self.cardinality = cardinality
-        if self.num_vars < 0:
+    def __init__(self, num_vars: int, parity_rows: list[int]) -> None:
+        if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
+        self.num_vars = num_vars
+        self.parity_rows = parity_rows
         self._rows_of: list[list[int]] = [[] for _ in range(num_vars)]
-        for r, row in enumerate(self.parity_rows):
+        for r, row in enumerate(parity_rows):
             if not row:
                 raise ValueError("parity rows must be non-empty")
-            if len(set(row)) != len(row):
-                raise ValueError("parity row has duplicate indices")
-            for v in row:
-                if not 0 <= v < self.num_vars:
-                    raise ValueError(f"parity row index {v} out of range")
-                self._rows_of[v].append(r)
-        self._row_vars = [sum(1 << v for v in row) for row in self.parity_rows]
+            if row >> num_vars:
+                raise ValueError(f"parity row {r} has a variable out of range")
+            while row:
+                low = row & -row
+                row ^= low
+                self._rows_of[low.bit_length() - 1].append(r)
         self._var_rows = [sum(1 << r for r in rs) for rs in self._rows_of]
         self._maxr = max(map(len, self._rows_of), default=0)
         self._pairable = all(len(rs) % 2 == 0 for rs in self._rows_of)
-        for v, x in self.fixed:
-            if not 0 <= v < self.num_vars:
-                raise ValueError(f"pinned variable {v} out of range")
-            if x not in (0, 1):
-                raise ValueError(f"pinned value must be 0 or 1, got {x}")
-        if self.cardinality is not None and self.cardinality < 0:
-            raise ValueError("cardinality must be nonnegative")
 
 
 def _unpaired(odd: int, free: int, budget: int, row_vars: list[int], var_rows: list[int]) -> bool:
@@ -142,11 +122,17 @@ def _unpaired(odd: int, free: int, budget: int, row_vars: list[int], var_rows: l
     return False
 
 
-def iter_solutions(p: ZeroOneProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> Iterator[int]:
-    """Stream every solution of p as a bitmask, in lexicographic order."""
-    rows_of, row_vars, var_rows = p._rows_of, p._row_vars, p._var_rows
-    maxr, pairable = p._maxr, p._pairable
-    n, target, pins = p.num_vars, p.cardinality, list(p.fixed)
+def iter_solutions(
+    p: ZeroOneProgram, pin: int, cardinality: int, node_limit: int = DEFAULT_NODE_LIMIT
+) -> Iterator[int]:
+    """Stream, as bitmasks in lexicographic order, every solution of p
+    with x_pin = 1 and exactly cardinality ones."""
+    if not 0 <= pin < p.num_vars:
+        raise ValueError(f"pinned variable {pin} out of range")
+    if cardinality < 0:
+        raise ValueError("cardinality must be nonnegative")
+    rows_of, row_vars, var_rows = p._rows_of, p.parity_rows, p._var_rows
+    maxr, pairable, target = p._maxr, p._pairable, cardinality
 
     def assign(var: int, val: int, free: int, ones_mask: int, odd: int):
         """The state after var = val and all propagation, or None on conflict."""
@@ -173,36 +159,29 @@ def iter_solutions(p: ZeroOneProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> I
                 elif not rest & (rest - 1):
                     queue.append((rest.bit_length() - 1, odd >> r & 1))
             # each new one can clear at most maxr odd rows
-            if target is not None and (
-                ones > target or ones + nfree < target or odd.bit_count() > maxr * (target - ones)
-            ):
+            if ones > target or ones + nfree < target or odd.bit_count() > maxr * (target - ones):
                 return None
         if pairable and odd and (val or var_rows[var] & odd):
-            budget = maxr * (nfree if target is None else target - ones)
-            if _unpaired(odd, free, budget, row_vars, var_rows):
+            if _unpaired(odd, free, maxr * (target - ones), row_vars, var_rows):
                 return None
         return free, ones_mask, odd
 
     def solutions() -> Iterator[int]:
-        if target is not None and target > n:
-            return
-        state = ((1 << n) - 1, 0, 0)
-        for v, x in pins:
-            state = state and assign(v, x, *state)  # None after a conflict: nothing to search
+        state = assign(pin, 1, (1 << p.num_vars) - 1, 0, 0)
         nodes = 0
         stack: list[tuple[int, int, tuple[int, int, int]]] = []  # (var, value, state before)
         while True:
             if state is not None:
                 free, ones_mask, odd = state
                 ones = ones_mask.bit_count()
-                # exact-count shortcut: remaining variables are all zero
-                if not free or (ones == target and not odd):
+                # exact-count shortcut: remaining variables are all zero. The
+                # counts leave no state with no free variable and ones < target
+                if ones == target and not odd:
                     yield ones_mask
                 else:
-                    # ones == target never gets here: it yields above or fails the counts
                     var = (free & -free).bit_length() - 1
                     stack.append((var, 1, state))
-                    if target is None or ones + free.bit_count() > target:  # 1 is not forced
+                    if ones + free.bit_count() > target:  # 1 is not forced
                         stack.append((var, 0, state))
             if not stack:
                 return
@@ -213,4 +192,3 @@ def iter_solutions(p: ZeroOneProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> I
             state = assign(var, val, *parent)
 
     return solutions()
-

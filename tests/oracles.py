@@ -14,12 +14,14 @@ beside the selection, which holds only the generators. Every call
 rebuilds what it reads (ranks, transposes, column bases, and the prior
 certificates' basis), so they stand apart from the shared context and
 ranks.
-Likewise _Frame, _Search and iter_solutions_oracle are the 0-1 search
-without the pairing bound, kept verbatim; _Search.nodes counts its
-decision nodes. And parse_edge_text_oracle, network_from_edges_oracle and
-k_core_oracle are the edge-list loader on label pairs and the
-threshold-by-threshold peel, as they were before both moved to integer ids
-and bucket peeling; k_core_oracle reads a degree as len(adjacency[u]).
+Likewise _Frame and _Search are the 0-1 search without the pairing
+bound, kept as it was but for its call, which names the pin and the
+length as the library's does, and the branches for a search with no
+length; _Search.nodes counts its decision nodes. And
+parse_edge_text_oracle, network_from_edges_oracle and k_core_oracle are
+the edge-list loader on label pairs and the threshold-by-threshold peel,
+as they were before both moved to integer ids and bucket peeling;
+k_core_oracle reads a degree as len(adjacency[u]).
 
 These references once lived in the package and moved here unchanged,
 since no pipeline path runs them: maximal_cliques (pivoted Bron-Kerbosch),
@@ -51,13 +53,12 @@ from cliquecav.cavities import (
     CavitySearchError,
     SpanningSelection,
     VerifyResult,
-    _parity_rows,
     length_schedule,
 )
 from cliquecav.cliques import Clique
 from cliquecav.gf2 import Gf2Matrix, RankResult, basis_insert, bit_indices, column_space_basis
 from cliquecav.graph import COMMENT_PREFIXES, _label_sort_key
-from cliquecav.solver import DEFAULT_NODE_LIMIT, NodeLimitExceeded, ZeroOneProgram
+from cliquecav.solver import NodeLimitExceeded, ZeroOneProgram
 
 
 def peel_coreness(net: Network) -> list[int]:
@@ -429,39 +430,22 @@ def small_graphs(draw, max_nodes: int = 12) -> Network:
     return network_from_edges(labels, [pair for pair, keep in zip(pairs, present) if keep])
 
 
-def brute_solutions(p: ZeroOneProgram) -> list[int]:
-    """All feasible masks by exhaustive search, lexicographic assignment order.
+def brute_solutions(p: ZeroOneProgram, pin: int, cardinality: int) -> list[int]:
+    """All masks with x_pin = 1, cardinality ones and every parity row
+    even, by exhaustive search, in lexicographic assignment order.
 
     Assignment order: variable 0 is the most significant decision, value 0
-    before 1. Programs with an exact cardinality over all variables are
-    enumerated via combinations to keep n = 20 affordable.
+    before 1. The masks are enumerated via combinations of the exact
+    cardinality, to keep n = 20 affordable.
     """
     n = p.num_vars
-    row_masks = []
-    for row in p.parity_rows:
+    masks = []
+    for combo in combinations(range(n), cardinality):
         m = 0
-        for j in row:
+        for j in combo:
             m |= 1 << j
-        row_masks.append(m)
-
-    def feasible(mask: int) -> bool:
-        for var, val in p.fixed:
-            if (mask >> var) & 1 != val:
-                return False
-        if p.cardinality is not None and mask.bit_count() != p.cardinality:
-            return False
-        return all((mask & rm).bit_count() % 2 == 0 for rm in row_masks)
-
-    if p.cardinality is not None:
-        masks = []
-        for combo in combinations(range(n), p.cardinality):
-            m = 0
-            for j in combo:
-                m |= 1 << j
-            if feasible(m):
-                masks.append(m)
-    else:
-        masks = [m for m in range(1 << n) if feasible(m)]
+        if (m >> pin) & 1 and all((m & row).bit_count() % 2 == 0 for row in p.parity_rows):
+            masks.append(m)
     # sort by assignment tuple (x_0, x_1, ...), 0 before 1
     masks.sort(key=lambda m: tuple((m >> j) & 1 for j in range(n)))
     return masks
@@ -480,15 +464,15 @@ class _Frame:
 class _Search:
     """One depth-first run over a program; owns all mutable state."""
 
-    def __init__(self, p: ZeroOneProgram, node_limit: int) -> None:
+    def __init__(self, p: ZeroOneProgram, pin: int, cardinality: int, node_limit: int) -> None:
         self.n = p.num_vars
-        self.rows = [list(row) for row in p.parity_rows]
+        self.rows = [bit_indices(row) for row in p.parity_rows]
         self.var_rows: list[list[int]] = [[] for _ in range(self.n)]
         for r, row in enumerate(self.rows):
             for v in row:
                 self.var_rows[v].append(r)
-        self.target = p.cardinality
-        self.pins = list(p.fixed)
+        self.target = cardinality
+        self.pins = [(pin, 1)]
         self.node_limit = node_limit
 
         self.value = [-1] * self.n
@@ -505,8 +489,6 @@ class _Search:
         self.max_rows_per_var = max((len(rs) for rs in self.var_rows), default=0)
 
     def _conflict_by_counts(self) -> bool:
-        if self.target is None:
-            return False
         if self.ones > self.target:
             return True
         if self.ones + self.free < self.target:
@@ -576,7 +558,7 @@ class _Search:
 
     def _decision_values(self, var: int) -> tuple[int, ...]:
         # ones == target never gets here: solutions() yields or _conflict_by_counts rejects
-        if self.target is not None and self.ones + self.free == self.target:
+        if self.ones + self.free == self.target:
             return (1,)
         return (0, 1)
 
@@ -588,7 +570,7 @@ class _Search:
             )
 
     def solutions(self) -> Iterator[int]:
-        if self.target is not None and self.target > self.free:
+        if self.target > self.free:
             return
         root = len(self.trail)
         ok = True
@@ -604,7 +586,7 @@ class _Search:
         while True:
             if descend:
                 # exact-count shortcut: remaining variables are all zero
-                if self.target is not None and self.ones == self.target and self.odd_rows == 0:
+                if self.ones == self.target and self.odd_rows == 0:
                     yield self.ones_mask
                     descend = False
                     continue
@@ -634,11 +616,6 @@ class _Search:
                 frame.idx += 1
             if not descend:
                 stack.pop()
-
-
-def iter_solutions_oracle(p: ZeroOneProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> Iterator[int]:
-    """Stream every solution of p as a bitmask, in lexicographic order."""
-    return _Search(p, node_limit).solutions()
 
 
 def _column_weight(m: Gf2Matrix, j: int) -> int:
@@ -736,18 +713,12 @@ def find_cavities_oracle(
         return []
     basis = dict(column_space_basis(bk1))
     ceiling = bk.cols
-    rows = _parity_rows(bk)
+    program = ZeroOneProgram(bk.cols, [row for row in bk.bits if row])
     accepted: list[CavityCertificate] = []
     for v in sel.generator_cliques:
         found = None
         for length in length_schedule(k, ceiling):
-            program = ZeroOneProgram(
-                num_vars=bk.cols,
-                parity_rows=rows,
-                fixed=[(v, 1)],
-                cardinality=length,
-            )
-            for mask in iter_solutions(program, node_limit):
+            for mask in iter_solutions(program, v, length, node_limit):
                 if basis_insert(basis, mask):
                     nodes = set()
                     for j in bit_indices(mask):

@@ -9,6 +9,7 @@ import time
 from itertools import islice
 
 from cliquecav import (
+    Boundaries,
     ZeroOneProgram,
     build_boundary_matrix,
     certificate_from_json,
@@ -98,17 +99,15 @@ def _boundary_pair(cx, k):
     return bk, zero_cols_matrix(cx.counts[k])
 
 
-def _parity_rows(matrix):
-    rows = []
-    for bits in matrix.bits:
-        row = []
-        while bits:
-            low = bits & -bits
-            row.append(low.bit_length() - 1)
-            bits ^= low
-        if row:
-            rows.append(row)
-    return rows
+def _selection(cx, k):
+    """The order-k selection, read off the ranks of one Boundaries."""
+    rank = Boundaries(cx).rank
+    return select_spanning_and_generators(k, cx.counts[k], rank(k), rank(k + 1))
+
+
+def _program(matrix):
+    """The 0-1 program of a boundary matrix: its nonzero rows."""
+    return ZeroOneProgram(matrix.cols, [row for row in matrix.bits if row])
 
 
 def _edge_labels(net, cx, mask):
@@ -158,7 +157,7 @@ def test_acceptance_2_sample_network_cavities_exact(sample14):
     index = sample14.label_index()
 
     b1, b2 = _boundary_pair(cx, 1)
-    sel1 = select_spanning_and_generators(b1, b2)
+    sel1 = _selection(cx, 1)
     certs1 = find_cavities(b1, b2, sel1, cx.levels[1])
     assert [c.length for c in certs1] == [4, 7]
     assert _edge_labels(sample14, cx, certs1[0].indicator) == {
@@ -167,16 +166,10 @@ def test_acceptance_2_sample_network_cavities_exact(sample14):
 
     # exactly 8 same-length alternatives exist at L = 7 through edge (5, 9)
     pin = cx.levels[1].index(tuple(sorted((index["5"], index["9"]))))
-    program = ZeroOneProgram(
-        num_vars=b1.cols,
-        parity_rows=_parity_rows(b1),
-        fixed=[(pin, 1)],
-        cardinality=7,
-    )
-    assert len(list(islice(iter_solutions(program), 20))) == 8
+    assert len(list(islice(iter_solutions(_program(b1), pin, 7), 20))) == 8
 
     b2m, b3 = _boundary_pair(cx, 2)
-    sel2 = select_spanning_and_generators(b2m, b3)
+    sel2 = _selection(cx, 2)
     certs2 = find_cavities(b2m, b3, sel2, cx.levels[2])
     assert len(certs2) == 1
     assert certs2[0].length == 8
@@ -209,7 +202,7 @@ def test_acceptance_3_celegans_profile_and_order3_cavities():
     assert profile.euler_poincare_ok
 
     b3, b4 = _boundary_pair(cx, 3)
-    sel = select_spanning_and_generators(b3, b4)
+    sel = _selection(cx, 3)
     assert len(sel.generator_cliques) == 4
     certs = find_cavities(b3, b4, sel, cx.levels[3])
     assert len(certs) == 4
@@ -312,34 +305,28 @@ def test_acceptance_6_property_suites(sample14):
         t = random.Random(5000 + trial)
         n = t.randrange(2, 11)
         rows = [
-            t.sample(range(n), t.randrange(2, min(n, 4) + 1))
+            sum(1 << v for v in t.sample(range(n), t.randrange(2, min(n, 4) + 1)))
             for _ in range(t.randrange(1, 4))
         ]
-        program = ZeroOneProgram(
-            num_vars=n,
-            parity_rows=rows,
-            cardinality=t.randrange(0, n + 1) if t.random() < 0.6 else None,
-        )
-        expected = brute_solutions(program)
-        got = list(islice(iter_solutions(program), 1 << n))
+        program = ZeroOneProgram(n, rows)
+        pin, length = t.randrange(n), t.randrange(0, n + 1)
+        expected = brute_solutions(program, pin, length)
+        got = list(islice(iter_solutions(program, pin, length), 1 << n))
         assert got == expected, f"trial {trial}"
-        assert next(iter_solutions(program), None) == (expected[0] if expected else None)
+        assert next(iter_solutions(program, pin, length), None) == (
+            expected[0] if expected else None
+        )
 
     # no strictly shorter certificate exists for either order-1 generator
     b1, b2 = _boundary_pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = _selection(cx, 1)
     certs = find_cavities(b1, b2, sel, cx.levels[1])
     from cliquecav import basis_insert, column_space_basis
 
+    program = _program(b1)
     for cert in certs:
         for length in range(4, cert.length):
-            program = ZeroOneProgram(
-                num_vars=b1.cols,
-                parity_rows=_parity_rows(b1),
-                fixed=[(cert.generator, 1)],
-                cardinality=length,
-            )
-            for mask in islice(iter_solutions(program), 10000):
+            for mask in islice(iter_solutions(program, cert.generator, length), 10000):
                 basis = dict(column_space_basis(b2))
                 assert not basis_insert(basis, mask), (
                     f"independent cycle of length {length} < {cert.length}"
@@ -366,7 +353,7 @@ def test_acceptance_7_random_network_seed_sweep(sample14):
     cx = enumerate_cliques(sample14)
     index = sample14.label_index()
     b1, b2 = _boundary_pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = _selection(cx, 1)
     certs = find_cavities(b1, b2, sel, cx.levels[1])
     seven_cycle = [("1", "3"), ("1", "5"), ("3", "6"), ("5", "9"), ("6", "14"), ("9", "10"), ("10", "14")]
     replacement = certificate_from_json(_entry(1, seven_cycle, seven_cycle[3]), cx, index)

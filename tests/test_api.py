@@ -60,13 +60,9 @@ RECORD_FIELDS = {
     "SpanningSelection": ("order", "generator_cliques"),
     "CavityCertificate": ("order", "indicator", "generator", "node_set"),
     "VerifyResult": ("failed",),
-    "ZeroOneProgram": ("num_vars", "parity_rows", "fixed", "cardinality"),
+    "ZeroOneProgram": ("num_vars", "parity_rows"),
 }
-RECORD_DEFAULTS = {
-    "VerifyResult": {"failed": None},
-    # None stands for a fresh empty list
-    "ZeroOneProgram": {"parity_rows": None, "fixed": None, "cardinality": None},
-}
+RECORD_DEFAULTS = {"VerifyResult": {"failed": None}}
 
 
 def test_record_classes_keep_their_fields_and_defaults():
@@ -75,9 +71,6 @@ def test_record_classes_keep_their_fields_and_defaults():
         assert tuple(p.name for p in params) == fields, name
         defaults = {p.name: p.default for p in params if p.default is not p.empty}
         assert defaults == RECORD_DEFAULTS.get(name, {}), name
-    program = cliquecav.ZeroOneProgram(3)
-    assert (program.parity_rows, program.fixed, program.cardinality) == ([], [], None)
-    assert cliquecav.ZeroOneProgram(3).parity_rows is not program.parity_rows
 
 
 def _package_defs() -> dict[tuple[str, int], str]:

@@ -3,9 +3,10 @@ ranks, against the cavity stage they replaced.
 
 Selections, certificates and verdicts must match the former
 implementations in oracles.py bit for bit, both through the public
-wrappers and through the ranks and contexts the CLI uses. The oracle's
-tree and covered sets must equal the pivot columns of B_k and the pivot
-rows of B_{k+1} reduced with the tree cleared, which the selection reads.
+wrappers and through the ranks and contexts the CLI uses; the selection
+has one path, from the ranks. The oracle's tree and covered sets must
+equal the pivot columns of B_k and the pivot rows of B_{k+1} reduced with
+the tree cleared, which the selection reads.
 """
 
 from pathlib import Path
@@ -34,7 +35,7 @@ from cliquecav import (
     verify_certificate,
     zero_cols_matrix,
 )
-from cliquecav.cavities import BoundaryContext, spanning_selection
+from cliquecav.cavities import BoundaryContext
 from cliquecav.cli import _contexts
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -62,7 +63,7 @@ def _pair(cx, k):
 def _selection(boundaries, k):
     """The selection of order k as the CLI takes it, from the profile's ranks."""
     rank = boundaries.rank
-    return spanning_selection(k, boundaries.cx.counts[k], rank(k), rank(k + 1))
+    return select_spanning_and_generators(k, boundaries.cx.counts[k], rank(k), rank(k + 1))
 
 
 def _assert_split_is_the_ranks(split, boundaries, k):
@@ -117,7 +118,6 @@ def test_context_and_wrappers_match_the_former_cavity_stage(name):
         split = select_oracle(bk, bk1)
         _assert_split_is_the_ranks(split, boundaries, k)
         sel = split.selection
-        assert select_spanning_and_generators(bk, bk1) == sel
         # the CLI's ranks: the spanning forest for k = 1, the cleared ranks above
         assert _selection(boundaries, k) == sel
         certs = find_cavities_oracle(bk, bk1, sel, cx.levels[k])

@@ -8,6 +8,7 @@ from oracles import (
     cavities_bruteforce,
     cycle_edges,
     join_edges,
+    select_oracle,
     small_graphs,
     suspension_edges,
 )
@@ -48,13 +49,18 @@ def _labeled(net, cx, k, indices):
     return {tuple(net.node_labels[u] for u in cx.levels[k][j]) for j in indices}
 
 
+def _select(boundaries, k):
+    """The selection of order k, read off the ranks of boundaries."""
+    rank = boundaries.rank
+    return select_spanning_and_generators(k, boundaries.cx.counts[k], rank(k), rank(k + 1))
+
+
 def test_sub_network_selection(sample8):
     cx = enumerate_cliques(sample8)
-    b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    boundaries = Boundaries(cx)
+    sel = _select(boundaries, 1)
     assert sel.order == 1
     # the tree and the covered set, read off the ranks the selection uses
-    boundaries = Boundaries(cx)
     assert _labeled(sample8, cx, 1, boundaries.rank(1).pivot_cols) == {
         ("1", "2"), ("1", "3"), ("1", "4"), ("1", "5"),
         ("3", "6"), ("3", "8"), ("6", "7"),
@@ -67,33 +73,37 @@ def test_sub_network_selection(sample8):
 
 def test_full_network_selection_counts(sample14):
     cx = enumerate_cliques(sample14)
-    b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
     boundaries = Boundaries(cx)
+    sel = _select(boundaries, 1)
     assert len(boundaries.rank(1).pivot_cols) == 13
     assert len(boundaries.rank(2).pivot_rows) == 11
     assert sel.generator_cliques == (13, 25)
     assert _labeled(sample14, cx, 1, sel.generator_cliques) == {("7", "8"), ("13", "14")}
-    b2_, b3 = _pair(cx, 2)
-    sel2 = select_spanning_and_generators(b2_, b3)
+    sel2 = _select(boundaries, 2)
     assert _labeled(sample14, cx, 2, sel2.generator_cliques) == {("12", "13", "14")}
+
+
+def test_selection_rejects_ranks_reduced_without_the_tree_cleared(sample14):
+    cx = enumerate_cliques(sample14)
+    boundaries = Boundaries(cx)
+    uncleared = gf2_rank(boundaries.matrix(2))
+    with pytest.raises(ValueError, match="without the tree cleared"):
+        select_spanning_and_generators(1, cx.counts[1], boundaries.rank(1), uncleared)
 
 
 def test_selection_on_tree_has_no_generators():
     net = network_from_edges(
         ["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("2", "4")]
     )
-    cx = enumerate_cliques(net)
-    b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
-    assert sel.generator_cliques == ()
-    assert len(Boundaries(cx).rank(1).pivot_cols) == 3
+    boundaries = Boundaries(enumerate_cliques(net))
+    assert _select(boundaries, 1).generator_cliques == ()
+    assert len(boundaries.rank(1).pivot_cols) == 3
 
 
 def test_find_cavities_order1(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = select_oracle(b1, b2).selection
     certs = find_cavities(b1, b2, sel, cx.levels[1])
     assert [c.length for c in certs] == [4, 7]
     assert _labeled(sample14, cx, 1, certs[0].support()) == {
@@ -107,7 +117,7 @@ def test_find_cavities_order1(sample14):
 def test_find_cavities_order2_is_the_octahedron(sample14):
     cx = enumerate_cliques(sample14)
     b2, b3 = _pair(cx, 2)
-    sel = select_spanning_and_generators(b2, b3)
+    sel = select_oracle(b2, b3).selection
     certs = find_cavities(b2, b3, sel, cx.levels[2])
     assert len(certs) == 1
     assert certs[0].length == 8
@@ -127,7 +137,7 @@ def test_find_cavities_order2_is_the_octahedron(sample14):
 def test_cavity_search_error_reports_partial(sample14, monkeypatch):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = select_oracle(b1, b2).selection
     # a schedule that stops at 5, below the second certificate's length 7
     schedule = cavities.length_schedule
     monkeypatch.setattr(cavities, "length_schedule", lambda k, ceiling: schedule(k, 5))
@@ -140,7 +150,7 @@ def test_cavity_search_error_reports_partial(sample14, monkeypatch):
 def test_verify_accepts_search_output(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = select_oracle(b1, b2).selection
     certs = find_cavities(b1, b2, sel, cx.levels[1])
     assert verify_certificate(certs[0], b1, b2, [])
     assert verify_certificate(certs[1], b1, b2, [certs[0]])
@@ -161,7 +171,7 @@ def test_verify_rejects_clique_boundary_as_fake_cavity(sample14):
 def test_verify_rejects_bit_flip(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = select_oracle(b1, b2).selection
     cert = find_cavities(b1, b2, sel, cx.levels[1])[0]
     broken = cert._replace(indicator=cert.indicator ^ 1)
     result = verify_certificate(broken, b1, b2, [])
@@ -172,7 +182,7 @@ def test_verify_rejects_bit_flip(sample14):
 def test_verify_rejects_wrong_generator_and_duplicate(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = select_oracle(b1, b2).selection
     cert = find_cavities(b1, b2, sel, cx.levels[1])[0]
     assert verify_certificate(cert._replace(generator=0), b1, b2, []).failed == (
         "generator-membership"
@@ -185,7 +195,7 @@ def test_cross_polytope_self_test():
     for k in range(1, 5):
         cx = enumerate_cliques(cocktail_party_network(k))
         bk, bk1 = _pair(cx, k)
-        sel = select_spanning_and_generators(bk, bk1)
+        sel = select_oracle(bk, bk1).selection
         certs = find_cavities(bk, bk1, sel, cx.levels[k])
         assert len(certs) == 1, f"k={k}"
         assert certs[0].length == 2 ** (k + 1)
@@ -194,14 +204,14 @@ def test_cross_polytope_self_test():
         # lower orders carry no cavities at all
         for lower in range(1, k):
             bl, bl1 = _pair(cx, lower)
-            sel_l = select_spanning_and_generators(bl, bl1)
+            sel_l = select_oracle(bl, bl1).selection
             assert sel_l.generator_cliques == ()
 
 
 def test_sum_of_same_order_certificates_is_a_cycle(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = select_oracle(b1, b2).selection
     certs = find_cavities(b1, b2, sel, cx.levels[1])
     both = certs[0].indicator ^ certs[1].indicator
     assert all((row & both).bit_count() % 2 == 0 for row in b1.bits)
@@ -210,7 +220,7 @@ def test_sum_of_same_order_certificates_is_a_cycle(sample14):
 def test_independence_rank_is_processing_order_free(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = select_oracle(b1, b2).selection
     r2 = gf2_rank(b2).rank
     certs = find_cavities(b1, b2, sel, cx.levels[1])
     forward = [c.indicator for c in certs]
@@ -221,26 +231,17 @@ def test_independence_rank_is_processing_order_free(sample14):
 
 
 def test_minimality_no_shorter_independent_cycle(sample14):
-    from cliquecav import column_space_basis, iter_solutions
-    from cliquecav.cavities import _parity_rows
-    from cliquecav.gf2 import basis_insert
-    from cliquecav.solver import ZeroOneProgram
+    from cliquecav import ZeroOneProgram, iter_solutions
 
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = select_oracle(b1, b2).selection
     certs = find_cavities(b1, b2, sel, cx.levels[1])
-    rows = _parity_rows(b1)
+    program = ZeroOneProgram(b1.cols, [row for row in b1.bits if row])
     accepted: list[int] = []
     for cert in certs:
         for shorter in range(4, cert.length):
-            program = ZeroOneProgram(
-                num_vars=b1.cols,
-                parity_rows=rows,
-                fixed=[(cert.generator, 1)],
-                cardinality=shorter,
-            )
-            for mask in islice(iter_solutions(program), 10000):
+            for mask in islice(iter_solutions(program, cert.generator, shorter), 10000):
                 basis = dict(column_space_basis(b2))
                 for a in accepted:
                     assert basis_insert(basis, a)
@@ -290,7 +291,7 @@ def test_find_cavities_equals_the_bruteforce_over_all_cycles(name):
             bk, bk1 = _pair(cx, k)
             if bk.cols - gf2_rank(bk).rank > max_dim:
                 continue
-            sel = select_spanning_and_generators(bk, bk1)
+            sel = select_oracle(bk, bk1).selection
             certs = find_cavities(bk, bk1, sel, cx.levels[k])
             assert [c.indicator for c in certs] == (
                 cavities_bruteforce(bk, bk1, sel.generator_cliques)
@@ -308,7 +309,7 @@ def test_find_cavities_equals_the_bruteforce_on_small_graphs(net):
         bk, bk1 = _pair(cx, k)
         if bk.cols - gf2_rank(bk).rank > 14:
             continue
-        sel = select_spanning_and_generators(bk, bk1)
+        sel = select_oracle(bk, bk1).selection
         certs = find_cavities(bk, bk1, sel, cx.levels[k])
         assert [c.indicator for c in certs] == cavities_bruteforce(bk, bk1, sel.generator_cliques)
         for i, cert in enumerate(certs):
@@ -318,7 +319,7 @@ def test_find_cavities_equals_the_bruteforce_on_small_graphs(net):
 def test_certificate_json_round_trip(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = select_oracle(b1, b2).selection
     certs = find_cavities(b1, b2, sel, cx.levels[1])
     doc = certificates_to_json(certs, cx, sample14.node_labels)
     index = sample14.label_index()
@@ -348,7 +349,7 @@ def test_every_searched_certificate_equals_its_json_round_trip(name):
     certs = []
     for k in range(1, cx.top_order + 1):
         bk, bk1 = _pair(cx, k)
-        certs += find_cavities(bk, bk1, select_spanning_and_generators(bk, bk1), cx.levels[k])
+        certs += find_cavities(bk, bk1, select_oracle(bk, bk1).selection, cx.levels[k])
     assert certs
     doc = certificates_to_json(certs, cx, net.node_labels)
     index = net.label_index()
@@ -358,7 +359,7 @@ def test_every_searched_certificate_equals_its_json_round_trip(name):
 def test_certificate_from_json_rejects_bad_entries(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = select_oracle(b1, b2).selection
     entry = certificates_to_json(find_cavities(b1, b2, sel, cx.levels[1]), cx,
                                  sample14.node_labels)[0]
     assert entry["cliques"] == [["3", "6"], ["3", "8"], ["6", "7"], ["7", "8"]]
@@ -388,7 +389,7 @@ def test_certificate_from_json_rejects_bad_entries(sample14):
 def test_dot_output(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
-    sel = select_spanning_and_generators(b1, b2)
+    sel = select_oracle(b1, b2).selection
     cert = find_cavities(b1, b2, sel, cx.levels[1])[0]
     dot = certificate_to_dot(cert, cx, sample14.node_labels, "c1")
     assert dot.startswith("graph c1 {")
@@ -420,7 +421,7 @@ def test_dot_escapes_quotes_in_labels():
     net = network_from_edges([], list(zip(labels, labels[1:] + labels[:1])))
     cx = enumerate_cliques(net)
     b1, b2 = _pair(cx, 1)
-    cert = find_cavities(b1, b2, select_spanning_and_generators(b1, b2), cx.levels[1])[0]
+    cert = find_cavities(b1, b2, select_oracle(b1, b2).selection, cx.levels[1])[0]
     dot = certificate_to_dot(cert, cx, net.node_labels, "c1")
     assert '  "a\\"1";' in dot.splitlines()
     assert '"a"1"' not in dot

@@ -157,10 +157,14 @@ def test_analyze_csv_layout(capsys):
     assert lines[4] == "chi,0"
 
 
+@pytest.mark.parametrize("command", ["analyze", "cavities"])
+def test_gate_refusal_is_one_stderr_line_and_exit_2(capsys, command):
+    rc, out, err = run(capsys, command, "--input", SAMPLE14, "--threshold", "3")
+    assert (rc, out) == (2, "")
+    assert err == "not computable: k_max 4 exceeds threshold 3 (use --force to override)\n"
+
+
 def test_analyze_gate_and_force(capsys):
-    rc, _, err = run(capsys, "analyze", "--input", SAMPLE14, "--threshold", "3")
-    assert rc == 2
-    assert "--force" in err
     rc, out, _ = run(
         capsys, "analyze", "--input", SAMPLE14, "--threshold", "3", "--force",
         "--format", "json",
@@ -443,7 +447,7 @@ def test_verify_names_a_bad_clique_by_its_labels(tmp_path, capsys, change, line)
     certs = tmp_path / "certs.json"
     certs.write_text(json.dumps([entry]))
     rc, out, _ = run(capsys, "verify", "--input", str(cycle4), str(certs))
-    assert (rc, out) == (1, f"cert 1: FAIL (membership: {line})\n")
+    assert (rc, out) == (1, f"cert 1: FAIL ({line})\n")
 
 
 @pytest.mark.parametrize(
@@ -470,7 +474,7 @@ def test_verify_requires_the_certificate_lists_to_be_json_lists(tmp_path, capsys
     certs = tmp_path / "certs.json"
     certs.write_text(json.dumps([entry, {**entry, **change}]))
     rc, out, _ = run(capsys, "verify", "--input", str(cycle4), str(certs))
-    assert (rc, out) == (1, f"cert 1: PASS (order 1, length 4)\ncert 2: FAIL (membership: {line})\n")
+    assert (rc, out) == (1, f"cert 1: PASS (order 1, length 4)\ncert 2: FAIL ({line})\n")
 
 
 def test_verify_against_wrong_network_fails(tmp_path, capsys):
@@ -478,8 +482,9 @@ def test_verify_against_wrong_network_fails(tmp_path, capsys):
     _, out, _ = run(capsys, "cavities", "--input", SAMPLE14)
     certs.write_text(out)
     rc, out, _ = run(capsys, "verify", "--input", SAMPLE8, str(certs))
-    assert rc == 1
-    assert "FAIL (membership" in out
+    # sample8 holds sample14's 4-cycle, but not node 9 of the other two
+    assert (rc, out) == (1, "cert 1: PASS (order 1, length 4)\n"
+                            "cert 2: FAIL (unknown label 9)\ncert 3: FAIL (unknown label 9)\n")
 
 
 def test_verify_rejects_a_certificate_file_that_is_not_a_list(tmp_path, capsys):
@@ -499,7 +504,7 @@ def test_verify_rejects_an_order_or_length_that_is_not_an_integer(tmp_path, caps
     certs = tmp_path / "certs.json"
     certs.write_text(json.dumps([entry]))
     rc, out, _ = run(capsys, "verify", "--input", SAMPLE14, str(certs))
-    assert (rc, out) == (1, f"cert 1: FAIL (membership: {field} must be an integer, got {value!r})\n")
+    assert (rc, out) == (1, f"cert 1: FAIL ({field} must be an integer, got {value!r})\n")
 
 
 @pytest.mark.parametrize(
