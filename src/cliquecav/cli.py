@@ -8,11 +8,13 @@ runs them (kcore loads only the graph layer), so start-up pays for no
 module it does not use. Every run that needs the clique complex enumerates
 it; --cache FILE only exports it and is never read back.
 
-Exit codes: 0 success, 1 error (unreadable input, unwritable output,
-incomplete cavity search, failed self-check), 2 computability gate
-failed, 3 clique enumeration stopped by the budget (one stderr line
-naming the level and the counts so far). Usage errors exit 2 via
-argparse.
+Every file a subcommand writes goes through _write, so no reader sees it
+half-written. Subcommands raise; only main prints the one stderr line
+and picks the exit code: 0 success, 1 error (unreadable input,
+unwritable output, incomplete cavity search, failed self-check), 2
+computability gate failed, 3 clique enumeration stopped by the budget
+(one stderr line naming the level and the counts so far). Usage errors
+exit 2 via argparse.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ REFERENCE_CENSUS = {
     11: (24, 264, 1760, 7920, 25344, 59136, 101376, 125720, 112640, 67584, 24576, 4096),
 }
 
+# fetch waits at most this long for each connect and read of a download.
+FETCH_TIMEOUT_S = 60
+
 # Known datasets: expected (nodes, edges) after canonicalization.
 DATASETS = {
     "celegans": (297, 2148),
@@ -76,9 +81,30 @@ DATASETS = {
 }
 
 
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_ERROR
+def _write(path, data: bytes) -> None:
+    """Write data to path through a temporary file in the same directory,
+    renamed over path, so a reader never sees it half-written. On any
+    failure the temporary file is removed, and an OSError names path.
+
+    No fsync, so a power loss can still tear a file; the --cache export
+    and a fetched dataset carry checksums (levels_sha256, the sidecar).
+    """
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError as exc:  # name the user's path, not the temporary one
+        raise OSError(f"{path}: {exc.strerror or exc}") from None
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _mkdir(directory: Path) -> None:
+    """mkdir -p, whose OSError names directory as _write's names its path."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"{directory}: {exc.strerror or exc}") from None
 
 
 def _build_complex(net: Network, export: str | None, budget: int) -> CliqueComplex:
@@ -92,17 +118,7 @@ def _build_complex(net: Network, export: str | None, budget: int) -> CliqueCompl
     cx = enumerate_cliques(net, budget=budget)
     if export:
         doc = complex_to_json(cx, edge_text_checksum(net))
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        # readers never see a half-written file. No fsync: cliquecav never reads
-        # the file back, and a consumer can check levels_sha256
-        tmp = Path(export).with_name(f"{Path(export).name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(text + "\n", encoding="utf-8")
-            os.replace(tmp, export)
-        except OSError as exc:  # name the user's path, not the temporary one
-            raise OSError(f"{export}: {exc.strerror or exc}") from None
-        finally:
-            tmp.unlink(missing_ok=True)
+        _write(export, (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode())
     return cx
 
 
@@ -124,20 +140,15 @@ class GateRefused(RuntimeError):
     """The computability gate stopped the run, which --force overrides."""
 
 
-def _emit_dot_files(certs, cx: CliqueComplex, labels, directory: str) -> list[str]:
+def _emit_dot_files(certs, cx: CliqueComplex, labels, directory: str) -> None:
     from .cavities import certificate_to_dot
 
-    out_dir = Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    _mkdir(Path(directory))
     index: Counter = Counter()
     for cert in certs:
         index[cert.order] += 1
         name = f"cavity_order{cert.order}_{index[cert.order]}"
-        path = out_dir / f"{name}.dot"
-        path.write_text(certificate_to_dot(cert, cx, labels, name), encoding="utf-8")
-        written.append(str(path))
-    return written
+        _write(Path(directory, f"{name}.dot"), certificate_to_dot(cert, cx, labels, name).encode())
 
 
 def _print_json(doc) -> None:
@@ -182,16 +193,12 @@ def _profile_table(profile) -> str:
     return "\n".join(lines)
 
 
-def _cert_lines(certs, cx: CliqueComplex, labels) -> list[str]:
-    lines = []
-    for i, cert in enumerate(certs, 1):
-        gen = ",".join(labels[u] for u in cx.levels[cert.order][cert.generator])
-        nodes = " ".join(labels[u] for u in cert.node_set)
-        lines.append(
-            f"cavity {i}: order {cert.order}, length {cert.length}, "
-            f"generator ({gen}), nodes {nodes}"
-        )
-    return lines
+def _cert_lines(docs) -> list[str]:
+    return [
+        f"cavity {i}: order {doc['order']}, length {doc['length']}, "
+        f"generator ({','.join(doc['generator'])}), nodes {' '.join(doc['nodes'])}"
+        for i, doc in enumerate(docs, 1)
+    ]
 
 
 def cmd_kcore(args, parser) -> int:
@@ -227,8 +234,10 @@ def _pipeline(args, cavities: bool):
     most once and ranked at most once: selection reads the profile's
     ranks. Search and self-check of an order share one BoundaryContext.
 
-    Returns (net, cx, profile, certs). A gate refusal without --force
-    raises GateRefused, and a clique level over --budget BudgetExceeded.
+    Returns (profile, docs): docs is the certificates as
+    certificates_to_json exports them, which every output format renders,
+    and [] without cavities. A gate refusal without --force raises
+    GateRefused, and a clique level over --budget BudgetExceeded.
     """
     from .gf2 import Boundaries, homology_profile
 
@@ -240,26 +249,27 @@ def _pipeline(args, cavities: bool):
     # without cavities, no matrix outlives its rank
     boundaries = Boundaries(cx, keep_matrices=cavities)
     profile = homology_profile(cx, boundaries)
-    certs: list[CavityCertificate] = []
-    if cavities:
-        from .cavities import select_spanning_and_generators
+    if not cavities:
+        return profile, []
+    from .cavities import certificates_to_json, select_spanning_and_generators
 
-        context, rank, beta = _contexts(boundaries), boundaries.rank, profile.beta
-        for k in range(1, len(beta)):
-            if beta[k]:
-                sel = select_spanning_and_generators(k, cx.counts[k], rank(k), rank(k + 1))
-                certs.extend(context(k).search(sel, cx.levels[k]))
-        if args.verify:
-            for cert in certs:
-                result = context(cert.order).recheck(cert)
-                if not result:
-                    raise SelfCheckError(
-                        f"internal check failed: order-{cert.order} certificate "
-                        f"violates the {result.failed} constraint"
-                    )
-        if args.emit_dot:
-            _emit_dot_files(certs, cx, net.node_labels, args.emit_dot)
-    return net, cx, profile, certs
+    certs: list[CavityCertificate] = []
+    context, rank, beta = _contexts(boundaries), boundaries.rank, profile.beta
+    for k in range(1, len(beta)):
+        if beta[k]:
+            sel = select_spanning_and_generators(k, cx.counts[k], rank(k), rank(k + 1))
+            certs.extend(context(k).search(sel, cx.levels[k]))
+    if args.verify:
+        for cert in certs:
+            result = context(cert.order).recheck(cert)
+            if not result:
+                raise SelfCheckError(
+                    f"internal check failed: order-{cert.order} certificate "
+                    f"violates the {result.failed} constraint"
+                )
+    if args.emit_dot:
+        _emit_dot_files(certs, cx, net.node_labels, args.emit_dot)
+    return profile, certificates_to_json(certs, cx, net.node_labels)
 
 
 def cmd_analyze(args, parser) -> int:
@@ -268,7 +278,7 @@ def cmd_analyze(args, parser) -> int:
         parser.error("--emit-dot requires --cavities")
     if args.verify and not args.cavities:
         parser.error("--verify requires --cavities")
-    net, cx, profile, certs = _pipeline(args, args.cavities)
+    profile, docs = _pipeline(args, args.cavities)
     if args.format == "json":
         doc = {
             "m": list(profile.m),
@@ -278,40 +288,32 @@ def cmd_analyze(args, parser) -> int:
             "euler_poincare_ok": profile.euler_poincare_ok,
         }
         if args.cavities:
-            from .cavities import certificates_to_json
-
-            doc["cavities"] = certificates_to_json(certs, cx, net.node_labels)
+            doc["cavities"] = docs
         _print_json(doc)
     elif args.format == "csv":
-        cavity_rows = [
-            ["cavity", c.order, c.length, " ".join(net.node_labels[u] for u in c.node_set)]
-            for c in certs
-        ]
+        cavity_rows = [["cavity", d["order"], d["length"], " ".join(d["nodes"])] for d in docs]
         print(_profile_csv(profile) + _csv_text(cavity_rows), end="")
     else:
         print(_profile_table(profile))
-        for line in _cert_lines(certs, cx, net.node_labels):
+        for line in _cert_lines(docs):
             print(line)
     return EXIT_OK
 
 
 def cmd_cavities(args, parser) -> int:
     """Cavity certificates only (the analyze pipeline minus the profile)."""
-    net, cx, _, certs = _pipeline(args, True)
+    _, docs = _pipeline(args, True)
     if args.format == "csv":
-        rows = [["order", "length", "generator", "nodes"]]
-        for cert in certs:
-            gen = " ".join(net.node_labels[u] for u in cx.levels[cert.order][cert.generator])
-            nodes = " ".join(net.node_labels[u] for u in cert.node_set)
-            rows.append([cert.order, cert.length, gen, nodes])
+        rows = [["order", "length", "generator", "nodes"]] + [
+            [d["order"], d["length"], " ".join(d["generator"]), " ".join(d["nodes"])]
+            for d in docs
+        ]
         print(_csv_text(rows), end="")
     elif args.format == "table":
-        for line in _cert_lines(certs, cx, net.node_labels):
+        for line in _cert_lines(docs):
             print(line)
     else:
-        from .cavities import certificates_to_json
-
-        _print_json(certificates_to_json(certs, cx, net.node_labels))
+        _print_json(docs)
     return EXIT_OK
 
 
@@ -362,11 +364,8 @@ def cmd_smallest_cavity(args, parser) -> int:
 
 def cmd_random_er(args, parser) -> int:
     """Write a seeded uniform G(n, m) edge list."""
-    try:
-        net = random_er(args.n, args.m, args.seed)
-    except ValueError as exc:
-        return _fail(str(exc))
-    Path(args.dest).write_text(to_edge_text(net), encoding="utf-8")
+    net = random_er(args.n, args.m, args.seed)
+    _write(args.dest, to_edge_text(net).encode())
     print(f"wrote {net.node_count} nodes, {net.edge_count} edges to {args.dest} (seed {args.seed})")
     return EXIT_OK
 
@@ -378,36 +377,36 @@ def cmd_fetch(args, parser) -> int:
     records the pin for later runs.
     """
     dest = Path(args.dest) if args.dest else Path("data") / f"{args.name}.edges"
-    sidecar = dest.with_name(dest.name + ".sha256")
-    if dest.exists() and not args.force:
+    if dest.is_file() and not args.force:
         print(f"{dest} already exists (use --force to re-fetch)")
         return EXIT_OK
     # imported here: urllib costs every other subcommand tens of ms at start-up
     import hashlib
-    import urllib.error
+    import http.client
     import urllib.request
 
     try:
-        with urllib.request.urlopen(args.url) as resp:
+        with urllib.request.urlopen(args.url, timeout=FETCH_TIMEOUT_S) as resp:
             payload = resp.read()
-    except (urllib.error.URLError, OSError) as exc:
-        return _fail(f"fetch failed: {exc}")
+    # URLError and timeouts are OSErrors; IncompleteRead, a body cut short, is neither
+    except (OSError, http.client.HTTPException) as exc:
+        raise OSError(f"fetch failed: {exc}") from None
     digest = hashlib.sha256(payload).hexdigest()
     if args.sha256 and digest != args.sha256.lower():
-        return _fail(f"checksum mismatch: expected {args.sha256}, got {digest}")
-    try:
+        raise ValueError(f"checksum mismatch: expected {args.sha256}, got {digest}")
+    try:  # a UnicodeDecodeError is a ValueError
         net = load_edge_list(io.StringIO(payload.decode("utf-8")))
-    except (UnicodeDecodeError, ValueError) as exc:
-        return _fail(f"downloaded file is not a readable edge list: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"downloaded file is not a readable edge list: {exc}") from None
     expected = DATASETS.get(args.name)
     if expected and (net.node_count, net.edge_count) != expected:
-        return _fail(
+        raise ValueError(
             f"{args.name} should have {expected[0]} nodes and {expected[1]} edges, "
             f"got {net.node_count} nodes and {net.edge_count} edges"
         )
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    dest.write_bytes(payload)
-    sidecar.write_text(f"{digest}  {dest.name}\n", encoding="utf-8")
+    _mkdir(dest.parent)
+    _write(dest, payload)
+    _write(dest.with_name(dest.name + ".sha256"), f"{digest}  {dest.name}\n".encode())
     print(
         f"fetched {args.name}: {net.node_count} nodes, {net.edge_count} edges, "
         f"sha256 {digest}"
@@ -425,9 +424,9 @@ def cmd_verify(args, parser) -> int:
     try:
         doc = json.loads(Path(args.certificates).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
-        return _fail(f"{args.certificates}: {exc}")
+        raise ValueError(f"{args.certificates}: {exc}") from None
     if not isinstance(doc, list):
-        return _fail(f"{args.certificates}: a certificate file must hold a JSON list")
+        raise ValueError(f"{args.certificates}: a certificate file must hold a JSON list")
     index = net.label_index()
     context = _contexts(Boundaries(cx))
     failures = 0
@@ -545,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args, parser)
     except FileNotFoundError as exc:
-        return _fail(f"{exc.filename or exc}: no such file")
+        message = f"{exc.filename or exc}: no such file"
     except BudgetExceeded as exc:
         print(exc, file=sys.stderr)
         return EXIT_BUDGET
@@ -555,7 +554,9 @@ def main(argv: list[str] | None = None) -> int:
     # NodeLimitExceeded, CavitySearchError and SelfCheckError are RuntimeErrors;
     # naming the first two here would import solver and cavities into every subcommand
     except (OSError, ValueError, RuntimeError) as exc:
-        return _fail(str(exc))
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,19 +1,22 @@
 import argparse
+import errno
 import functools
 import hashlib
 import http.server
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from cliquecav import cavities
+from cliquecav import cavities, cli
 from cliquecav.cavities import BoundaryContext, VerifyResult
 from cliquecav.cli import build_parser, main
 from cliquecav.cliques import CliqueComplex, complex_to_json, enumerate_cliques
@@ -509,16 +512,18 @@ def test_verify_rejects_an_order_or_length_that_is_not_an_integer(tmp_path, caps
 
 @pytest.mark.parametrize(
     "payload, reason",
-    [(b"", "Expecting value"), (b"[{", "Expecting property name"), (b"\xff[]", "codec can't decode")],
+    [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b"[{", "Expecting property name enclosed in double quotes: line 1 column 3 (char 2)"),
+        (b"\xff[]", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
     ids=["empty", "truncated", "not-utf8"],
 )
 def test_verify_names_a_certificate_file_that_is_not_json(tmp_path, capsys, payload, reason):
     certs = tmp_path / "broken.json"
     certs.write_bytes(payload)
     rc, out, err = run(capsys, "verify", "--input", SAMPLE14, str(certs))
-    assert (rc, out) == (1, "")
-    assert err.startswith(f"error: {certs}: ") and reason in err
-    assert len(err.splitlines()) == 1
+    assert (rc, out, err) == (1, "", f"error: {certs}: {reason}\n")
 
 
 def test_missing_input_file_exits_1(tmp_path, capsys):
@@ -549,28 +554,6 @@ def test_input_read_errors_name_the_input_file(tmp_path, capsys, command, payloa
     rc, out, err = run(capsys, command, "--input", str(bad), *extra)
     assert (rc, out) == (1, "")
     assert err.startswith(f"error: {bad}: {reason}")
-    assert len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("target", ["missing/x.json", "adir"], ids=["missing-dir", "directory"])
-def test_cache_write_errors_name_the_given_path(tmp_path, capsys, target):
-    (tmp_path / "adir").mkdir()
-    cache = tmp_path / target
-    rc, out, err = run(capsys, "analyze", "--input", SAMPLE14, "--cache", str(cache))
-    assert (rc, out) == (1, "")
-    reason = "Is a directory" if target == "adir" else "No such file or directory"
-    assert err == f"error: {cache}: {reason}\n"
-    assert not list(tmp_path.rglob("*.tmp"))
-
-
-def test_emit_dot_onto_an_existing_file_exits_1(tmp_path, capsys):
-    target = tmp_path / "taken"
-    target.write_text("")
-    rc, out, err = run(
-        capsys, "analyze", "--input", SAMPLE14, "--cavities", "--emit-dot", str(target)
-    )
-    assert (rc, out) == (1, "")
-    assert err.startswith("error: ") and "File exists" in err
     assert len(err.splitlines()) == 1
 
 
@@ -618,9 +601,9 @@ def test_random_er_cli_deterministic(tmp_path, capsys):
     assert (tmp_path / "k4.edges").read_text().splitlines() == [
         "1 2", "1 3", "1 4", "2 3", "2 4", "3 4",
     ]
-    rc, _, err = run(capsys, "random-er", "4", "7", str(tmp_path / "no.edges"))
-    assert rc == 1
-    assert "infeasible" in err
+    rc, out, err = run(capsys, "random-er", "5", "20", str(tmp_path / "no.edges"))
+    assert (rc, out, err) == (1, "", "error: infeasible edge count m=20 for n=5\n")
+    assert not (tmp_path / "no.edges").exists()
 
 
 # every option each subcommand takes besides -h/--help; a flag that no
@@ -676,19 +659,32 @@ def test_help_exits_0(capsys, name):
     assert capsys.readouterr().out.startswith(f"usage: cliquecav {name}")
 
 
+class QuietHandler(http.server.SimpleHTTPRequestHandler):
+    def log_message(self, *args):  # the request log would land in the CLI's captured stderr
+        pass
+
+
 @pytest.fixture()
 def http_server(tmp_path):
     serve_dir = tmp_path / "served"
     serve_dir.mkdir()
-    handler = functools.partial(
-        http.server.SimpleHTTPRequestHandler, directory=str(serve_dir)
-    )
+    handler = functools.partial(QuietHandler, directory=str(serve_dir))
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval: shutdown() waits up to one interval
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield serve_dir, f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture()
+def sample14_url(http_server):
+    serve_dir, base = http_server
+    (serve_dir / "net.edges").write_bytes(Path(SAMPLE14).read_bytes())
+    return f"{base}/net.edges"
 
 
 def test_fetch_success_writes_file_and_checksum(http_server, tmp_path, capsys):
@@ -728,9 +724,24 @@ def test_fetch_checksum_pin_mismatch_keeps_nothing(http_server, tmp_path, capsys
         capsys, "fetch", "mynet", "--url", f"{base}/net.edges",
         "--dest", str(dest), "--sha256", "0" * 64,
     )
-    assert rc == 1
-    assert "checksum mismatch" in err
-    assert not dest.exists()
+    digest = hashlib.sha256(Path(SAMPLE14).read_bytes()).hexdigest()
+    assert (rc, err) == (1, f"error: checksum mismatch: expected {'0' * 64}, got {digest}\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "served"]
+
+
+def test_fetch_rejects_a_payload_that_is_not_utf8(http_server, tmp_path, capsys):
+    serve_dir, base = http_server
+    (serve_dir / "net.edges").write_bytes(b"1 2\n\xff 3\n")
+    rc, _, err = run(
+        capsys, "fetch", "mynet", "--url", f"{base}/net.edges",
+        "--dest", str(tmp_path / "mynet.edges"),
+    )
+    assert (rc, err) == (
+        1,
+        "error: downloaded file is not a readable edge list: 'utf-8' codec can't "
+        "decode byte 0xff in position 4: invalid start byte\n",
+    )
+    assert list(tmp_path.iterdir()) == [tmp_path / "served"]
 
 
 def test_fetch_known_dataset_size_validation(http_server, tmp_path, capsys):
@@ -740,9 +751,10 @@ def test_fetch_known_dataset_size_validation(http_server, tmp_path, capsys):
     rc, _, err = run(
         capsys, "fetch", "celegans", "--url", f"{base}/net.edges", "--dest", str(dest)
     )
-    assert rc == 1
-    assert "297" in err
-    assert not dest.exists()
+    assert (rc, err) == (
+        1, "error: celegans should have 297 nodes and 2148 edges, got 14 nodes and 26 edges\n"
+    )
+    assert list(tmp_path.iterdir()) == [tmp_path / "served"]
 
 
 def test_fetch_existing_dest_without_force(tmp_path, capsys):
@@ -761,8 +773,117 @@ def test_fetch_unreachable_url_fails(tmp_path, capsys):
         capsys, "fetch", "mynet", "--url", "http://127.0.0.1:1/nope",
         "--dest", str(tmp_path / "x.edges"),
     )
-    assert rc == 1
-    assert "fetch failed" in err
+    refused = f"[Errno {errno.ECONNREFUSED}] {os.strerror(errno.ECONNREFUSED)}"
+    assert (rc, err) == (1, f"error: fetch failed: <urlopen error {refused}>\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fetch_gives_up_on_a_server_that_never_answers(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "FETCH_TIMEOUT_S", 0.5)
+    # the kernel completes the connection into the backlog; nothing ever answers it
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        url = f"http://127.0.0.1:{silent.getsockname()[1]}/net.edges"
+        start = time.monotonic()
+        rc, out, err = run(capsys, "fetch", "mynet", "--url", url, "--dest", str(tmp_path / "x"))
+        assert time.monotonic() - start < 10
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: fetch failed: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fetch_of_a_body_cut_short_is_an_error(tmp_path, capsys):
+    with socket.create_server(("127.0.0.1", 0)) as server:
+
+        def answer_short():
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n1 2\n")
+
+        thread = threading.Thread(target=answer_short)
+        thread.start()
+        url = f"http://127.0.0.1:{server.getsockname()[1]}/net.edges"
+        rc, out, err = run(capsys, "fetch", "mynet", "--url", url, "--dest", str(tmp_path / "x"))
+        thread.join()
+    assert (rc, out) == (1, "")
+    assert err == "error: fetch failed: IncompleteRead(4 bytes read, 96 more expected)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fetch_into_an_existing_directory_is_an_error_that_writes_nothing(
+    sample14_url, tmp_path, capsys
+):
+    dest = tmp_path / "adir"
+    dest.mkdir()
+    rc, out, err = run(capsys, "fetch", "mynet", "--url", sample14_url, "--dest", str(dest))
+    assert (rc, out, err) == (1, "", f"error: {dest}: Is a directory\n")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "adir", "served", "served/net.edges",
+    ]
+
+
+def writer_argv(writer: str, path: Path, url: str) -> list[str]:
+    """The command line with which writer writes the file at path."""
+    fetch = ["fetch", "mynet", "--url", url, "--force", "--dest"]
+    return {
+        "analyze-cache": ["analyze", "--input", SAMPLE14, "--cache", str(path)],
+        "cavities-cache": ["cavities", "--input", SAMPLE14, "--cache", str(path)],
+        "verify-cache": ["verify", "--input", SAMPLE14, "--cache", str(path),
+                         str(GOLDEN / "cavities.json")],
+        "random-er": ["random-er", "5", "3", str(path)],
+        "fetch": [*fetch, str(path)],
+        "fetch-sidecar": [*fetch, str(path.with_suffix(""))],
+        "emit-dot": ["cavities", "--input", SAMPLE14, "--emit-dot", str(path.parent)],
+    }[writer]
+
+
+# the name of the file each writer writes: the sidecar of dataset x, and the first DOT file
+WRITTEN_NAME = {"fetch-sidecar": "x.sha256", "emit-dot": "cavity_order1_1.dot"}
+WRITERS = ("analyze-cache", "cavities-cache", "verify-cache", "random-er", "fetch",
+           "fetch-sidecar", "emit-dot")
+
+
+@pytest.mark.parametrize(
+    "writer, fault",
+    # fetch and --emit-dot make the directory they write into, so only a file in its way fails
+    [(w, "missing-dir") for w in WRITERS[:4]]
+    + [(w, "directory") for w in WRITERS]
+    + [(w, "parent-is-a-file") for w in ("fetch", "emit-dot")],
+)
+def test_every_failed_write_is_one_error_line_naming_the_path(
+    sample14_url, tmp_path, capsys, writer, fault
+):
+    parent = tmp_path / "d"
+    path = parent / WRITTEN_NAME.get(writer, "x")
+    if fault == "missing-dir":
+        named, reason = path, "No such file or directory"
+    elif fault == "directory":
+        path.mkdir(parents=True)
+        named, reason = path, "Is a directory"
+    else:
+        parent.write_text("")
+        named, reason = parent, "File exists"
+    rc, out, err = run(capsys, *writer_argv(writer, path, sample14_url))
+    assert (rc, out, err) == (1, "", f"error: {named}: {reason}\n")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("writer", [w for w in WRITERS if w != "fetch-sidecar"])
+def test_a_failed_rename_keeps_the_old_file(
+    sample14_url, monkeypatch, tmp_path, capsys, writer
+):
+    path = tmp_path / "d" / WRITTEN_NAME.get(writer, "x")
+    path.parent.mkdir()
+    path.write_bytes(b"old\n")
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    rc, out, err = run(capsys, *writer_argv(writer, path, sample14_url))
+    assert (rc, out, err) == (1, "", f"error: {path}: {os.strerror(errno.EACCES)}\n")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
 def _run_subprocess(args, hash_seed, **extra_env):
