@@ -49,7 +49,6 @@ _HOME = {
             "column_space_basis",
             "gf2_rank",
             "homology_profile",
-            "zero_cols_matrix",
         ),
         "gf2",
     ),

@@ -10,11 +10,12 @@ it; --cache FILE only exports it and is never read back.
 
 Every file a subcommand writes goes through _write, so no reader sees it
 half-written. Subcommands raise; only main prints the one stderr line
-and picks the exit code: 0 success, 1 error (unreadable input,
-unwritable output, incomplete cavity search, failed self-check), 2
-computability gate failed, 3 clique enumeration stopped by the budget
-(one stderr line naming the level and the counts so far). Usage errors
-exit 2 via argparse.
+and picks the exit code. A path that cannot be read, written or made
+prints as "error: <path>: <reason>". Exit codes: 0 success, 1 error
+(unreadable input, unwritable output, incomplete cavity search, failed
+self-check), 2 computability gate failed, 3 clique enumeration stopped
+by the budget (one stderr line naming the level and the counts so far).
+Usage errors exit 2 via argparse.
 """
 
 from __future__ import annotations
@@ -89,22 +90,15 @@ def _write(path, data: bytes) -> None:
     No fsync, so a power loss can still tear a file; the --cache export
     and a fetched dataset carry checksums (levels_sha256, the sidecar).
     """
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    target = Path(path)  # drops a trailing slash: tmp goes beside a dir/, not in it
+    tmp = Path(f"{target}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as exc:  # name the user's path, not the temporary one
         raise OSError(f"{path}: {exc.strerror or exc}") from None
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def _mkdir(directory: Path) -> None:
-    """mkdir -p, whose OSError names directory as _write's names its path."""
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"{directory}: {exc.strerror or exc}") from None
 
 
 def _build_complex(net: Network, export: str | None, budget: int) -> CliqueComplex:
@@ -143,7 +137,7 @@ class GateRefused(RuntimeError):
 def _emit_dot_files(certs, cx: CliqueComplex, labels, directory: str) -> None:
     from .cavities import certificate_to_dot
 
-    _mkdir(Path(directory))
+    Path(directory).mkdir(parents=True, exist_ok=True)
     index: Counter = Counter()
     for cert in certs:
         index[cert.order] += 1
@@ -163,34 +157,32 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _profile_csv(profile) -> str:
-    return _csv_text([
-        ["k"] + list(range(len(profile.m))),
-        ["m_k"] + list(profile.m),
-        ["r_k"] + list(profile.r),
-        ["beta_k"] + list(profile.beta),
-        ["chi", profile.chi],
-        ["euler_poincare_ok", "true" if profile.euler_poincare_ok else "false"],
-    ])
-
-
-def _profile_table(profile) -> str:
+def _profile_rows(profile) -> tuple[list, str]:
+    """The profile's (heading, values) rows, and euler_poincare_ok as text."""
     rows = [
         ("k", range(len(profile.m))),
         ("m_k", profile.m),
         ("r_k", profile.r),
         ("beta_k", profile.beta),
     ]
+    return rows, "true" if profile.euler_poincare_ok else "false"
+
+
+def _profile_csv(profile) -> str:
+    rows, ok = _profile_rows(profile)
+    return _csv_text(
+        [[head, *vals] for head, vals in rows] + [["chi", profile.chi], ["euler_poincare_ok", ok]]
+    )
+
+
+def _profile_table(profile) -> str:
+    rows, ok = _profile_rows(profile)
     # an empty network has empty rows, printed as bare headings
     width = max([2] + [len(str(v)) for _, vals in rows for v in vals])
-    lines = []
-    for head, vals in rows:
-        lines.append((f"{head:8}" + " ".join(f"{v:>{width}}" for v in vals)).rstrip())
-    lines.append(f"chi = {profile.chi}")
-    lines.append(
-        "euler_poincare_ok = " + ("true" if profile.euler_poincare_ok else "false")
-    )
-    return "\n".join(lines)
+    lines = [
+        (f"{head:8}" + " ".join(f"{v:>{width}}" for v in vals)).rstrip() for head, vals in rows
+    ]
+    return "\n".join(lines + [f"chi = {profile.chi}", f"euler_poincare_ok = {ok}"])
 
 
 def _cert_lines(docs) -> list[str]:
@@ -404,7 +396,7 @@ def cmd_fetch(args, parser) -> int:
             f"{args.name} should have {expected[0]} nodes and {expected[1]} edges, "
             f"got {net.node_count} nodes and {net.edge_count} edges"
         )
-    _mkdir(dest.parent)
+    dest.parent.mkdir(parents=True, exist_ok=True)
     _write(dest, payload)
     _write(dest.with_name(dest.name + ".sha256"), f"{digest}  {dest.name}\n".encode())
     print(
@@ -543,17 +535,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except FileNotFoundError as exc:
-        message = f"{exc.filename or exc}: no such file"
     except BudgetExceeded as exc:
         print(exc, file=sys.stderr)
         return EXIT_BUDGET
     except GateRefused as exc:
         print(exc, file=sys.stderr)
         return EXIT_GATE
+    # a failed read or mkdir names its path as _write's error does
+    except OSError as exc:
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
     # NodeLimitExceeded, CavitySearchError and SelfCheckError are RuntimeErrors;
     # naming the first two here would import solver and cavities into every subcommand
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         message = str(exc)
     print(f"error: {message}", file=sys.stderr)
     return EXIT_ERROR

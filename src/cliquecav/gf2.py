@@ -45,11 +45,6 @@ class RankResult(NamedTuple):
         return len(self.pivot_cols)
 
 
-def zero_cols_matrix(rows: int) -> Gf2Matrix:
-    """A rows x 0 matrix; stands in for the boundary above the top order."""
-    return Gf2Matrix(0, [0] * rows)
-
-
 def build_boundary_matrix(cx: CliqueComplex, k: int) -> Gf2Matrix:
     """Incidence of (k-1)-cliques (rows) against k-cliques (columns).
 
@@ -197,7 +192,7 @@ class Boundaries:
         m = self._matrices.get(k)
         if m is None:
             if k > self.cx.top_order:
-                m = zero_cols_matrix(self.cx.counts[k - 1])
+                m = Gf2Matrix(0, [0] * self.cx.counts[k - 1])
             else:
                 m = build_boundary_matrix(self.cx, k)
             if self.keep_matrices:

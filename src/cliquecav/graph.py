@@ -121,8 +121,9 @@ def load_edge_list(source: str | Path | IO[str]) -> Network:
     that is neither comment nor at least two tokens raises ValueError
     with its line number. An empty source gives an empty Network. Files
     are read as UTF-8 whatever the locale, and one leading byte-order
-    mark (U+FEFF) is dropped, from a file object too. The errors of a
-    path source start with the path.
+    mark (U+FEFF) is dropped, from a file object too. The ValueErrors of
+    a path source start with the path; an unreadable path raises the
+    OSError whose filename is that path.
     """
     if hasattr(source, "read"):
         return _parse_edge_text(source.read())

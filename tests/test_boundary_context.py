@@ -33,7 +33,6 @@ from cliquecav import (
     load_edge_list,
     select_spanning_and_generators,
     verify_certificate,
-    zero_cols_matrix,
 )
 from cliquecav.cavities import BoundaryContext
 from cliquecav.cli import _contexts
@@ -57,7 +56,7 @@ def _pair(cx, k):
     bk = build_boundary_matrix(cx, k)
     if k < cx.top_order:
         return bk, build_boundary_matrix(cx, k + 1)
-    return bk, zero_cols_matrix(cx.counts[k])
+    return bk, Gf2Matrix(0, [0] * cx.counts[k])
 
 
 def _selection(boundaries, k):
@@ -94,7 +93,7 @@ def _hollow_triangle():
     above it, and its one cycle: independent, and shorter than the order-1
     minimum of 4, which no searched certificate is."""
     b1 = Gf2Matrix(3, [0b011, 0b101, 0b110])
-    return b1, zero_cols_matrix(3), CavityCertificate(1, 0b111, 0, (0, 1, 2))
+    return b1, Gf2Matrix(0, [0] * 3), CavityCertificate(1, 0b111, 0, (0, 1, 2))
 
 
 def _verdicts(check, sequence):

@@ -17,6 +17,7 @@ from cliquecav import cavities
 from cliquecav import (
     Boundaries,
     CavitySearchError,
+    Gf2Matrix,
     basis_insert,
     build_boundary_matrix,
     certificate_from_json,
@@ -31,7 +32,6 @@ from cliquecav import (
     network_from_edges,
     select_spanning_and_generators,
     verify_certificate,
-    zero_cols_matrix,
 )
 
 
@@ -42,7 +42,7 @@ def _pair(cx, k):
     bk = build_boundary_matrix(cx, k)
     if k < cx.top_order:
         return bk, build_boundary_matrix(cx, k + 1)
-    return bk, zero_cols_matrix(cx.counts[k])
+    return bk, Gf2Matrix(0, [0] * cx.counts[k])
 
 
 def _labeled(net, cx, k, indices):

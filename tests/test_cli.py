@@ -526,18 +526,28 @@ def test_verify_names_a_certificate_file_that_is_not_json(tmp_path, capsys, payl
     assert (rc, out, err) == (1, "", f"error: {certs}: {reason}\n")
 
 
-def test_missing_input_file_exits_1(tmp_path, capsys):
-    missing = tmp_path / "missing.edges"
-    rc, out, err = run(capsys, "analyze", "--input", str(missing))
-    assert (rc, out) == (1, "")
-    assert err == f"error: {missing}: no such file\n"
+def reader_argv(reader: str, path: str) -> list[str]:
+    """The command line with which reader reads the file at path."""
+    return {
+        "kcore": ["kcore", "--input", path],
+        "analyze": ["analyze", "--input", path],
+        "cavities": ["cavities", "--input", path],
+        "verify": ["verify", "--input", path, str(GOLDEN / "cavities.json")],
+        "verify-certificates": ["verify", "--input", SAMPLE14, path],
+    }[reader]
 
 
-def test_input_that_is_a_directory_exits_1(tmp_path, capsys):
-    rc, out, err = run(capsys, "analyze", "--input", str(tmp_path))
-    assert (rc, out) == (1, "")
-    assert err.startswith("error: ") and "Is a directory" in err
-    assert len(err.splitlines()) == 1
+@pytest.mark.parametrize("fault", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "reader", ["kcore", "analyze", "cavities", "verify", "verify-certificates"]
+)
+def test_every_failed_read_is_one_error_line_naming_the_path(tmp_path, capsys, reader, fault):
+    if fault == "missing":
+        path, reason = tmp_path / "missing.edges", "No such file or directory"
+    else:
+        path, reason = tmp_path, "Is a directory"
+    rc, out, err = run(capsys, *reader_argv(reader, str(path)))
+    assert (rc, out, err) == (1, "", f"error: {path}: {reason}\n")
 
 
 @pytest.mark.parametrize(
@@ -822,8 +832,8 @@ def test_fetch_into_an_existing_directory_is_an_error_that_writes_nothing(
     ]
 
 
-def writer_argv(writer: str, path: Path, url: str) -> list[str]:
-    """The command line with which writer writes the file at path."""
+def writer_argv(writer: str, path: str | Path, url: str) -> list[str]:
+    """The command line with which writer writes the file at path, typed as str(path)."""
     fetch = ["fetch", "mynet", "--url", url, "--force", "--dest"]
     return {
         "analyze-cache": ["analyze", "--input", SAMPLE14, "--cache", str(path)],
@@ -832,8 +842,8 @@ def writer_argv(writer: str, path: Path, url: str) -> list[str]:
                          str(GOLDEN / "cavities.json")],
         "random-er": ["random-er", "5", "3", str(path)],
         "fetch": [*fetch, str(path)],
-        "fetch-sidecar": [*fetch, str(path.with_suffix(""))],
-        "emit-dot": ["cavities", "--input", SAMPLE14, "--emit-dot", str(path.parent)],
+        "fetch-sidecar": [*fetch, str(Path(path).with_suffix(""))],
+        "emit-dot": ["cavities", "--input", SAMPLE14, "--emit-dot", str(Path(path).parent)],
     }[writer]
 
 
@@ -848,6 +858,8 @@ WRITERS = ("analyze-cache", "cavities-cache", "verify-cache", "random-er", "fetc
     # fetch and --emit-dot make the directory they write into, so only a file in its way fails
     [(w, "missing-dir") for w in WRITERS[:4]]
     + [(w, "directory") for w in WRITERS]
+    # a DEST typed with a trailing slash: the temporary file must not land inside it
+    + [(w, "directory-with-slash") for w in WRITERS[:4]]
     + [(w, "parent-is-a-file") for w in ("fetch", "emit-dot")],
 )
 def test_every_failed_write_is_one_error_line_naming_the_path(
@@ -860,6 +872,10 @@ def test_every_failed_write_is_one_error_line_naming_the_path(
     elif fault == "directory":
         path.mkdir(parents=True)
         named, reason = path, "Is a directory"
+    elif fault == "directory-with-slash":
+        path.mkdir(parents=True)
+        path = named = f"{path}/"
+        reason = "Is a directory"
     else:
         parent.write_text("")
         named, reason = parent, "File exists"
