@@ -4,8 +4,10 @@ A k-cavity certificate is a 0-1 vector over k-cliques that is a GF(2)
 cycle, passes through its generator clique, has exactly L ones, and is
 linearly independent of the (k+1)-clique boundaries together with all
 previously accepted certificates. select_spanning_and_generators reads
-the generators off the profile's ranks; minimal representatives are
-found by exact-length 0-1 search over an increasing length schedule.
+the generators off the ranks of one gf2.Boundaries, which the profile
+reads too; exact-length 0-1 search over an increasing length schedule
+finds minimal representatives. A certificate holds clique indices only,
+and cert.nodes(cx) reads its nodes off the complex.
 
 Search and the re-check of order k share one BoundaryContext (B_k and a
 basis of B_{k+1}'s column space); find_cavities and verify_certificate
@@ -17,8 +19,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
-from .cliques import Clique, CliqueComplex
-from .gf2 import Gf2Matrix, RankResult, basis_insert, bit_indices, column_space_basis
+from .cliques import CliqueComplex
+from .gf2 import Boundaries, Gf2Matrix, basis_insert, bit_indices, column_space_basis
 
 
 class CavitySearchError(RuntimeError):
@@ -36,7 +38,8 @@ class SpanningSelection(NamedTuple):
 
     They are the k-cliques in neither the tree, the pivot columns of B_k,
     nor the covered set, the pivot rows of B_{k+1} reduced with the tree
-    cleared; both sets are read off those RankResults.
+    cleared; select_spanning_and_generators reads both sets off
+    Boundaries.rank(k) and rank(k + 1).
     """
 
     order: int
@@ -47,7 +50,6 @@ class CavityCertificate(NamedTuple):
     order: int
     indicator: int  # bitmask over k-clique indices
     generator: int  # k-clique index with the indicator bit set
-    node_set: tuple[int, ...]
 
     @property
     def length(self) -> int:
@@ -55,6 +57,11 @@ class CavityCertificate(NamedTuple):
 
     def support(self) -> list[int]:
         return bit_indices(self.indicator)
+
+    def nodes(self, cx: CliqueComplex) -> list[int]:
+        """The nodes of the support's cliques in cx, ascending."""
+        level = cx.levels[self.order]
+        return sorted({u for j in self.support() for u in level[j]})
 
 
 class VerifyResult(NamedTuple):
@@ -84,10 +91,7 @@ class BoundaryContext:
         self.verified = dict(self.basis)
 
     def search(
-        self,
-        sel: SpanningSelection,
-        cliques: Sequence[Clique],
-        node_limit: int | None = None,
+        self, sel: SpanningSelection, node_limit: int | None = None
     ) -> list[CavityCertificate]:
         """One minimal independent certificate per generator clique of sel.
 
@@ -126,8 +130,7 @@ class BoundaryContext:
                     f"no independent cycle through generator {v} up to length {longest}",
                     accepted,
                 )
-            nodes = {u for j in bit_indices(mask) for u in cliques[j]}
-            accepted.append(CavityCertificate(self.order, mask, v, tuple(sorted(nodes))))
+            accepted.append(CavityCertificate(self.order, mask, v))
         return accepted
 
     def _malformed(self, cert: CavityCertificate) -> str | None:
@@ -162,21 +165,30 @@ class BoundaryContext:
         return VerifyResult()
 
 
-def select_spanning_and_generators(order: int, m_k: int, below: RankResult,
-                                   above: RankResult) -> SpanningSelection:
-    """Split the m_k k-cliques into tree, covered and generator sets.
+def _cavity_order(order: int, cx: CliqueComplex) -> int:
+    """order, if cx has cavities of that order to look for; else ValueError."""
+    if order < 1:
+        raise ValueError(f"a cavity has order 1 or more, got {order}")
+    if order > cx.top_order:
+        raise ValueError(f"no order-{order} cliques in this network")
+    return order
 
-    below is the RankResult of B_k, and above that of B_{k+1} reduced with
-    below's pivot columns, the tree, cleared, as Boundaries.rank(k) and
-    rank(k + 1) are. above's pivot rows are then the non-tree cliques that
-    B_{k+1}'s columns account for, and the beta_k non-tree cliques it
-    finds dependent are the generators.
+
+def select_spanning_and_generators(order: int, boundaries: Boundaries) -> SpanningSelection:
+    """Split the k-cliques of boundaries.cx, k = order, into tree, covered
+    and generator sets.
+
+    The tree is the pivot columns of rank(k), B_k's. rank(k + 1) reduces
+    B_{k+1} with the tree cleared, so its pivot rows are the non-tree
+    cliques that B_{k+1}'s columns account for, the covered set. The
+    beta_k non-tree cliques it finds dependent are the generators.
+    Raises ValueError for an order outside 1..top_order.
     """
-    tree, covered = set(below.pivot_cols), set(above.pivot_rows)
-    if not tree.isdisjoint(covered):
-        raise ValueError("B_{k+1} was reduced without the tree cleared")
-    generators = tuple(j for j in range(m_k) if j not in tree and j not in covered)
-    return SpanningSelection(order, generators)
+    _cavity_order(order, boundaries.cx)
+    tree = boundaries.rank(order).pivot_cols
+    covered = boundaries.rank(order + 1).pivot_rows
+    generators = set(range(boundaries.cx.counts[order])).difference(tree, covered)
+    return SpanningSelection(order, tuple(sorted(generators)))
 
 
 def length_schedule(k: int, ceiling: int):
@@ -198,12 +210,11 @@ def find_cavities(
     bk: Gf2Matrix,
     bk1: Gf2Matrix,
     sel: SpanningSelection,
-    cliques: Sequence[Clique],
     node_limit: int | None = None,
 ) -> list[CavityCertificate]:
     """BoundaryContext.search on a throwaway context of order sel.order;
     raises CavitySearchError as search does."""
-    return BoundaryContext(sel.order, bk, bk1).search(sel, cliques, node_limit)
+    return BoundaryContext(sel.order, bk, bk1).search(sel, node_limit)
 
 
 def verify_certificate(
@@ -238,7 +249,7 @@ def certificates_to_json(
                 "generator": [labels[u] for u in level[cert.generator]],
                 "cliques": [[labels[u] for u in level[j]] for j in cert.support()],
                 "length": cert.length,
-                "nodes": [labels[u] for u in cert.node_set],
+                "nodes": [labels[u] for u in cert.nodes(cx)],
             }
         )
     return out
@@ -260,12 +271,9 @@ def certificate_from_json(
     """
     if type(entry) is not dict:
         raise ValueError(f"an entry must be a JSON object, got {entry!r}")
-    order = _field(entry, "order", int)
-    if not 1 <= order <= cx.top_order:
-        raise ValueError(f"no order-{order} cliques in this network")
+    order = _cavity_order(_field(entry, "order", int), cx)
     position = {c: j for j, c in enumerate(cx.levels[order])}
     mask = 0
-    nodes: set[int] = set()
     for clique in _field(entry, "cliques", list):
         if type(clique) is not list:
             raise ValueError(f"a clique must be a list, got {clique!r}")
@@ -275,14 +283,13 @@ def certificate_from_json(
         if mask >> j & 1:
             raise ValueError(f"clique {name} is listed twice")
         mask |= 1 << j
-        nodes.update(key)
     key, name = _node_ids(_field(entry, "generator", list), index)
     if (generator := position.get(key)) is None:
         raise ValueError(f"generator {name} is not an order-{order} clique")
-    cert = CavityCertificate(order, mask, generator, tuple(sorted(nodes)))
+    cert = CavityCertificate(order, mask, generator)
     if cert.length != _field(entry, "length", int):
         raise ValueError(f"claimed length {entry['length']}, listed {cert.length} cliques")
-    if _node_ids(_field(entry, "nodes", list), index)[0] != cert.node_set:
+    if list(_node_ids(_field(entry, "nodes", list), index)[0]) != cert.nodes(cx):
         raise ValueError("node list disagrees with the cliques")
     return cert
 
@@ -316,16 +323,13 @@ def certificate_to_dot(
     """DOT rendering of the cavity's node-edge skeleton."""
     # \ before ", so that a label ending in \ cannot escape its closing quote
     quoted = {u: '"' + labels[u].replace("\\", "\\\\").replace('"', '\\"') + '"'
-              for u in cert.node_set}
+              for u in cert.nodes(cx)}
     level = cx.levels[cert.order]
-    edges: set[tuple[int, int]] = set()
-    for j in cert.support():
-        for u, v in combinations(level[j], 2):
-            edges.add((u, v))
+    edges = {e for j in cert.support() for e in combinations(level[j], 2)}
     lines = [f"graph {name} {{"]
     lines.append(f'  label="order {cert.order} cavity, length {cert.length}";')
-    for u in cert.node_set:
-        lines.append(f"  {quoted[u]};")
+    for q in quoted.values():  # the nodes, ascending
+        lines.append(f"  {q};")
     for u, v in sorted(edges):
         lines.append(f"  {quoted[u]} -- {quoted[v]};")
     lines.append("}")

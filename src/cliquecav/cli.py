@@ -240,17 +240,16 @@ def _pipeline(args, cavities: bool):
     cx = _build_complex(net, args.cache, args.budget)
     # without cavities, no matrix outlives its rank
     boundaries = Boundaries(cx, keep_matrices=cavities)
-    profile = homology_profile(cx, boundaries)
+    profile = homology_profile(boundaries)
     if not cavities:
         return profile, []
     from .cavities import certificates_to_json, select_spanning_and_generators
 
     certs: list[CavityCertificate] = []
-    context, rank, beta = _contexts(boundaries), boundaries.rank, profile.beta
+    context, beta = _contexts(boundaries), profile.beta
     for k in range(1, len(beta)):
         if beta[k]:
-            sel = select_spanning_and_generators(k, cx.counts[k], rank(k), rank(k + 1))
-            certs.extend(context(k).search(sel, cx.levels[k]))
+            certs.extend(context(k).search(select_spanning_and_generators(k, boundaries)))
     if args.verify:
         for cert in certs:
             result = context(cert.order).recheck(cert)
@@ -397,7 +396,7 @@ def cmd_fetch(args, parser) -> int:
             f"got {net.node_count} nodes and {net.edge_count} edges"
         )
     dest.parent.mkdir(parents=True, exist_ok=True)
-    _write(dest, payload)
+    _write(args.dest or dest, payload)  # --dest as typed, which a failure names
     _write(dest.with_name(dest.name + ".sha256"), f"{digest}  {dest.name}\n".encode())
     print(
         f"fetched {args.name}: {net.node_count} nodes, {net.edge_count} edges, "
@@ -414,7 +413,8 @@ def cmd_verify(args, parser) -> int:
     net = load_edge_list(args.input)
     cx = _build_complex(net, args.cache, args.budget)
     try:
-        doc = json.loads(Path(args.certificates).read_text(encoding="utf-8"))
+        with open(args.certificates, encoding="utf-8") as f:
+            doc = json.load(f)
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{args.certificates}: {exc}") from None
     if not isinstance(doc, list):

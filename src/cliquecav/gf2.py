@@ -211,22 +211,19 @@ class Boundaries:
         return result
 
 
-def homology_profile(cx: CliqueComplex, boundaries: Boundaries | None = None) -> HomologyProfile:
-    """Compute all boundary ranks and Betti numbers of a clique complex.
+def homology_profile(boundaries: Boundaries) -> HomologyProfile:
+    """Compute all boundary ranks and Betti numbers of boundaries.cx.
 
-    The ranks come from boundaries (default: a new Boundaries(cx) that
-    keeps no matrix): r_1 from the spanning forest, and r_k for k >= 2
-    from B_k reduced with the pivot columns of B_{k-1} cleared. Clearing
-    skips only rows that the kept rows span, so every rank and pivot
-    column equals plain forward elimination.
+    r_1 comes from the spanning forest, and r_k for k >= 2 from B_k
+    reduced with the pivot columns of B_{k-1} cleared. Clearing skips only
+    rows that the kept rows span, so every rank and pivot column equals
+    plain forward elimination. homology_profile(Boundaries(cx,
+    keep_matrices=False)) computes the profile alone and holds one B_k at
+    a time.
     """
-    top = len(cx.levels) - 1
-    if boundaries is None:
-        boundaries = Boundaries(cx, keep_matrices=False)
-    r = [0] * (top + 1)
-    for k in range(1, top + 1):
-        r[k] = boundaries.rank(k).rank
-    profile = HomologyProfile(cx.counts, tuple(r))
+    cx = boundaries.cx
+    r = tuple(boundaries.rank(k).rank if k else 0 for k in range(len(cx.levels)))
+    profile = HomologyProfile(cx.counts, r)
     for k, b in enumerate(profile.beta):
         if b < 0:
             raise AssertionError(f"negative Betti number at order {k}")

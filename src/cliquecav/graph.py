@@ -123,12 +123,13 @@ def load_edge_list(source: str | Path | IO[str]) -> Network:
     are read as UTF-8 whatever the locale, and one leading byte-order
     mark (U+FEFF) is dropped, from a file object too. The ValueErrors of
     a path source start with the path; an unreadable path raises the
-    OSError whose filename is that path.
+    OSError whose filename is that path, as typed.
     """
     if hasattr(source, "read"):
         return _parse_edge_text(source.read())
     try:
-        return _parse_edge_text(Path(source).read_text(encoding="utf-8"))
+        with open(source, encoding="utf-8") as f:
+            return _parse_edge_text(f.read())
     except ValueError as exc:  # not UTF-8, or a line without two labels
         raise ValueError(f"{source}: {exc}") from None
 

@@ -10,10 +10,11 @@ the rows it keeps), and select_oracle, find_cavities_oracle and
 verify_certificate_oracle: the cavity stage as it was before the
 per-order BoundaryContext and before selection read the cleared ranks,
 kept as its reference; select_oracle returns its tree and covered sets
-beside the selection, which holds only the generators. Every call
-rebuilds what it reads (ranks, transposes, column bases, and the prior
-certificates' basis), so they stand apart from the shared context and
-ranks.
+beside the selection, which holds only the generators, and
+find_cavities_oracle each certificate's nodes beside the certificates,
+which hold only clique indices. Every call rebuilds what it reads
+(ranks, transposes, column bases, and the prior certificates' basis), so
+they stand apart from the shared context and ranks.
 Likewise _Frame and _Search are the 0-1 search without the pairing
 bound, kept as it was but for its call, which names the pin and the
 length as the library's does, and the branches for a search with no
@@ -686,14 +687,23 @@ def select_oracle(bk: Gf2Matrix, bk1: Gf2Matrix) -> Split:
     )
 
 
+class Cavities(NamedTuple):
+    """find_cavities_oracle's certificates, and the nodes of each one's
+    cliques, ascending."""
+
+    certificates: list[CavityCertificate]
+    nodes: list[list[int]]
+
+
 def find_cavities_oracle(
     bk: Gf2Matrix,
     bk1: Gf2Matrix,
     sel: SpanningSelection,
     cliques: Sequence[Clique],
     node_limit: int | None = None,
-) -> list[CavityCertificate]:
-    """One minimal independent certificate per generator clique.
+) -> Cavities:
+    """One minimal independent certificate per generator clique, and its
+    nodes read off cliques, the k-cliques.
 
     Generators are processed in ascending index order. For each length on
     the schedule, which runs up to the number of k-cliques, the cycles
@@ -710,11 +720,12 @@ def find_cavities_oracle(
         node_limit = DEFAULT_NODE_LIMIT
     k = sel.order
     if not sel.generator_cliques:
-        return []
+        return Cavities([], [])
     basis = dict(column_space_basis(bk1))
     ceiling = bk.cols
     program = ZeroOneProgram(bk.cols, [row for row in bk.bits if row])
     accepted: list[CavityCertificate] = []
+    node_sets: list[list[int]] = []
     for v in sel.generator_cliques:
         found = None
         for length in length_schedule(k, ceiling):
@@ -723,12 +734,8 @@ def find_cavities_oracle(
                     nodes = set()
                     for j in bit_indices(mask):
                         nodes.update(cliques[j])
-                    found = CavityCertificate(
-                        order=k,
-                        indicator=mask,
-                        generator=v,
-                        node_set=tuple(sorted(nodes)),
-                    )
+                    found = CavityCertificate(order=k, indicator=mask, generator=v)
+                    node_sets.append(sorted(nodes))
                     break
             if found is not None:
                 accepted.append(found)
@@ -738,7 +745,7 @@ def find_cavities_oracle(
                 f"no independent cycle through generator {v} up to length {ceiling}",
                 accepted,
             )
-    return accepted
+    return Cavities(accepted, node_sets)
 
 
 def verify_certificate_oracle(

@@ -101,8 +101,7 @@ def _boundary_pair(cx, k):
 
 def _selection(cx, k):
     """The order-k selection, read off the ranks of one Boundaries."""
-    rank = Boundaries(cx).rank
-    return select_spanning_and_generators(k, cx.counts[k], rank(k), rank(k + 1))
+    return select_spanning_and_generators(k, Boundaries(cx))
 
 
 def _program(matrix):
@@ -132,8 +131,8 @@ def _entry(order, cliques, generator):
 def test_acceptance_1_sample_network_profile_exact(sample14, sample8):
     started = time.perf_counter()
     cx = enumerate_cliques(sample14)
-    profile = homology_profile(cx)
-    sub_profile = homology_profile(enumerate_cliques(sample8))
+    profile = homology_profile(Boundaries(cx, keep_matrices=False))
+    sub_profile = homology_profile(Boundaries(enumerate_cliques(sample8), keep_matrices=False))
     elapsed = time.perf_counter() - started
 
     assert cx.counts == (14, 26, 13, 1)
@@ -158,7 +157,7 @@ def test_acceptance_2_sample_network_cavities_exact(sample14):
 
     b1, b2 = _boundary_pair(cx, 1)
     sel1 = _selection(cx, 1)
-    certs1 = find_cavities(b1, b2, sel1, cx.levels[1])
+    certs1 = find_cavities(b1, b2, sel1)
     assert [c.length for c in certs1] == [4, 7]
     assert _edge_labels(sample14, cx, certs1[0].indicator) == {
         ("3", "6"), ("6", "7"), ("7", "8"), ("3", "8"),
@@ -170,10 +169,10 @@ def test_acceptance_2_sample_network_cavities_exact(sample14):
 
     b2m, b3 = _boundary_pair(cx, 2)
     sel2 = _selection(cx, 2)
-    certs2 = find_cavities(b2m, b3, sel2, cx.levels[2])
+    certs2 = find_cavities(b2m, b3, sel2)
     assert len(certs2) == 1
     assert certs2[0].length == 8
-    assert {sample14.node_labels[u] for u in certs2[0].node_set} == {
+    assert {sample14.node_labels[u] for u in certs2[0].nodes(cx)} == {
         "9", "10", "11", "12", "13", "14",
     }
 
@@ -190,7 +189,7 @@ def test_acceptance_3_celegans_profile_and_order3_cavities():
     net = load_dataset("celegans")
     started = time.perf_counter()
     cx = enumerate_cliques(net)
-    profile = homology_profile(cx)
+    profile = homology_profile(Boundaries(cx, keep_matrices=False))
 
     def padded(vec):
         return tuple(vec) + (0,) * (9 - len(vec))
@@ -204,9 +203,9 @@ def test_acceptance_3_celegans_profile_and_order3_cavities():
     b3, b4 = _boundary_pair(cx, 3)
     sel = _selection(cx, 3)
     assert len(sel.generator_cliques) == 4
-    certs = find_cavities(b3, b4, sel, cx.levels[3])
+    certs = find_cavities(b3, b4, sel)
     assert len(certs) == 4
-    assert any(c.length == 16 and len(c.node_set) == 8 for c in certs)
+    assert any(c.length == 16 and len(c.nodes(cx)) == 8 for c in certs)
     prior = []
     for cert in certs:
         assert verify_certificate(cert, b3, b4, prior)
@@ -277,7 +276,7 @@ def test_acceptance_6_property_suites(sample14):
     # Euler-Poincare holds and beta_0 counts components on seeded graphs
     for seed in range(20):
         net = bernoulli_graph(16, 0.3, seed)
-        profile = homology_profile(enumerate_cliques(net))
+        profile = homology_profile(Boundaries(enumerate_cliques(net), keep_matrices=False))
         assert profile.euler_poincare_ok, f"seed {seed}"
         assert profile.beta[0] == component_count(net), f"seed {seed}"
 
@@ -319,7 +318,7 @@ def test_acceptance_6_property_suites(sample14):
     # no strictly shorter certificate exists for either order-1 generator
     b1, b2 = _boundary_pair(cx, 1)
     sel = _selection(cx, 1)
-    certs = find_cavities(b1, b2, sel, cx.levels[1])
+    certs = find_cavities(b1, b2, sel)
     from cliquecav import basis_insert, column_space_basis
 
     program = _program(b1)
@@ -338,7 +337,7 @@ def test_acceptance_7_random_network_seed_sweep(sample14):
     m3_values = []
     for seed in range(20):
         net = random_er(297, 2148, seed)
-        profile = homology_profile(enumerate_cliques(net))
+        profile = homology_profile(Boundaries(enumerate_cliques(net), keep_matrices=False))
         assert profile.euler_poincare_ok, f"seed {seed}"
         assert len(profile.m) <= 4, f"seed {seed}: orders beyond 3 appeared"
         m3_values.append(profile.m[3] if len(profile.m) == 4 else 0)
@@ -353,7 +352,7 @@ def test_acceptance_7_random_network_seed_sweep(sample14):
     index = sample14.label_index()
     b1, b2 = _boundary_pair(cx, 1)
     sel = _selection(cx, 1)
-    certs = find_cavities(b1, b2, sel, cx.levels[1])
+    certs = find_cavities(b1, b2, sel)
     seven_cycle = [("1", "3"), ("1", "5"), ("3", "6"), ("5", "9"), ("6", "14"), ("9", "10"), ("10", "14")]
     replacement = certificate_from_json(_entry(1, seven_cycle, seven_cycle[3]), cx, index)
     assert replacement.length == certs[1].length

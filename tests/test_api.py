@@ -58,7 +58,7 @@ RECORD_FIELDS = {
     "RankResult": ("pivot_cols", "pivot_rows"),
     "HomologyProfile": ("m", "r"),
     "SpanningSelection": ("order", "generator_cliques"),
-    "CavityCertificate": ("order", "indicator", "generator", "node_set"),
+    "CavityCertificate": ("order", "indicator", "generator"),
     "VerifyResult": ("failed",),
     "ZeroOneProgram": ("num_vars", "parity_rows"),
 }

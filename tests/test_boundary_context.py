@@ -59,12 +59,6 @@ def _pair(cx, k):
     return bk, Gf2Matrix(0, [0] * cx.counts[k])
 
 
-def _selection(boundaries, k):
-    """The selection of order k as the CLI takes it, from the profile's ranks."""
-    rank = boundaries.rank
-    return select_spanning_and_generators(k, boundaries.cx.counts[k], rank(k), rank(k + 1))
-
-
 def _assert_split_is_the_ranks(split, boundaries, k):
     """The oracle's tree, B_{k+1} pivot columns and covered set against
     the ranks of the shared Boundaries."""
@@ -93,7 +87,7 @@ def _hollow_triangle():
     above it, and its one cycle: independent, and shorter than the order-1
     minimum of 4, which no searched certificate is."""
     b1 = Gf2Matrix(3, [0b011, 0b101, 0b110])
-    return b1, Gf2Matrix(0, [0] * 3), CavityCertificate(1, 0b111, 0, (0, 1, 2))
+    return b1, Gf2Matrix(0, [0] * 3), CavityCertificate(1, 0b111, 0)
 
 
 def _verdicts(check, sequence):
@@ -118,11 +112,13 @@ def test_context_and_wrappers_match_the_former_cavity_stage(name):
         _assert_split_is_the_ranks(split, boundaries, k)
         sel = split.selection
         # the CLI's ranks: the spanning forest for k = 1, the cleared ranks above
-        assert _selection(boundaries, k) == sel
-        certs = find_cavities_oracle(bk, bk1, sel, cx.levels[k])
-        assert find_cavities(bk, bk1, sel, cx.levels[k]) == certs
-        assert context(k).search(sel, cx.levels[k]) == certs
+        assert select_spanning_and_generators(k, boundaries) == sel
+        certs, nodes = find_cavities_oracle(bk, bk1, sel, cx.levels[k])
+        assert find_cavities(bk, bk1, sel) == certs
+        assert context(k).search(sel) == certs
         assert len(certs) == len(sel.generator_cliques)
+        for cert, expected in zip(certs, nodes):
+            assert cert.nodes(cx) == expected
 
         for sequence in _mutations(certs, bk.cols):
             expected = _verdicts(
@@ -144,7 +140,7 @@ def test_context_and_wrappers_match_the_former_cavity_stage(name):
 def test_mutations_reach_every_verdict(sample14):
     cx = enumerate_cliques(sample14)
     bk, bk1 = _pair(cx, 1)
-    certs = find_cavities_oracle(bk, bk1, select_oracle(bk, bk1).selection, cx.levels[1])
+    certs, _ = find_cavities_oracle(bk, bk1, select_oracle(bk, bk1).selection, cx.levels[1])
     seen = set()
     for sequence in _mutations(certs, bk.cols):
         fresh = _contexts(Boundaries(cx))(1)
@@ -167,12 +163,12 @@ def test_the_recheck_extends_its_own_copy_of_the_basis(sample14):
     cx = enumerate_cliques(sample14)
     boundaries = Boundaries(cx)
     context = _contexts(boundaries)(1)
-    sel = _selection(boundaries, 1)
-    certs = context.search(sel, cx.levels[1])
+    sel = select_spanning_and_generators(1, boundaries)
+    certs = context.search(sel)
     assert context.recheck(certs[0])
     assert context.recheck(certs[0]).failed == "independence"
     # the search reads the basis of B_2 alone, not the one the re-check grew
-    assert context.search(sel, cx.levels[1]) == certs
+    assert context.search(sel) == certs
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -180,10 +176,10 @@ def test_the_recheck_extends_its_own_copy_of_the_basis(sample14):
 def test_selection_from_the_profile_ranks_equals_the_former_selection(net):
     cx = enumerate_cliques(net)
     boundaries = Boundaries(cx)
-    beta = homology_profile(cx, boundaries).beta
+    beta = homology_profile(boundaries).beta
     for k in range(1, cx.top_order + 1):
         split = select_oracle(*_pair(cx, k))
         _assert_split_is_the_ranks(split, boundaries, k)
-        sel = _selection(boundaries, k)
+        sel = select_spanning_and_generators(k, boundaries)
         assert sel == split.selection
         assert len(sel.generator_cliques) == beta[k]

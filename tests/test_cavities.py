@@ -49,16 +49,10 @@ def _labeled(net, cx, k, indices):
     return {tuple(net.node_labels[u] for u in cx.levels[k][j]) for j in indices}
 
 
-def _select(boundaries, k):
-    """The selection of order k, read off the ranks of boundaries."""
-    rank = boundaries.rank
-    return select_spanning_and_generators(k, boundaries.cx.counts[k], rank(k), rank(k + 1))
-
-
 def test_sub_network_selection(sample8):
     cx = enumerate_cliques(sample8)
     boundaries = Boundaries(cx)
-    sel = _select(boundaries, 1)
+    sel = select_spanning_and_generators(1, boundaries)
     assert sel.order == 1
     # the tree and the covered set, read off the ranks the selection uses
     assert _labeled(sample8, cx, 1, boundaries.rank(1).pivot_cols) == {
@@ -74,21 +68,13 @@ def test_sub_network_selection(sample8):
 def test_full_network_selection_counts(sample14):
     cx = enumerate_cliques(sample14)
     boundaries = Boundaries(cx)
-    sel = _select(boundaries, 1)
+    sel = select_spanning_and_generators(1, boundaries)
     assert len(boundaries.rank(1).pivot_cols) == 13
     assert len(boundaries.rank(2).pivot_rows) == 11
     assert sel.generator_cliques == (13, 25)
     assert _labeled(sample14, cx, 1, sel.generator_cliques) == {("7", "8"), ("13", "14")}
-    sel2 = _select(boundaries, 2)
+    sel2 = select_spanning_and_generators(2, boundaries)
     assert _labeled(sample14, cx, 2, sel2.generator_cliques) == {("12", "13", "14")}
-
-
-def test_selection_rejects_ranks_reduced_without_the_tree_cleared(sample14):
-    cx = enumerate_cliques(sample14)
-    boundaries = Boundaries(cx)
-    uncleared = gf2_rank(boundaries.matrix(2))
-    with pytest.raises(ValueError, match="without the tree cleared"):
-        select_spanning_and_generators(1, cx.counts[1], boundaries.rank(1), uncleared)
 
 
 def test_selection_on_tree_has_no_generators():
@@ -96,32 +82,41 @@ def test_selection_on_tree_has_no_generators():
         ["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("2", "4")]
     )
     boundaries = Boundaries(enumerate_cliques(net))
-    assert _select(boundaries, 1).generator_cliques == ()
+    assert select_spanning_and_generators(1, boundaries).generator_cliques == ()
     assert len(boundaries.rank(1).pivot_cols) == 3
+
+
+@pytest.mark.parametrize("order, message", [
+    (0, "a cavity has order 1 or more, got 0"),
+    (2, "no order-2 cliques in this network"),
+])
+def test_selection_rejects_an_order_outside_the_complex(order, message):
+    net = network_from_edges(["1", "2", "3"], [("1", "2"), ("2", "3")])
+    with pytest.raises(ValueError) as err:
+        select_spanning_and_generators(order, Boundaries(enumerate_cliques(net)))
+    assert str(err.value) == message
 
 
 def test_find_cavities_order1(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    certs = find_cavities(b1, b2, sel, cx.levels[1])
+    certs = find_cavities(b1, b2, sel)
     assert [c.length for c in certs] == [4, 7]
     assert _labeled(sample14, cx, 1, certs[0].support()) == {
         ("3", "6"), ("6", "7"), ("7", "8"), ("3", "8"),
     }
-    assert certs[0].node_set == tuple(
-        sample14.label_index()[lab] for lab in ("3", "6", "7", "8")
-    )
+    assert certs[0].nodes(cx) == [sample14.label_index()[lab] for lab in ("3", "6", "7", "8")]
 
 
 def test_find_cavities_order2_is_the_octahedron(sample14):
     cx = enumerate_cliques(sample14)
     b2, b3 = _pair(cx, 2)
     sel = select_oracle(b2, b3).selection
-    certs = find_cavities(b2, b3, sel, cx.levels[2])
+    certs = find_cavities(b2, b3, sel)
     assert len(certs) == 1
     assert certs[0].length == 8
-    labels = {sample14.node_labels[u] for u in certs[0].node_set}
+    labels = {sample14.node_labels[u] for u in certs[0].nodes(cx)}
     assert labels == {"9", "10", "11", "12", "13", "14"}
     # brute force: it is the only 2-cycle with exactly 8 faces
     cycles8 = []
@@ -142,7 +137,7 @@ def test_cavity_search_error_reports_partial(sample14, monkeypatch):
     schedule = cavities.length_schedule
     monkeypatch.setattr(cavities, "length_schedule", lambda k, ceiling: schedule(k, 5))
     with pytest.raises(CavitySearchError) as err:
-        find_cavities(b1, b2, sel, cx.levels[1])
+        find_cavities(b1, b2, sel)
     assert [c.length for c in err.value.partial] == [4]
     assert "up to length 5 (1 certificates of that order found)" in str(err.value)
 
@@ -151,7 +146,7 @@ def test_verify_accepts_search_output(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    certs = find_cavities(b1, b2, sel, cx.levels[1])
+    certs = find_cavities(b1, b2, sel)
     assert verify_certificate(certs[0], b1, b2, [])
     assert verify_certificate(certs[1], b1, b2, [certs[0]])
 
@@ -172,7 +167,7 @@ def test_verify_rejects_bit_flip(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    cert = find_cavities(b1, b2, sel, cx.levels[1])[0]
+    cert = find_cavities(b1, b2, sel)[0]
     broken = cert._replace(indicator=cert.indicator ^ 1)
     result = verify_certificate(broken, b1, b2, [])
     assert not result
@@ -183,7 +178,7 @@ def test_verify_rejects_wrong_generator_and_duplicate(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    cert = find_cavities(b1, b2, sel, cx.levels[1])[0]
+    cert = find_cavities(b1, b2, sel)[0]
     assert verify_certificate(cert._replace(generator=0), b1, b2, []).failed == (
         "generator-membership"
     )
@@ -196,7 +191,7 @@ def test_cross_polytope_self_test():
         cx = enumerate_cliques(cocktail_party_network(k))
         bk, bk1 = _pair(cx, k)
         sel = select_oracle(bk, bk1).selection
-        certs = find_cavities(bk, bk1, sel, cx.levels[k])
+        certs = find_cavities(bk, bk1, sel)
         assert len(certs) == 1, f"k={k}"
         assert certs[0].length == 2 ** (k + 1)
         assert certs[0].indicator == (1 << cx.counts[k]) - 1
@@ -212,7 +207,7 @@ def test_sum_of_same_order_certificates_is_a_cycle(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    certs = find_cavities(b1, b2, sel, cx.levels[1])
+    certs = find_cavities(b1, b2, sel)
     both = certs[0].indicator ^ certs[1].indicator
     assert all((row & both).bit_count() % 2 == 0 for row in b1.bits)
 
@@ -222,7 +217,7 @@ def test_independence_rank_is_processing_order_free(sample14):
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
     r2 = gf2_rank(b2).rank
-    certs = find_cavities(b1, b2, sel, cx.levels[1])
+    certs = find_cavities(b1, b2, sel)
     forward = [c.indicator for c in certs]
     for order in (forward, forward[::-1]):
         basis = dict(column_space_basis(b2))
@@ -236,7 +231,7 @@ def test_minimality_no_shorter_independent_cycle(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    certs = find_cavities(b1, b2, sel, cx.levels[1])
+    certs = find_cavities(b1, b2, sel)
     program = ZeroOneProgram(b1.cols, [row for row in b1.bits if row])
     accepted: list[int] = []
     for cert in certs:
@@ -292,7 +287,7 @@ def test_find_cavities_equals_the_bruteforce_over_all_cycles(name):
             if bk.cols - gf2_rank(bk).rank > max_dim:
                 continue
             sel = select_oracle(bk, bk1).selection
-            certs = find_cavities(bk, bk1, sel, cx.levels[k])
+            certs = find_cavities(bk, bk1, sel)
             assert [c.indicator for c in certs] == (
                 cavities_bruteforce(bk, bk1, sel.generator_cliques)
             ), f"{name} {i}, order {k}"
@@ -310,7 +305,7 @@ def test_find_cavities_equals_the_bruteforce_on_small_graphs(net):
         if bk.cols - gf2_rank(bk).rank > 14:
             continue
         sel = select_oracle(bk, bk1).selection
-        certs = find_cavities(bk, bk1, sel, cx.levels[k])
+        certs = find_cavities(bk, bk1, sel)
         assert [c.indicator for c in certs] == cavities_bruteforce(bk, bk1, sel.generator_cliques)
         for i, cert in enumerate(certs):
             assert verify_certificate(cert, bk, bk1, certs[:i])
@@ -320,7 +315,7 @@ def test_certificate_json_round_trip(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    certs = find_cavities(b1, b2, sel, cx.levels[1])
+    certs = find_cavities(b1, b2, sel)
     doc = certificates_to_json(certs, cx, sample14.node_labels)
     index = sample14.label_index()
     assert [certificate_from_json(entry, cx, index) for entry in doc] == certs
@@ -349,7 +344,7 @@ def test_every_searched_certificate_equals_its_json_round_trip(name):
     certs = []
     for k in range(1, cx.top_order + 1):
         bk, bk1 = _pair(cx, k)
-        certs += find_cavities(bk, bk1, select_oracle(bk, bk1).selection, cx.levels[k])
+        certs += find_cavities(bk, bk1, select_oracle(bk, bk1).selection)
     assert certs
     doc = certificates_to_json(certs, cx, net.node_labels)
     index = net.label_index()
@@ -360,14 +355,14 @@ def test_certificate_from_json_rejects_bad_entries(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    entry = certificates_to_json(find_cavities(b1, b2, sel, cx.levels[1]), cx,
-                                 sample14.node_labels)[0]
+    entry = certificates_to_json(find_cavities(b1, b2, sel), cx, sample14.node_labels)[0]
     assert entry["cliques"] == [["3", "6"], ["3", "8"], ["6", "7"], ["7", "8"]]
     index = sample14.label_index()
     top = cx.top_order + 1
     cases = [
-        ({**entry, "order": 0}, "no order-0 cliques"),
-        ({**entry, "order": top}, f"no order-{top} cliques"),
+        ({**entry, "order": 0}, "^a cavity has order 1 or more, got 0$"),
+        ({**entry, "order": -1}, "^a cavity has order 1 or more, got -1$"),
+        ({**entry, "order": top}, f"^no order-{top} cliques in this network$"),
         ({**entry, "length": 5}, "claimed length 5"),
         ({**entry, "nodes": entry["nodes"][:-1]}, "node list"),
         ({**entry, "nodes": ["3", "6", "7", "99"]}, "^unknown label 99$"),
@@ -390,7 +385,7 @@ def test_dot_output(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    cert = find_cavities(b1, b2, sel, cx.levels[1])[0]
+    cert = find_cavities(b1, b2, sel)[0]
     dot = certificate_to_dot(cert, cx, sample14.node_labels, "c1")
     assert dot.startswith("graph c1 {")
     assert dot.count("--") == 4
@@ -421,7 +416,7 @@ def test_dot_escapes_quotes_in_labels():
     net = network_from_edges([], list(zip(labels, labels[1:] + labels[:1])))
     cx = enumerate_cliques(net)
     b1, b2 = _pair(cx, 1)
-    cert = find_cavities(b1, b2, select_oracle(b1, b2).selection, cx.levels[1])[0]
+    cert = find_cavities(b1, b2, select_oracle(b1, b2).selection)[0]
     dot = certificate_to_dot(cert, cx, net.node_labels, "c1")
     assert '  "a\\"1";' in dot.splitlines()
     assert '"a"1"' not in dot

@@ -537,16 +537,19 @@ def reader_argv(reader: str, path: str) -> list[str]:
     }[reader]
 
 
-@pytest.mark.parametrize("fault", ["missing", "directory"])
+@pytest.mark.parametrize("fault", ["missing", "directory", "missing-typed", "directory-typed"])
 @pytest.mark.parametrize(
     "reader", ["kcore", "analyze", "cavities", "verify", "verify-certificates"]
 )
 def test_every_failed_read_is_one_error_line_naming_the_path(tmp_path, capsys, reader, fault):
-    if fault == "missing":
-        path, reason = tmp_path / "missing.edges", "No such file or directory"
-    else:
-        path, reason = tmp_path, "Is a directory"
-    rc, out, err = run(capsys, *reader_argv(reader, str(path)))
+    path, reason = {
+        "missing": (f"{tmp_path}/missing.edges", "No such file or directory"),
+        "directory": (str(tmp_path), "Is a directory"),
+        # a path typed with ./ or a trailing slash is named as typed
+        "missing-typed": (f"{tmp_path}/./missing.edges", "No such file or directory"),
+        "directory-typed": (f"{tmp_path}/", "Is a directory"),
+    }[fault]
+    rc, out, err = run(capsys, *reader_argv(reader, path))
     assert (rc, out, err) == (1, "", f"error: {path}: {reason}\n")
 
 
@@ -859,7 +862,7 @@ WRITERS = ("analyze-cache", "cavities-cache", "verify-cache", "random-er", "fetc
     [(w, "missing-dir") for w in WRITERS[:4]]
     + [(w, "directory") for w in WRITERS]
     # a DEST typed with a trailing slash: the temporary file must not land inside it
-    + [(w, "directory-with-slash") for w in WRITERS[:4]]
+    + [(w, "directory-with-slash") for w in WRITERS[:5]]
     + [(w, "parent-is-a-file") for w in ("fetch", "emit-dot")],
 )
 def test_every_failed_write_is_one_error_line_naming_the_path(

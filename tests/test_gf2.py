@@ -45,6 +45,11 @@ def _random_matrix(rng, max_dim=64):
     return Gf2Matrix(cols, bits)
 
 
+def _profile(cx):
+    # the profile alone, one B_k held at a time, as analyze without --cavities computes it
+    return homology_profile(Boundaries(cx, keep_matrices=False))
+
+
 def test_sub_network_node_edge_matrix(sample8):
     cx = enumerate_cliques(sample8)
     b1 = build_boundary_matrix(cx, 1)
@@ -156,10 +161,10 @@ def test_union_find_r1_matches_boundary_rank(sample14):
     cases = [*_differential_complexes(sample14), ("scattered", enumerate_cliques(scattered))]
     for name, cx in cases:
         expected = gf2_rank(build_boundary_matrix(cx, 1)).rank
-        assert homology_profile(cx).r[1] == expected, name
+        assert _profile(cx).r[1] == expected, name
         # pivot rows too: every node row but the last of its component
         assert Boundaries(cx).rank(1) == forward_rank_oracle(build_boundary_matrix(cx, 1)), name
-    assert homology_profile(enumerate_cliques(scattered)).beta[0] == 5
+    assert _profile(enumerate_cliques(scattered)).beta[0] == 5
 
 
 def test_augmentation_cases(sample14):
@@ -198,7 +203,7 @@ def test_boundary_of_boundary_is_zero(sample14):
 
 
 def test_profile_sample14(sample14):
-    prof = homology_profile(enumerate_cliques(sample14))
+    prof = _profile(enumerate_cliques(sample14))
     assert prof.m == (14, 26, 13, 1)
     assert prof.r == (0, 13, 11, 1)
     assert prof.beta == (1, 2, 1, 0)
@@ -209,7 +214,7 @@ def test_profile_sample14(sample14):
 def test_profile_two_disjoint_triangles():
     labels = [str(i) for i in range(1, 7)]
     pairs = [("1", "2"), ("1", "3"), ("2", "3"), ("4", "5"), ("4", "6"), ("5", "6")]
-    prof = homology_profile(enumerate_cliques(network_from_edges(labels, pairs)))
+    prof = _profile(enumerate_cliques(network_from_edges(labels, pairs)))
     assert prof.beta == (2, 0, 0)
     assert prof.chi == 2
 
@@ -217,14 +222,14 @@ def test_profile_two_disjoint_triangles():
 def test_beta0_counts_components():
     for seed in range(20):
         net = random_er(30, 25, seed)
-        prof = homology_profile(enumerate_cliques(net))
+        prof = _profile(enumerate_cliques(net))
         assert prof.beta[0] == component_count(net), f"seed {seed}"
 
 
 def test_euler_poincare_on_random_graphs():
     for seed in range(20):
         net = bernoulli_graph(22, 0.35, seed)
-        prof = homology_profile(enumerate_cliques(net))
+        prof = _profile(enumerate_cliques(net))
         assert prof.euler_poincare_ok, f"seed {seed}"
         assert all(b >= 0 for b in prof.beta)
         for k in range(1, len(prof.m)):
@@ -232,7 +237,7 @@ def test_euler_poincare_on_random_graphs():
 
 
 def test_profile_of_empty_network():
-    prof = homology_profile(enumerate_cliques(network_from_edges([], [])))
+    prof = _profile(enumerate_cliques(network_from_edges([], [])))
     assert prof.m == ()
     assert prof.chi == 0
     assert prof.euler_poincare_ok
@@ -264,7 +269,7 @@ def test_cleared_ranks_match_forward_elimination(sample8, sample14):
             r.append(expected.rank)
         if cx.top_order >= 1:
             assert r[1] == edge_rank_oracle(cx), name
-        assert homology_profile(cx).r == tuple(r[: len(cx.levels)]), name
+        assert _profile(cx).r == tuple(r[: len(cx.levels)]), name
 
 
 def test_clearing_skips_the_rows_the_previous_order_ranks(monkeypatch, sample14):
@@ -287,7 +292,7 @@ def test_clearing_skips_the_rows_the_previous_order_ranks(monkeypatch, sample14)
     monkeypatch.setattr(cliquecav.gf2, "gf2_rank", recorded_rank)
     for cx in (enumerate_cliques(sample14), enumerate_cliques(cocktail_party_network(3))):
         calls.clear()
-        prof = homology_profile(cx)
+        prof = _profile(cx)
         expected = [(prof.m[k - 1], prof.m[k - 1] - prof.r[k - 1]) for k in range(2, len(prof.m))]
         assert calls == expected
 
@@ -296,7 +301,7 @@ def test_clearing_skips_the_rows_the_previous_order_ranks(monkeypatch, sample14)
 @given(small_graphs())
 def test_profile_ranks_equal_the_rref_ranks(net):
     cx = enumerate_cliques(net)
-    r = homology_profile(cx).r
+    r = _profile(cx).r
     for k in range(1, cx.top_order + 1):
         assert r[k] == rref_oracle(build_boundary_matrix(cx, k).bits)[0]
 
