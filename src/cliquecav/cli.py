@@ -21,6 +21,7 @@ Usage errors exit 2 via argparse.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -97,8 +98,9 @@ def _write(path, data: bytes) -> None:
         os.replace(tmp, target)
     except OSError as exc:  # name the user's path, not the temporary one
         raise OSError(f"{path}: {exc.strerror or exc}") from None
-    finally:
-        tmp.unlink(missing_ok=True)
+    finally:  # best-effort: a failed removal (the parent is a file) must not hide path
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def _build_complex(net: Network, export: str | None, budget: int) -> CliqueComplex:
@@ -137,12 +139,13 @@ class GateRefused(RuntimeError):
 def _emit_dot_files(certs, cx: CliqueComplex, labels, directory: str) -> None:
     from .cavities import certificate_to_dot
 
-    Path(directory).mkdir(parents=True, exist_ok=True)
+    os.makedirs(directory, exist_ok=True)  # a failure names directory as typed
     index: Counter = Counter()
     for cert in certs:
         index[cert.order] += 1
         name = f"cavity_order{cert.order}_{index[cert.order]}"
-        _write(Path(directory, f"{name}.dot"), certificate_to_dot(cert, cx, labels, name).encode())
+        dot = certificate_to_dot(cert, cx, labels, name)
+        _write(os.path.join(directory, f"{name}.dot"), dot.encode())
 
 
 def _print_json(doc) -> None:
@@ -367,8 +370,8 @@ def cmd_fetch(args, parser) -> int:
     The file is kept only when every check passes; a .sha256 sidecar
     records the pin for later runs.
     """
-    dest = Path(args.dest) if args.dest else Path("data") / f"{args.name}.edges"
-    if dest.is_file() and not args.force:
+    dest = args.dest or os.path.join("data", f"{args.name}.edges")  # as typed
+    if os.path.isfile(dest) and not args.force:
         print(f"{dest} already exists (use --force to re-fetch)")
         return EXIT_OK
     # imported here: urllib costs every other subcommand tens of ms at start-up
@@ -395,9 +398,9 @@ def cmd_fetch(args, parser) -> int:
             f"{args.name} should have {expected[0]} nodes and {expected[1]} edges, "
             f"got {net.node_count} nodes and {net.edge_count} edges"
         )
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    _write(args.dest or dest, payload)  # --dest as typed, which a failure names
-    _write(dest.with_name(dest.name + ".sha256"), f"{digest}  {dest.name}\n".encode())
+    os.makedirs(os.path.dirname(dest) or os.curdir, exist_ok=True)
+    _write(dest, payload)
+    _write(f"{dest}.sha256", f"{digest}  {os.path.basename(dest)}\n".encode())
     print(
         f"fetched {args.name}: {net.node_count} nodes, {net.edge_count} edges, "
         f"sha256 {digest}"

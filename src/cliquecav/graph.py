@@ -116,14 +116,15 @@ def load_edge_list(source: str | Path | IO[str]) -> Network:
     """Parse an edge-list text source into a canonical Network.
 
     One edge per line, two whitespace- or comma-separated labels; extra
-    columns (weights) are ignored. Lines starting with '#' or '%' are
-    comments. Directed duplicates are merged, self-loops dropped. A line
-    that is neither comment nor at least two tokens raises ValueError
-    with its line number. An empty source gives an empty Network. Files
-    are read as UTF-8 whatever the locale, and one leading byte-order
-    mark (U+FEFF) is dropped, from a file object too. The ValueErrors of
-    a path source start with the path; an unreadable path raises the
-    OSError whose filename is that path, as typed.
+    columns (weights) are ignored. A line whose first non-blank character
+    is '#' or '%' is a comment; after a comma, that character is part of
+    a label. Directed duplicates are merged, self-loops dropped. A line
+    that is neither blank, a comment nor at least two tokens raises
+    ValueError with its line number. An empty source gives an empty
+    Network. Files are read as UTF-8 whatever the locale, and one leading
+    byte-order mark (U+FEFF) is dropped, from a file object too. The
+    ValueErrors of a path source start with the path; an unreadable path
+    raises the OSError whose filename is that path, as typed.
     """
     if hasattr(source, "read"):
         return _parse_edge_text(source.read())
@@ -139,14 +140,12 @@ def _parse_edge_text(text: str) -> Network:
     heads: list[str] = []
     tails: list[str] = []
     for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
-        tokens = raw.replace(",", " ").split(None, 2)
-        if len(tokens) < 2 or tokens[0].startswith(COMMENT_PREFIXES):
-            # a comment starts with '#' or '%' after whitespace, not after a comma
-            line = raw.strip()
-            if not line or line.startswith(COMMENT_PREFIXES):
-                continue
-            if len(tokens) < 2:
-                raise ValueError(f"line {lineno}: expected two node labels, got {raw!r}")
+        line = raw.lstrip()
+        if not line or line.startswith(COMMENT_PREFIXES):
+            continue
+        tokens = line.replace(",", " ").split(None, 2)
+        if len(tokens) < 2:
+            raise ValueError(f"line {lineno}: expected two node labels, got {raw!r}")
         a, b = tokens[0], tokens[1]
         if a != b:
             heads.append(a)

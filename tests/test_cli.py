@@ -846,7 +846,7 @@ def writer_argv(writer: str, path: str | Path, url: str) -> list[str]:
         "random-er": ["random-er", "5", "3", str(path)],
         "fetch": [*fetch, str(path)],
         "fetch-sidecar": [*fetch, str(Path(path).with_suffix(""))],
-        "emit-dot": ["cavities", "--input", SAMPLE14, "--emit-dot", str(Path(path).parent)],
+        "emit-dot": ["cavities", "--input", SAMPLE14, "--emit-dot", os.path.dirname(path)],
     }[writer]
 
 
@@ -863,7 +863,9 @@ WRITERS = ("analyze-cache", "cavities-cache", "verify-cache", "random-er", "fetc
     + [(w, "directory") for w in WRITERS]
     # a DEST typed with a trailing slash: the temporary file must not land inside it
     + [(w, "directory-with-slash") for w in WRITERS[:5]]
-    + [(w, "parent-is-a-file") for w in ("fetch", "emit-dot")],
+    + [(w, "parent-is-a-file") for w in WRITERS if w != "fetch-sidecar"]
+    # the directory fetch and --emit-dot make, typed with a ./ that a failure keeps
+    + [(w, "typed-dir-under-a-file") for w in ("fetch", "emit-dot")],
 )
 def test_every_failed_write_is_one_error_line_naming_the_path(
     sample14_url, tmp_path, capsys, writer, fault
@@ -879,9 +881,16 @@ def test_every_failed_write_is_one_error_line_naming_the_path(
         path.mkdir(parents=True)
         path = named = f"{path}/"
         reason = "Is a directory"
+    elif fault == "parent-is-a-file":
+        parent.write_text("")
+        if writer in ("fetch", "emit-dot"):  # they fail making parent
+            named, reason = parent, "File exists"
+        else:
+            named, reason = path, "Not a directory"
     else:
         parent.write_text("")
-        named, reason = parent, "File exists"
+        named, reason = f"{tmp_path}/./d/sub", "Not a directory"
+        path = f"{named}/{path.name}"
     rc, out, err = run(capsys, *writer_argv(writer, path, sample14_url))
     assert (rc, out, err) == (1, "", f"error: {named}: {reason}\n")
     assert not list(tmp_path.rglob("*.tmp"))

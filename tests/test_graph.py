@@ -245,9 +245,12 @@ LOADER_FRAGMENTS = [
     "# only\n% comments\n\n",
     "#\n%\n1 2\n",
     "  # indented comment\n\t% tabbed comment\n1 2\n",
+    "\u00a0# no-break space\n\t# tabbed hash\n1 2\n",
     "#a b\n%1 2\n2 3\n",
     "1 2 # trailing\na #b\n",
     ",# x\n",
+    ", # x\n",
+    "a,#b\n",
     " , % y\n1 2\n",
     " , \n",
     "1 2\n , \n",
