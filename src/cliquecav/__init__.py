@@ -16,7 +16,6 @@ _HOME = {
             "CavityCertificate",
             "CavitySearchError",
             "SpanningSelection",
-            "VerifyResult",
             "certificate_from_json",
             "certificate_to_dot",
             "certificates_to_json",

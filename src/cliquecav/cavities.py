@@ -11,7 +11,8 @@ and cert.nodes(cx) reads its nodes off the complex.
 
 Search and the re-check of order k share one BoundaryContext (B_k and a
 basis of B_{k+1}'s column space); find_cavities and verify_certificate
-each wrap a throwaway one.
+each wrap a throwaway one. A re-check returns the name of the constraint
+the certificate failed, or None.
 """
 
 from __future__ import annotations
@@ -25,12 +26,8 @@ from .gf2 import Boundaries, Gf2Matrix, basis_insert, bit_indices, column_space_
 
 class CavitySearchError(RuntimeError):
     """No independent cycle through a generator on the length schedule,
-    which runs up to m_k; a guard, since each generator has one. Carries
-    the partial result, whose size ends the message."""
-
-    def __init__(self, message: str, partial: list[CavityCertificate]):
-        super().__init__(f"{message} ({len(partial)} certificates of that order found)")
-        self.partial = partial
+    which runs up to m_k; a guard, since each generator has one. The
+    message ends with how many certificates of that order were found."""
 
 
 class SpanningSelection(NamedTuple):
@@ -64,28 +61,19 @@ class CavityCertificate(NamedTuple):
         return sorted({u for j in self.support() for u in level[j]})
 
 
-class VerifyResult(NamedTuple):
-    """The constraint a re-check failed, or None; true iff it passed."""
-
-    failed: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.failed is None
-
-
 class BoundaryContext:
     """What search and the re-check of one order k both read.
 
-    Holds k, B_k, and basis, which spans the column space of B_{k+1}.
+    Holds B_k, and basis, which spans the column space of B_{k+1}; the
+    order comes from the selection or certificate each call reads.
     verified is that basis extended by every certificate that recheck
     passed. Build one per order and run; consecutive orders can share
     their middle matrix.
     """
 
-    __slots__ = ("order", "bk", "basis", "verified")
+    __slots__ = ("bk", "basis", "verified")
 
-    def __init__(self, order: int, bk: Gf2Matrix, bk1: Gf2Matrix) -> None:
-        self.order = order
+    def __init__(self, bk: Gf2Matrix, bk1: Gf2Matrix) -> None:
         self.bk = bk
         self.basis = column_space_basis(bk1)
         self.verified = dict(self.basis)
@@ -110,7 +98,7 @@ class BoundaryContext:
         if node_limit is None:
             node_limit = DEFAULT_NODE_LIMIT
         basis = dict(self.basis)
-        lengths = list(length_schedule(self.order, self.bk.cols))
+        lengths = list(length_schedule(sel.order, self.bk.cols))
         # one program, and one row incidence, for every generator and length
         program = ZeroOneProgram(self.bk.cols, [row for row in self.bk.bits if row])
         accepted: list[CavityCertificate] = []
@@ -127,10 +115,10 @@ class BoundaryContext:
             if mask is None:
                 longest = max(lengths, default=0)
                 raise CavitySearchError(
-                    f"no independent cycle through generator {v} up to length {longest}",
-                    accepted,
+                    f"no independent cycle through generator {v} up to length {longest} "
+                    f"({len(accepted)} certificates of that order found)"
                 )
-            accepted.append(CavityCertificate(self.order, mask, v))
+            accepted.append(CavityCertificate(sel.order, mask, v))
         return accepted
 
     def _malformed(self, cert: CavityCertificate) -> str | None:
@@ -145,24 +133,26 @@ class BoundaryContext:
             return "cycle"
         return None
 
-    def recheck(self, cert: CavityCertificate) -> VerifyResult:
+    def recheck(self, cert: CavityCertificate) -> str | None:
         """Re-check cert against B_k, B_{k+1} and the certificates that
-        passed before it, naming the failed constraint; a pass joins verified.
+        passed before it: the name of the first constraint it fails, or
+        None for a pass, which joins verified.
 
-        Checks, in order: the indicator fits B_k; the generator bit is set;
-        the indicator is a GF(2) cycle of B_k; it is independent of
-        verified; its length is at least the order-k minimum 2^(k+1). A
-        clique boundary therefore fails on independence, not on length.
+        Checks, in order: "dimension", the indicator fits B_k;
+        "generator-membership", the generator bit is set; "cycle", the
+        indicator is a GF(2) cycle of B_k; "independence", it is
+        independent of verified; "length", its length is at least the
+        order-k minimum 2^(k+1). A clique boundary therefore fails on
+        independence, not on length.
         """
-        failed = self._malformed(cert)
-        if failed:
-            return VerifyResult(failed)
+        if failed := self._malformed(cert):
+            return failed
         if not basis_insert(self.verified, cert.indicator):
-            return VerifyResult("independence")
+            return "independence"
         if cert.length < 2 ** (cert.order + 1):
             self.verified.popitem()  # the entry basis_insert just added
-            return VerifyResult("length")
-        return VerifyResult()
+            return "length"
+        return None
 
 
 def _cavity_order(order: int, cx: CliqueComplex) -> int:
@@ -212,9 +202,9 @@ def find_cavities(
     sel: SpanningSelection,
     node_limit: int | None = None,
 ) -> list[CavityCertificate]:
-    """BoundaryContext.search on a throwaway context of order sel.order;
-    raises CavitySearchError as search does."""
-    return BoundaryContext(sel.order, bk, bk1).search(sel, node_limit)
+    """BoundaryContext.search on a throwaway context; raises
+    CavitySearchError as search does."""
+    return BoundaryContext(bk, bk1).search(sel, node_limit)
 
 
 def verify_certificate(
@@ -222,15 +212,16 @@ def verify_certificate(
     bk: Gf2Matrix,
     bk1: Gf2Matrix,
     prior: Sequence[CavityCertificate] = (),
-) -> VerifyResult:
+) -> str | None:
     """BoundaryContext.recheck on a throwaway context that has passed the
-    prior certificates. A prior certificate that is dependent fails cert on
-    independence, unless cert already fails one of the checks before it.
+    prior certificates: the failed constraint's name, or None. A prior
+    certificate that is dependent fails cert on independence, unless cert
+    already fails one of the checks before it.
     """
-    ctx = BoundaryContext(cert.order, bk, bk1)
+    ctx = BoundaryContext(bk, bk1)
     for p in prior:
         if not basis_insert(ctx.verified, p.indicator):
-            return VerifyResult(ctx._malformed(cert) or "independence")
+            return ctx._malformed(cert) or "independence"
     return ctx.recheck(cert)
 
 

@@ -124,7 +124,7 @@ def _contexts(boundaries: Boundaries) -> Callable[[int], BoundaryContext]:
     from .cavities import BoundaryContext
 
     return functools.cache(
-        lambda k: BoundaryContext(k, boundaries.matrix(k), boundaries.matrix(k + 1))
+        lambda k: BoundaryContext(boundaries.matrix(k), boundaries.matrix(k + 1))
     )
 
 
@@ -221,13 +221,14 @@ def cmd_kcore(args, parser) -> int:
     return EXIT_OK if gate.computable else EXIT_GATE
 
 
-def _pipeline(args, cavities: bool):
-    """Load, gate, census (exported with --cache) and profile; with cavities,
-    also search every order with beta_k > 0, self-check (--verify) and
-    write DOT files (--emit-dot). With cavities, the profile, selection,
-    search and self-check share one Boundaries, so each B_k is built at
-    most once and ranked at most once: selection reads the profile's
-    ranks. Search and self-check of an order share one BoundaryContext.
+def _pipeline(args):
+    """Load, gate, census (exported with --cache) and profile; with
+    args.cavities (--cavities, or the cavities subcommand), also search
+    every order with beta_k > 0, self-check (--verify) and write DOT files
+    (--emit-dot). With cavities, the profile, selection, search and
+    self-check share one Boundaries, so each B_k is built at most once and
+    ranked at most once: selection reads the profile's ranks. Search and
+    self-check of an order share one BoundaryContext.
 
     Returns (profile, docs): docs is the certificates as
     certificates_to_json exports them, which every output format renders,
@@ -242,9 +243,9 @@ def _pipeline(args, cavities: bool):
         raise GateRefused(f"not computable: {gate.reason} (use --force to override)")
     cx = _build_complex(net, args.cache, args.budget)
     # without cavities, no matrix outlives its rank
-    boundaries = Boundaries(cx, keep_matrices=cavities)
+    boundaries = Boundaries(cx, keep_matrices=args.cavities)
     profile = homology_profile(boundaries)
-    if not cavities:
+    if not args.cavities:
         return profile, []
     from .cavities import certificates_to_json, select_spanning_and_generators
 
@@ -255,11 +256,10 @@ def _pipeline(args, cavities: bool):
             certs.extend(context(k).search(select_spanning_and_generators(k, boundaries)))
     if args.verify:
         for cert in certs:
-            result = context(cert.order).recheck(cert)
-            if not result:
+            if failed := context(cert.order).recheck(cert):
                 raise SelfCheckError(
                     f"internal check failed: order-{cert.order} certificate "
-                    f"violates the {result.failed} constraint"
+                    f"violates the {failed} constraint"
                 )
     if args.emit_dot:
         _emit_dot_files(certs, cx, net.node_labels, args.emit_dot)
@@ -272,7 +272,7 @@ def cmd_analyze(args, parser) -> int:
         parser.error("--emit-dot requires --cavities")
     if args.verify and not args.cavities:
         parser.error("--verify requires --cavities")
-    profile, docs = _pipeline(args, args.cavities)
+    profile, docs = _pipeline(args)
     if args.format == "json":
         doc = {
             "m": list(profile.m),
@@ -296,7 +296,7 @@ def cmd_analyze(args, parser) -> int:
 
 def cmd_cavities(args, parser) -> int:
     """Cavity certificates only (the analyze pipeline minus the profile)."""
-    _, docs = _pipeline(args, True)
+    _, docs = _pipeline(args)
     if args.format == "csv":
         rows = [["order", "length", "generator", "nodes"]] + [
             [d["order"], d["length"], " ".join(d["generator"]), " ".join(d["nodes"])]
@@ -432,12 +432,11 @@ def cmd_verify(args, parser) -> int:
             print(f"cert {i}: FAIL ({exc})")
             failures += 1
             continue
-        result = context(cert.order).recheck(cert)
-        if result:
-            print(f"cert {i}: PASS (order {cert.order}, length {cert.length})")
-        else:
-            print(f"cert {i}: FAIL ({result.failed})")
+        if failed := context(cert.order).recheck(cert):
+            print(f"cert {i}: FAIL ({failed})")
             failures += 1
+        else:
+            print(f"cert {i}: PASS (order {cert.order}, length {cert.length})")
     return EXIT_OK if failures == 0 else EXIT_ERROR
 
 
@@ -501,9 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "analyze", cmd_analyze, "census, ranks, Betti numbers", PIPELINE_FLAGS)
     p.add_argument("--cavities", action="store_true", help="also search for minimal cavities")
 
-    # same flags as analyze without --cavities, and structured output by default
+    # same flags as analyze without --cavities, which it implies, and
+    # structured output by default
     p = _subcommand(sub, "cavities", cmd_cavities, "minimal cavity certificates", PIPELINE_FLAGS)
-    p.set_defaults(format="json")
+    p.set_defaults(format="json", cavities=True)
 
     p = _subcommand(sub, "smallest-cavity", cmd_smallest_cavity,
                     "generated smallest k-cavity complex", ("--format",))

@@ -53,7 +53,7 @@ def build_boundary_matrix(cx: CliqueComplex, k: int) -> Gf2Matrix:
     """
     if k < 1:
         raise ValueError("boundary order must be >= 1")
-    if k >= len(cx.levels) or k - 1 >= len(cx.levels):
+    if k >= len(cx.levels):
         raise ValueError(f"complex has no level {k}")
     faces = cx.levels[k - 1]
     cells = cx.levels[k]

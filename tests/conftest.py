@@ -5,17 +5,9 @@ from pathlib import Path
 import pytest
 
 from cliquecav import load_edge_list
+from cliquecav.cli import DATASETS
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-
-# Known datasets are optional: tests that need one skip with a visible
-# notice unless the file was fetched (or pointed to by CLIQUECAV_<NAME>).
-DATASET_SIZES = {
-    "celegans": (297, 2148),
-    "usair": (332, 2126),
-    "jazz": (198, 2742),
-    "yeast": (2375, 11693),
-}
 
 
 def pytest_configure(config):
@@ -31,6 +23,9 @@ def pytest_configure(config):
     set_hypothesis_home_dir(home.name)
 
 
+# Known datasets (cli.DATASETS) are optional: tests that need one skip
+# with a visible notice unless the file was fetched (or pointed to by
+# CLIQUECAV_<NAME>).
 def dataset_path(name: str) -> Path | None:
     env = os.environ.get(f"CLIQUECAV_{name.upper()}")
     if env:
@@ -50,7 +45,7 @@ def load_dataset(name: str):
             f"`cliquecav fetch {name} --url ...`"
         )
     net = load_edge_list(path)
-    expected = DATASET_SIZES[name]
+    expected = DATASETS[name]
     if (net.node_count, net.edge_count) != expected:
         pytest.skip(
             f"SKIPPED (dataset variant mismatch): {path} has "

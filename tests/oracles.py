@@ -53,7 +53,6 @@ from cliquecav.cavities import (
     CavityCertificate,
     CavitySearchError,
     SpanningSelection,
-    VerifyResult,
     length_schedule,
 )
 from cliquecav.cliques import Clique
@@ -742,8 +741,8 @@ def find_cavities_oracle(
                 break
         if found is None:
             raise CavitySearchError(
-                f"no independent cycle through generator {v} up to length {ceiling}",
-                accepted,
+                f"no independent cycle through generator {v} up to length {ceiling} "
+                f"({len(accepted)} certificates of that order found)"
             )
     return Cavities(accepted, node_sets)
 
@@ -753,32 +752,34 @@ def verify_certificate_oracle(
     bk: Gf2Matrix,
     bk1: Gf2Matrix,
     prior: Sequence[CavityCertificate] = (),
-) -> VerifyResult:
-    """Re-check a certificate from scratch, naming the failed constraint.
+) -> str | None:
+    """Re-check a certificate from scratch: the failed constraint's name,
+    or None.
 
-    Checks, in order: the generator bit is set; the indicator is a GF(2)
-    cycle of B_k; adjoining the indicator after all prior certificates to
-    the B_{k+1} column space raises the rank each time; the number of
-    ones is at least the order-k minimum 2^(k+1). A clique boundary
-    therefore fails on independence, not on length.
+    Checks, in order: the indicator fits B_k; the generator bit is set;
+    the indicator is a GF(2) cycle of B_k; adjoining the indicator after
+    all prior certificates to the B_{k+1} column space raises the rank
+    each time; the number of ones is at least the order-k minimum
+    2^(k+1). A clique boundary therefore fails on independence, not on
+    length.
     """
     x = cert.indicator
     if x < 0 or x >> bk.cols:
-        return VerifyResult("dimension")
+        return "dimension"
     if not (x >> cert.generator) & 1:
-        return VerifyResult("generator-membership")
+        return "generator-membership"
     for row in bk.bits:
         if (row & x).bit_count() & 1:
-            return VerifyResult("cycle")
+            return "cycle"
     basis = dict(column_space_basis(bk1))
     for p in prior:
         if not basis_insert(basis, p.indicator):
-            return VerifyResult("independence")
+            return "independence"
     if not basis_insert(basis, x):
-        return VerifyResult("independence")
+        return "independence"
     if bin(x).count("1") < 2 ** (cert.order + 1):
-        return VerifyResult("length")
-    return VerifyResult()
+        return "length"
+    return None
 
 
 def cavities_bruteforce(bk: Gf2Matrix, bk1: Gf2Matrix, generators: Sequence[int]) -> list[int]:

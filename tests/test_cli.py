@@ -17,7 +17,7 @@ import pytest
 from referencing import Registry, Resource
 
 from cliquecav import cavities, cli
-from cliquecav.cavities import BoundaryContext, VerifyResult
+from cliquecav.cavities import BoundaryContext
 from cliquecav.cli import build_parser, main
 from cliquecav.cliques import CliqueComplex, complex_to_json, enumerate_cliques
 from cliquecav.graph import edge_text_checksum, load_edge_list
@@ -420,6 +420,17 @@ def test_verify_flags_a_certificate_listed_twice(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", "--input", SAMPLE14, str(certs))
     assert rc == 1
     assert out.splitlines() == ["cert 1: PASS (order 1, length 4)", "cert 2: FAIL (independence)"]
+
+
+def test_verify_flags_a_generator_outside_its_cycle(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "cavities.json").read_text())
+    doc[0]["generator"] = ["2", "3"]  # an edge of sample14 that the first cycle does not list
+    certs = tmp_path / "generator.json"
+    certs.write_text(json.dumps(doc))
+    rc, out, _ = run(capsys, "verify", "--input", SAMPLE14, str(certs))
+    assert (rc, out) == (1, "cert 1: FAIL (generator-membership)\n"
+                            "cert 2: PASS (order 1, length 7)\n"
+                            "cert 3: PASS (order 2, length 8)\n")
 
 
 @pytest.mark.parametrize(
@@ -1057,9 +1068,7 @@ def test_cavity_search_error_reports_partial_count(monkeypatch, capsys):
 
 
 def test_failed_self_check_exits_1_with_message(monkeypatch, capsys):
-    monkeypatch.setattr(
-        BoundaryContext, "recheck", lambda *a: VerifyResult("independence")
-    )
+    monkeypatch.setattr(BoundaryContext, "recheck", lambda *a: "independence")
     rc, out, err = run(capsys, "cavities", "--verify", "--input", SAMPLE14)
     assert rc == 1
     assert out == ""
