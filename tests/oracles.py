@@ -7,14 +7,15 @@ helpers. Slow is fine; wrong is not.
 The exceptions are forward_rank_oracle and edge_rank_oracle, the ranks
 as they were computed before clearing (forward_rank_oracle also lists
 the rows it keeps), and select_oracle, find_cavities_oracle and
-verify_certificate_oracle: the cavity stage as it was before the
-per-order BoundaryContext and before selection read the cleared ranks,
+verify_certificate_oracle: the cavity stage as it was before search
+and re-check shared one column basis per order and before selection
+read the cleared ranks,
 kept as its reference; select_oracle returns its tree and covered sets
 beside the selection, which holds only the generators, and
 find_cavities_oracle each certificate's nodes beside the certificates,
 which hold only clique indices. Every call rebuilds what it reads
 (ranks, transposes, column bases, and the prior certificates' basis), so
-they stand apart from the shared context and ranks.
+they stand apart from the shared basis and ranks.
 Likewise _Frame and _Search are the 0-1 search without the pairing
 bound, kept as it was but for its call, which names the pin and the
 length as the library's does, and the branches for a search with no

@@ -15,6 +15,7 @@ from cliquecav import (
     build_boundary_matrix,
     certificate_from_json,
     cocktail_party_network,
+    column_space_basis,
     enumerate_cliques,
     euler_characteristic,
     find_cavities,
@@ -157,7 +158,7 @@ def test_acceptance_2_sample_network_cavities_exact(sample14):
 
     b1, b2 = _boundary_pair(cx, 1)
     sel1 = _selection(cx, 1)
-    certs1 = find_cavities(b1, b2, sel1)
+    certs1 = find_cavities(b1, column_space_basis(b2), sel1)
     assert [c.length for c in certs1] == [4, 7]
     assert _edge_labels(sample14, cx, certs1[0].indicator) == {
         ("3", "6"), ("6", "7"), ("7", "8"), ("3", "8"),
@@ -169,18 +170,17 @@ def test_acceptance_2_sample_network_cavities_exact(sample14):
 
     b2m, b3 = _boundary_pair(cx, 2)
     sel2 = _selection(cx, 2)
-    certs2 = find_cavities(b2m, b3, sel2)
+    certs2 = find_cavities(b2m, column_space_basis(b3), sel2)
     assert len(certs2) == 1
     assert certs2[0].length == 8
     assert {sample14.node_labels[u] for u in certs2[0].nodes(cx)} == {
         "9", "10", "11", "12", "13", "14",
     }
 
-    prior = []
+    basis = column_space_basis(b2)
     for cert in certs1:
-        assert verify_certificate(cert, b1, b2, prior) is None
-        prior.append(cert)
-    assert verify_certificate(certs2[0], b2m, b3, []) is None
+        assert verify_certificate(cert, b1, basis) is None
+    assert verify_certificate(certs2[0], b2m, column_space_basis(b3)) is None
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"cavity search took {elapsed:.2f}s, ceiling is 1s"
 
@@ -203,22 +203,22 @@ def test_acceptance_3_celegans_profile_and_order3_cavities():
     b3, b4 = _boundary_pair(cx, 3)
     sel = _selection(cx, 3)
     assert len(sel.generator_cliques) == 4
-    certs = find_cavities(b3, b4, sel)
+    certs = find_cavities(b3, column_space_basis(b4), sel)
     assert len(certs) == 4
     assert any(c.length == 16 and len(c.nodes(cx)) == 8 for c in certs)
-    prior = []
+    basis = column_space_basis(b4)
     for cert in certs:
-        assert verify_certificate(cert, b3, b4, prior) is None
-        prior.append(cert)
+        assert verify_certificate(cert, b3, basis) is None
 
     # the four reference boundary lists are accepted as replacements
     index = net.label_index()
-    prior = []
-    for members, generator in zip(CELEGANS_CAVITY3_BOUNDARIES, CELEGANS_CAVITY3_GENERATORS):
+    basis = column_space_basis(b4)
+    for i, (members, generator) in enumerate(
+        zip(CELEGANS_CAVITY3_BOUNDARIES, CELEGANS_CAVITY3_GENERATORS), 1
+    ):
         cert = certificate_from_json(_entry(3, members, generator), cx, index)
-        failed = verify_certificate(cert, b3, b4, prior)
-        assert failed is None, f"reference cavity {len(prior) + 1} fails: {failed}"
-        prior.append(cert)
+        failed = verify_certificate(cert, b3, basis)
+        assert failed is None, f"reference cavity {i} fails: {failed}"
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0, f"run took {elapsed:.1f}s, ceiling is 300s"
 
@@ -318,8 +318,8 @@ def test_acceptance_6_property_suites(sample14):
     # no strictly shorter certificate exists for either order-1 generator
     b1, b2 = _boundary_pair(cx, 1)
     sel = _selection(cx, 1)
-    certs = find_cavities(b1, b2, sel)
-    from cliquecav import basis_insert, column_space_basis
+    certs = find_cavities(b1, column_space_basis(b2), sel)
+    from cliquecav import basis_insert
 
     program = _program(b1)
     for cert in certs:
@@ -352,9 +352,11 @@ def test_acceptance_7_random_network_seed_sweep(sample14):
     index = sample14.label_index()
     b1, b2 = _boundary_pair(cx, 1)
     sel = _selection(cx, 1)
-    certs = find_cavities(b1, b2, sel)
+    certs = find_cavities(b1, column_space_basis(b2), sel)
     seven_cycle = [("1", "3"), ("1", "5"), ("3", "6"), ("5", "9"), ("6", "14"), ("9", "10"), ("10", "14")]
     replacement = certificate_from_json(_entry(1, seven_cycle, seven_cycle[3]), cx, index)
     assert replacement.length == certs[1].length
-    failed = verify_certificate(replacement, b1, b2, [certs[0]])
+    basis = column_space_basis(b2)
+    assert verify_certificate(certs[0], b1, basis) is None
+    failed = verify_certificate(replacement, b1, basis)
     assert failed is None, failed

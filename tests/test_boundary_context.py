@@ -1,12 +1,15 @@
-"""The per-order BoundaryContext and the selection read off the cleared
-ranks, against the cavity stage they replaced.
+"""The selection read off the cleared ranks, and find_cavities and
+verify_certificate on a basis of B_{k+1}'s column space, against the
+cavity stage they replaced.
 
 Selections, certificates and verdicts must match the former
-implementations in oracles.py bit for bit, both through the public
-wrappers and through the ranks and contexts the CLI uses; the selection
-has one path, from the ranks. The oracle's tree and covered sets must
-equal the pivot columns of B_k and the pivot rows of B_{k+1} reduced with
-the tree cleared, which the selection reads.
+implementations in oracles.py bit for bit, on the matrices of the one
+Boundaries the CLI shares; the CLI searches and re-checks through the
+same two public functions. A sequence of re-checks on one basis must give
+the oracle's verdicts when each certificate is checked against those
+that passed before it. The oracle's tree and covered sets must equal the
+pivot columns of B_k and the pivot rows of B_{k+1} reduced with the tree
+cleared, which the selection reads.
 """
 
 from pathlib import Path
@@ -25,8 +28,10 @@ from cliquecav import (
     Boundaries,
     CavityCertificate,
     Gf2Matrix,
+    basis_insert,
     build_boundary_matrix,
     cocktail_party_network,
+    column_space_basis,
     enumerate_cliques,
     find_cavities,
     homology_profile,
@@ -34,8 +39,6 @@ from cliquecav import (
     select_spanning_and_generators,
     verify_certificate,
 )
-from cliquecav.cavities import BoundaryContext
-from cliquecav.cli import _contexts
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -69,7 +72,8 @@ def _assert_split_is_the_ranks(split, boundaries, k):
 
 
 def _mutations(certs, cols):
-    """Certificate sequences for the re-check, each checked in order."""
+    """Certificate sequences for the re-check, each checked in order on
+    one basis."""
     sequences = [certs, certs + certs]
     for cert in certs:
         other = next(j for j in range(cols) if j != cert.generator)
@@ -90,11 +94,12 @@ def _hollow_triangle():
     return b1, Gf2Matrix(0, [0] * 3), CavityCertificate(1, 0b111, 0)
 
 
-def _verdicts(check, sequence):
-    """Verdict names of sequence, each checked against those that passed."""
+def _oracle_verdicts(sequence, bk, bk1):
+    """The oracle's verdict names of sequence, each checked against those
+    that passed before it."""
     passed, out = [], []
     for cert in sequence:
-        failed = check(cert, passed)
+        failed = verify_certificate_oracle(cert, bk, bk1, passed)
         out.append(failed)
         if failed is None:
             passed.append(cert)
@@ -102,10 +107,9 @@ def _verdicts(check, sequence):
 
 
 @pytest.mark.parametrize("name", NETWORKS)
-def test_context_and_wrappers_match_the_former_cavity_stage(name):
+def test_search_and_recheck_match_the_former_cavity_stage(name):
     cx = enumerate_cliques(NETWORKS[name]())
     boundaries = Boundaries(cx)
-    context = _contexts(boundaries)
     for k in range(1, cx.top_order + 1):
         bk, bk1 = _pair(cx, k)
         split = select_oracle(bk, bk1)
@@ -114,27 +118,18 @@ def test_context_and_wrappers_match_the_former_cavity_stage(name):
         # the CLI's ranks: the spanning forest for k = 1, the cleared ranks above
         assert select_spanning_and_generators(k, boundaries) == sel
         certs, nodes = find_cavities_oracle(bk, bk1, sel, cx.levels[k])
-        assert find_cavities(bk, bk1, sel) == certs
-        assert context(k).search(sel) == certs
+        # the CLI's matrices, with B_{k+1} past the top order the rows x 0 matrix
+        matrix, above = boundaries.matrix(k), boundaries.matrix(k + 1)
+        assert find_cavities(matrix, column_space_basis(above), sel) == certs
         assert len(certs) == len(sel.generator_cliques)
         for cert, expected in zip(certs, nodes):
             assert cert.nodes(cx) == expected
 
         for sequence in _mutations(certs, bk.cols):
-            expected = _verdicts(
-                lambda c, prior: verify_certificate_oracle(c, bk, bk1, prior), sequence
+            basis = column_space_basis(above)
+            assert [verify_certificate(c, matrix, basis) for c in sequence] == (
+                _oracle_verdicts(sequence, bk, bk1)
             )
-            assert _verdicts(
-                lambda c, prior: verify_certificate(c, bk, bk1, prior), sequence
-            ) == expected
-            fresh = _contexts(Boundaries(cx))(k)
-            assert _verdicts(lambda c, prior: fresh.recheck(c), sequence) == expected
-            # explicit priors, which the wrapper takes without checking them
-            for cert in sequence:
-                for prior in ([], sequence[:1], sequence, sequence + sequence):
-                    assert verify_certificate(cert, bk, bk1, prior) == (
-                        verify_certificate_oracle(cert, bk, bk1, prior)
-                    )
 
 
 def test_mutations_reach_every_verdict(sample14):
@@ -143,32 +138,34 @@ def test_mutations_reach_every_verdict(sample14):
     certs, _ = find_cavities_oracle(bk, bk1, select_oracle(bk, bk1).selection, cx.levels[1])
     seen = set()
     for sequence in _mutations(certs, bk.cols):
-        fresh = _contexts(Boundaries(cx))(1)
-        seen.update(_verdicts(lambda c, prior: fresh.recheck(c), sequence))
+        basis = column_space_basis(bk1)
+        seen.update(verify_certificate(c, bk, basis) for c in sequence)
     assert seen == {None, "dimension", "generator-membership", "cycle", "independence"}
     b1, b2, short = _hollow_triangle()
-    assert _verdicts(lambda c, prior: verify_certificate(c, b1, b2, prior), [short]) == ["length"]
+    assert verify_certificate(short, b1, column_space_basis(b2)) == "length"
 
 
 def test_a_certificate_that_fails_on_length_does_not_join_the_basis():
     b1, b2, short = _hollow_triangle()
-    context = BoundaryContext(b1, b2)
+    basis = column_space_basis(b2)
     for _ in range(2):  # a second re-check would fail on independence had the first kept it
-        assert context.recheck(short) == "length"
-        assert verify_certificate(short, b1, b2) == verify_certificate_oracle(short, b1, b2)
-    assert verify_certificate(short, b1, b2, [short]) == "independence"
+        assert verify_certificate(short, b1, basis) == "length"
+        assert verify_certificate_oracle(short, b1, b2) == "length"
+    assert basis == column_space_basis(b2)
 
 
-def test_the_recheck_extends_its_own_copy_of_the_basis(sample14):
+def test_the_search_copies_its_basis_and_a_pass_extends_it(sample14):
     cx = enumerate_cliques(sample14)
     boundaries = Boundaries(cx)
-    context = _contexts(boundaries)(1)
-    sel = select_spanning_and_generators(1, boundaries)
-    certs = context.search(sel)
-    assert context.recheck(certs[0]) is None
-    assert context.recheck(certs[0]) == "independence"
-    # the search reads the basis of B_2 alone, not the one the re-check grew
-    assert context.search(sel) == certs
+    b1, b2 = boundaries.matrix(1), boundaries.matrix(2)
+    basis = column_space_basis(b2)
+    certs = find_cavities(b1, basis, select_spanning_and_generators(1, boundaries))
+    assert basis == column_space_basis(b2)
+    assert verify_certificate(certs[0], b1, basis) is None
+    extended = column_space_basis(b2)
+    assert basis_insert(extended, certs[0].indicator)
+    assert basis == extended
+    assert verify_certificate(certs[0], b1, basis) == "independence"
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

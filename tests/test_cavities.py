@@ -101,7 +101,7 @@ def test_find_cavities_order1(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    certs = find_cavities(b1, b2, sel)
+    certs = find_cavities(b1, column_space_basis(b2), sel)
     assert [c.length for c in certs] == [4, 7]
     assert _labeled(sample14, cx, 1, certs[0].support()) == {
         ("3", "6"), ("6", "7"), ("7", "8"), ("3", "8"),
@@ -113,7 +113,7 @@ def test_find_cavities_order2_is_the_octahedron(sample14):
     cx = enumerate_cliques(sample14)
     b2, b3 = _pair(cx, 2)
     sel = select_oracle(b2, b3).selection
-    certs = find_cavities(b2, b3, sel)
+    certs = find_cavities(b2, column_space_basis(b3), sel)
     assert len(certs) == 1
     assert certs[0].length == 8
     labels = {sample14.node_labels[u] for u in certs[0].nodes(cx)}
@@ -137,7 +137,7 @@ def test_cavity_search_error_reports_partial(sample14, monkeypatch):
     schedule = cavities.length_schedule
     monkeypatch.setattr(cavities, "length_schedule", lambda k, ceiling: schedule(k, 5))
     with pytest.raises(CavitySearchError) as err:
-        find_cavities(b1, b2, sel)
+        find_cavities(b1, column_space_basis(b2), sel)
     assert "up to length 5 (1 certificates of that order found)" in str(err.value)
 
 
@@ -145,9 +145,10 @@ def test_verify_accepts_search_output(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    certs = find_cavities(b1, b2, sel)
-    assert verify_certificate(certs[0], b1, b2, []) is None
-    assert verify_certificate(certs[1], b1, b2, [certs[0]]) is None
+    certs = find_cavities(b1, column_space_basis(b2), sel)
+    basis = column_space_basis(b2)
+    assert verify_certificate(certs[0], b1, basis) is None
+    assert verify_certificate(certs[1], b1, basis) is None
 
 
 def test_verify_rejects_clique_boundary_as_fake_cavity(sample14):
@@ -157,26 +158,28 @@ def test_verify_rejects_clique_boundary_as_fake_cavity(sample14):
     entry = {"order": 2, "cliques": faces, "generator": faces[0], "length": 4,
              "nodes": ["1", "2", "3", "4"]}
     fake = certificate_from_json(entry, cx, sample14.label_index())
-    assert verify_certificate(fake, b2, b3, []) == "independence"
+    assert verify_certificate(fake, b2, column_space_basis(b3)) == "independence"
 
 
 def test_verify_rejects_bit_flip(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    cert = find_cavities(b1, b2, sel)[0]
+    cert = find_cavities(b1, column_space_basis(b2), sel)[0]
     broken = cert._replace(indicator=cert.indicator ^ 1)
-    assert verify_certificate(broken, b1, b2, []) == "cycle"
+    assert verify_certificate(broken, b1, column_space_basis(b2)) == "cycle"
 
 
 def test_verify_rejects_wrong_generator_and_duplicate(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    cert = find_cavities(b1, b2, sel)[0]
-    assert verify_certificate(cert._replace(generator=0), b1, b2, []) == "generator-membership"
+    cert = find_cavities(b1, column_space_basis(b2), sel)[0]
+    basis = column_space_basis(b2)
+    assert verify_certificate(cert._replace(generator=0), b1, basis) == "generator-membership"
     # a duplicate of an accepted certificate is dependent
-    assert verify_certificate(cert, b1, b2, [cert]) == "independence"
+    assert verify_certificate(cert, b1, basis) is None
+    assert verify_certificate(cert, b1, basis) == "independence"
 
 
 def test_cross_polytope_self_test():
@@ -184,11 +187,11 @@ def test_cross_polytope_self_test():
         cx = enumerate_cliques(cocktail_party_network(k))
         bk, bk1 = _pair(cx, k)
         sel = select_oracle(bk, bk1).selection
-        certs = find_cavities(bk, bk1, sel)
+        certs = find_cavities(bk, column_space_basis(bk1), sel)
         assert len(certs) == 1, f"k={k}"
         assert certs[0].length == 2 ** (k + 1)
         assert certs[0].indicator == (1 << cx.counts[k]) - 1
-        assert verify_certificate(certs[0], bk, bk1, []) is None
+        assert verify_certificate(certs[0], bk, column_space_basis(bk1)) is None
         # lower orders carry no cavities at all
         for lower in range(1, k):
             bl, bl1 = _pair(cx, lower)
@@ -200,7 +203,7 @@ def test_sum_of_same_order_certificates_is_a_cycle(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    certs = find_cavities(b1, b2, sel)
+    certs = find_cavities(b1, column_space_basis(b2), sel)
     both = certs[0].indicator ^ certs[1].indicator
     assert all((row & both).bit_count() % 2 == 0 for row in b1.bits)
 
@@ -210,7 +213,7 @@ def test_independence_rank_is_processing_order_free(sample14):
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
     r2 = gf2_rank(b2).rank
-    certs = find_cavities(b1, b2, sel)
+    certs = find_cavities(b1, column_space_basis(b2), sel)
     forward = [c.indicator for c in certs]
     for order in (forward, forward[::-1]):
         basis = dict(column_space_basis(b2))
@@ -224,7 +227,7 @@ def test_minimality_no_shorter_independent_cycle(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    certs = find_cavities(b1, b2, sel)
+    certs = find_cavities(b1, column_space_basis(b2), sel)
     program = ZeroOneProgram(b1.cols, [row for row in b1.bits if row])
     accepted: list[int] = []
     for cert in certs:
@@ -280,7 +283,7 @@ def test_find_cavities_equals_the_bruteforce_over_all_cycles(name):
             if bk.cols - gf2_rank(bk).rank > max_dim:
                 continue
             sel = select_oracle(bk, bk1).selection
-            certs = find_cavities(bk, bk1, sel)
+            certs = find_cavities(bk, column_space_basis(bk1), sel)
             assert [c.indicator for c in certs] == (
                 cavities_bruteforce(bk, bk1, sel.generator_cliques)
             ), f"{name} {i}, order {k}"
@@ -298,17 +301,18 @@ def test_find_cavities_equals_the_bruteforce_on_small_graphs(net):
         if bk.cols - gf2_rank(bk).rank > 14:
             continue
         sel = select_oracle(bk, bk1).selection
-        certs = find_cavities(bk, bk1, sel)
+        certs = find_cavities(bk, column_space_basis(bk1), sel)
         assert [c.indicator for c in certs] == cavities_bruteforce(bk, bk1, sel.generator_cliques)
-        for i, cert in enumerate(certs):
-            assert verify_certificate(cert, bk, bk1, certs[:i]) is None
+        basis = column_space_basis(bk1)
+        for cert in certs:
+            assert verify_certificate(cert, bk, basis) is None
 
 
 def test_certificate_json_round_trip(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    certs = find_cavities(b1, b2, sel)
+    certs = find_cavities(b1, column_space_basis(b2), sel)
     doc = certificates_to_json(certs, cx, sample14.node_labels)
     index = sample14.label_index()
     assert [certificate_from_json(entry, cx, index) for entry in doc] == certs
@@ -337,7 +341,7 @@ def test_every_searched_certificate_equals_its_json_round_trip(name):
     certs = []
     for k in range(1, cx.top_order + 1):
         bk, bk1 = _pair(cx, k)
-        certs += find_cavities(bk, bk1, select_oracle(bk, bk1).selection)
+        certs += find_cavities(bk, column_space_basis(bk1), select_oracle(bk, bk1).selection)
     assert certs
     doc = certificates_to_json(certs, cx, net.node_labels)
     index = net.label_index()
@@ -348,7 +352,8 @@ def test_certificate_from_json_rejects_bad_entries(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    entry = certificates_to_json(find_cavities(b1, b2, sel), cx, sample14.node_labels)[0]
+    certs = find_cavities(b1, column_space_basis(b2), sel)
+    entry = certificates_to_json(certs, cx, sample14.node_labels)[0]
     assert entry["cliques"] == [["3", "6"], ["3", "8"], ["6", "7"], ["7", "8"]]
     index = sample14.label_index()
     top = cx.top_order + 1
@@ -378,7 +383,7 @@ def test_dot_output(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
-    cert = find_cavities(b1, b2, sel)[0]
+    cert = find_cavities(b1, column_space_basis(b2), sel)[0]
     dot = certificate_to_dot(cert, cx, sample14.node_labels, "c1")
     assert dot.startswith("graph c1 {")
     assert dot.count("--") == 4
@@ -409,7 +414,7 @@ def test_dot_escapes_quotes_in_labels():
     net = network_from_edges([], list(zip(labels, labels[1:] + labels[:1])))
     cx = enumerate_cliques(net)
     b1, b2 = _pair(cx, 1)
-    cert = find_cavities(b1, b2, select_oracle(b1, b2).selection)[0]
+    cert = find_cavities(b1, column_space_basis(b2), select_oracle(b1, b2).selection)[0]
     dot = certificate_to_dot(cert, cx, net.node_labels, "c1")
     assert '  "a\\"1";' in dot.splitlines()
     assert '"a"1"' not in dot

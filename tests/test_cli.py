@@ -17,7 +17,6 @@ import pytest
 from referencing import Registry, Resource
 
 from cliquecav import cavities, cli
-from cliquecav.cavities import BoundaryContext
 from cliquecav.cli import build_parser, main
 from cliquecav.cliques import CliqueComplex, complex_to_json, enumerate_cliques
 from cliquecav.graph import edge_text_checksum, load_edge_list
@@ -537,6 +536,16 @@ def test_verify_names_a_certificate_file_that_is_not_json(tmp_path, capsys, payl
     assert (rc, out, err) == (1, "", f"error: {certs}: {reason}\n")
 
 
+@pytest.mark.parametrize("budget", [[], ["--budget", "20"]], ids=["default", "budget-20"])
+def test_verify_reads_the_certificate_file_before_it_enumerates(tmp_path, capsys, budget):
+    missing, cache = tmp_path / "nope.json", tmp_path / "cx.json"
+    rc, out, err = run(
+        capsys, "verify", "--input", SAMPLE14, "--cache", str(cache), *budget, str(missing)
+    )
+    assert (rc, out, err) == (1, "", f"error: {missing}: No such file or directory\n")
+    assert not cache.exists()
+
+
 def reader_argv(reader: str, path: str) -> list[str]:
     """The command line with which reader reads the file at path."""
     return {
@@ -1047,7 +1056,7 @@ def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
 
 def test_node_limit_exits_1_with_message(monkeypatch, capsys):
     monkeypatch.setattr(
-        BoundaryContext, "search", functools.partialmethod(BoundaryContext.search, node_limit=1)
+        cavities, "find_cavities", functools.partial(cavities.find_cavities, node_limit=1)
     )
     rc, out, err = run(capsys, "cavities", "--input", SAMPLE14)
     assert rc == 1
@@ -1068,7 +1077,7 @@ def test_cavity_search_error_reports_partial_count(monkeypatch, capsys):
 
 
 def test_failed_self_check_exits_1_with_message(monkeypatch, capsys):
-    monkeypatch.setattr(BoundaryContext, "recheck", lambda *a: "independence")
+    monkeypatch.setattr(cavities, "verify_certificate", lambda *a: "independence")
     rc, out, err = run(capsys, "cavities", "--verify", "--input", SAMPLE14)
     assert rc == 1
     assert out == ""

@@ -150,7 +150,7 @@ def test_determinism(sample14):
 
 
 def test_one_program_serves_interleaved_searches(sample14):
-    # BoundaryContext.search reuses one program for every generator and length
+    # find_cavities reuses one program for every generator and length
     p = _edge_cycle_program(sample14)
     rows = list(p.parity_rows)
     alone = [_solutions(p, 10, 7, 100), _solutions(p, 13, 7, 100)]
