@@ -10,9 +10,9 @@ finds minimal representatives. A certificate holds clique indices only,
 and cert.nodes(cx) reads its nodes off the complex.
 
 find_cavities and verify_certificate both read B_k and a basis of
-B_{k+1}'s column space (column_space_basis); the search extends a copy,
-and a re-check that passes extends the basis it was given. A re-check
-returns the name of the constraint the certificate failed, or None.
+B_{k+1}'s column space, gf2.Boundaries.basis(k), whose docstring states
+who copies it and who extends it. A re-check returns the name of the
+constraint the certificate failed, or None.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def find_cavities(
 ) -> list[CavityCertificate]:
     """One minimal independent certificate per generator clique of sel.
 
-    basis spans the column space of B_{k+1}, as column_space_basis returns
-    it; the search extends a copy and leaves basis as it was. Generators
+    basis spans the column space of B_{k+1}, as Boundaries.basis(k)
+    returns it; see Boundaries for the copy this search extends. Generators
     are processed in ascending index order. For each length on the
     schedule, which runs up to the number of k-cliques, the cycles through
     the generator with exactly that many ones are enumerated in

@@ -13,23 +13,23 @@ half-written. Subcommands raise; only main prints the one stderr line
 and picks the exit code. A path that cannot be read, written or made
 prints as "error: <path>: <reason>". Exit codes: 0 success, 1 error
 (unreadable input, unwritable output, incomplete cavity search, failed
-self-check), 2 computability gate failed, 3 clique enumeration stopped
-by the budget (one stderr line naming the level and the counts so far).
-Usage errors exit 2 via argparse.
+self-check, out of memory), 2 computability gate failed, 3 clique
+enumeration stopped by the budget (one stderr line naming the level and
+the counts so far), 130 interrupted (Ctrl-C). Usage errors exit 2 via
+argparse.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import io
 import json
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .graph import (
     DEFAULT_BUDGET,
@@ -47,12 +47,12 @@ from .graph import (
 if TYPE_CHECKING:
     from .cavities import CavityCertificate
     from .cliques import CliqueComplex
-    from .gf2 import Boundaries
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_GATE = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a run killed by Ctrl-C
 
 # Published reference census for the generated smallest-cavity complexes,
 # exactly as printed (including its internal inconsistencies; disagreements
@@ -116,15 +116,6 @@ def _build_complex(net: Network, export: str | None, budget: int) -> CliqueCompl
         doc = complex_to_json(cx, edge_text_checksum(net))
         _write(export, (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode())
     return cx
-
-
-def _bases(boundaries: Boundaries) -> Callable[[int], dict[int, int]]:
-    """basis(k): the column_space_basis of B_{k+1}, built on first use from
-    the matrices of boundaries, which builds each B_k at most once. Each
-    certificate that verify_certificate passes joins it."""
-    from .gf2 import column_space_basis
-
-    return functools.cache(lambda k: column_space_basis(boundaries.matrix(k + 1)))
 
 
 class SelfCheckError(RuntimeError):
@@ -228,8 +219,8 @@ def _pipeline(args):
     self-check share one Boundaries, so each B_k is built at most once and
     ranked at most once: selection reads the profile's ranks. Search
     (find_cavities) and self-check (verify_certificate) of order k read
-    B_k and one basis of B_{k+1}'s column space; every search copies it
-    before the self-check extends it.
+    B_k and boundaries.basis(k); every search copies it before the
+    self-check extends it.
 
     Returns (profile, docs): docs is the certificates as
     certificates_to_json exports them, which every output format renders,
@@ -256,16 +247,16 @@ def _pipeline(args):
     )
 
     certs: list[CavityCertificate] = []
-    basis, beta = _bases(boundaries), profile.beta
+    beta = profile.beta
     for k in range(1, len(beta)):
         if beta[k]:
             sel = select_spanning_and_generators(k, boundaries)
             # positional, as the benchmark's tracer reads sel from the third argument
-            certs.extend(find_cavities(boundaries.matrix(k), basis(k), sel))
+            certs.extend(find_cavities(boundaries.matrix(k), boundaries.basis(k), sel))
     if args.verify:
         for cert in certs:
             k = cert.order
-            if failed := verify_certificate(cert, boundaries.matrix(k), basis(k)):
+            if failed := verify_certificate(cert, boundaries.matrix(k), boundaries.basis(k)):
                 raise SelfCheckError(
                     f"internal check failed: order-{k} certificate "
                     f"violates the {failed} constraint"
@@ -434,7 +425,6 @@ def cmd_verify(args, parser) -> int:
     cx = _build_complex(net, args.cache, args.budget)
     index = net.label_index()
     boundaries = Boundaries(cx)
-    basis = _bases(boundaries)
     failures = 0
     for i, entry in enumerate(doc, 1):
         try:
@@ -444,7 +434,7 @@ def cmd_verify(args, parser) -> int:
             failures += 1
             continue
         k = cert.order
-        if failed := verify_certificate(cert, boundaries.matrix(k), basis(k)):
+        if failed := verify_certificate(cert, boundaries.matrix(k), boundaries.basis(k)):
             print(f"cert {i}: FAIL ({failed})")
             failures += 1
         else:
@@ -556,9 +546,14 @@ def main(argv: list[str] | None = None) -> int:
     except GateRefused as exc:
         print(exc, file=sys.stderr)
         return EXIT_GATE
-    # a failed read or mkdir names its path as _write's error does
+    except KeyboardInterrupt:  # _write has removed its temporary file on the way out
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except MemoryError:
+        message = "out of memory"
+    # a failed read or mkdir names its path as _write's error does, even an empty one
     except OSError as exc:
-        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else str(exc)
     # NodeLimitExceeded, CavitySearchError and SelfCheckError are RuntimeErrors;
     # naming the first two here would import solver and cavities into every subcommand
     except (ValueError, RuntimeError) as exc:

@@ -168,8 +168,8 @@ def _spanning_forest(cx: CliqueComplex) -> RankResult:
 
 
 class Boundaries:
-    """B_k and its RankResult for each order k of one complex, each
-    computed at most once, on first use.
+    """B_k, its RankResult and the column basis of B_{k+1} for each order
+    k of one complex, each computed at most once, on first use.
 
     rank(1) is the spanning forest, and B_1 is never reduced. rank(k) for
     k >= 2 reduces B_k with clearing (Chen and Kerber 2011): the pivot
@@ -178,15 +178,20 @@ class Boundaries:
     indices, so gf2_rank skips them. matrix(k) past the top order is the
     rows x 0 matrix. With keep_matrices=False a matrix is dropped once it
     is ranked, so the profile alone holds one B_k at a time.
+
+    basis(k), column_space_basis(matrix(k + 1)), is kept per order:
+    find_cavities searches a copy, and each certificate that
+    verify_certificate passes joins it.
     """
 
-    __slots__ = ("cx", "keep_matrices", "_matrices", "_ranks")
+    __slots__ = ("cx", "keep_matrices", "_matrices", "_ranks", "_bases")
 
     def __init__(self, cx: CliqueComplex, keep_matrices: bool = True) -> None:
         self.cx = cx
         self.keep_matrices = keep_matrices
         self._matrices: dict[int, Gf2Matrix] = {}
         self._ranks: dict[int, RankResult] = {}
+        self._bases: dict[int, dict[int, int]] = {}
 
     def matrix(self, k: int) -> Gf2Matrix:
         m = self._matrices.get(k)
@@ -209,6 +214,11 @@ class Boundaries:
                 result = gf2_rank(self.matrix(k), cleared=cleared)
             self._ranks[k] = result
         return result
+
+    def basis(self, k: int) -> dict[int, int]:
+        if k not in self._bases:
+            self._bases[k] = column_space_basis(self.matrix(k + 1))
+        return self._bases[k]
 
 
 def homology_profile(boundaries: Boundaries) -> HomologyProfile:

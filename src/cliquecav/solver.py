@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .gf2 import Gf2Matrix, bit_indices
+
 DEFAULT_NODE_LIMIT = 10**8
 
 
@@ -49,9 +51,9 @@ class ZeroOneProgram:
 
     parity_rows: nonzero bitmasks, bit v for variable v, each required to
     hold an even number of ones: the nonzero rows of a boundary matrix B_k
-    as Gf2Matrix.bits holds them. The row incidence the search reads is
-    built here once; no search changes the program, so one program serves
-    every pin and length.
+    as Gf2Matrix.bits holds them. The row incidence the search reads, the
+    rows' transpose, is built here once; no search changes the program,
+    so one program serves every pin and length.
     """
 
     __slots__ = ("num_vars", "parity_rows", "_rows_of", "_var_rows", "_maxr", "_pairable")
@@ -59,19 +61,15 @@ class ZeroOneProgram:
     def __init__(self, num_vars: int, parity_rows: list[int]) -> None:
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        self.num_vars = num_vars
-        self.parity_rows = parity_rows
-        self._rows_of: list[list[int]] = [[] for _ in range(num_vars)]
         for r, row in enumerate(parity_rows):
             if not row:
                 raise ValueError("parity rows must be non-empty")
             if row >> num_vars:
                 raise ValueError(f"parity row {r} has a variable out of range")
-            while row:
-                low = row & -row
-                row ^= low
-                self._rows_of[low.bit_length() - 1].append(r)
-        self._var_rows = [sum(1 << r for r in rs) for rs in self._rows_of]
+        self.num_vars = num_vars
+        self.parity_rows = parity_rows
+        self._var_rows = Gf2Matrix(num_vars, parity_rows).column_vectors()
+        self._rows_of = list(map(bit_indices, self._var_rows))
         self._maxr = max(map(len, self._rows_of), default=0)
         self._pairable = all(len(rs) % 2 == 0 for rs in self._rows_of)
 

@@ -375,6 +375,12 @@ def multiply(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix(b.cols, bits)
 
 
+def transpose(m: Gf2Matrix) -> list[int]:
+    """The columns of m, one int per column with bit i for row i, read
+    entry by entry."""
+    return [sum(((row >> j) & 1) << i for i, row in enumerate(m.bits)) for j in range(m.cols)]
+
+
 def random_er_oracle(n: int, m: int, seed: int) -> Network:
     """Uniform G(n, m) by sampling m pairs from the list of all n(n-1)/2 pairs."""
     rng = random.Random(seed)
@@ -658,7 +664,7 @@ def select_oracle(bk: Gf2Matrix, bk1: Gf2Matrix) -> Split:
         non_tree_mask |= 1 << j
     rk1 = forward_rank_oracle(bk1) if bk1.cols else None
     boundary_cols = rk1.pivot_cols if rk1 else []
-    columns = bk1.column_vectors() if bk1.cols else []
+    columns = transpose(bk1)
     covered: list[int] = []
     proj_basis: dict[int, int] = {}
     for c in boundary_cols:
@@ -799,7 +805,7 @@ def cavities_bruteforce(bk: Gf2Matrix, bk1: Gf2Matrix, generators: Sequence[int]
     # eliminate on the highest set bit, carrying the columns each sum is made of
     pivots: dict[int, tuple[int, int]] = {}
     nullspace = []
-    for j, col in enumerate(bk.column_vectors()):
+    for j, col in enumerate(transpose(bk)):
         combo = 1 << j
         while col and col.bit_length() in pivots:
             pcol, pcombo = pivots[col.bit_length()]

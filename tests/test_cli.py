@@ -573,6 +573,48 @@ def test_every_failed_read_is_one_error_line_naming_the_path(tmp_path, capsys, r
     assert (rc, out, err) == (1, "", f"error: {path}: {reason}\n")
 
 
+def test_an_empty_input_path_is_named_as_typed(capsys):
+    rc, out, err = run(capsys, "analyze", "--input", "")
+    assert (rc, out, err) == (1, "", "error: : No such file or directory\n")
+
+
+def run_interruptible(capsys, *args):
+    """run, failing the test, not the session, on a KeyboardInterrupt out of main."""
+    try:
+        return run(capsys, *args)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+
+
+def test_an_interrupt_is_one_error_line_and_exit_130(monkeypatch, capsys):
+    def interrupt(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "load_edge_list", interrupt)
+    rc, out, err = run_interruptible(capsys, "cavities", "--input", SAMPLE14)
+    assert (rc, out, err) == (130, "", "error: interrupted\n")
+
+
+def test_an_interrupted_write_leaves_no_temporary_file(monkeypatch, tmp_path, capsys):
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupt)
+    dest = tmp_path / "g.edges"
+    rc, out, err = run_interruptible(capsys, "random-er", "5", "3", str(dest))
+    assert (rc, out, err) == (130, "", "error: interrupted\n")
+    assert not list(tmp_path.iterdir())  # no temporary file, and no g.edges
+
+
+def test_running_out_of_memory_is_one_error_line_and_exit_1(monkeypatch, capsys):
+    def exhaust(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_edge_list", exhaust)
+    rc, out, err = run(capsys, "analyze", "--input", SAMPLE14)
+    assert (rc, out, err) == (1, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize(
     "payload, reason",
     [(b"1 2\n2\n", "line 2: expected two node labels, got '2'"),

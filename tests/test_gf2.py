@@ -29,6 +29,7 @@ from oracles import (
     pivot_rows_oracle,
     rref_oracle,
     small_graphs,
+    transpose,
 )
 
 # node-edge incidence of the 8-node sub-network: column = edge endpoints
@@ -80,8 +81,17 @@ def test_column_weights_are_order_plus_one(sample14):
     cx = enumerate_cliques(sample14)
     for k in (1, 2, 3):
         bk = build_boundary_matrix(cx, k)
-        for col in bk.column_vectors():
+        for col in transpose(bk):
             assert col.bit_count() == k + 1
+
+
+def test_column_vectors_equal_the_entrywise_transpose(sample14):
+    rng = random.Random(3)
+    matrices = [_random_matrix(rng) for _ in range(50)] + [Gf2Matrix(0, [0, 0]), Gf2Matrix(3, [])]
+    cx = enumerate_cliques(sample14)
+    matrices += [build_boundary_matrix(cx, k) for k in (1, 2, 3)]
+    for m in matrices:
+        assert m.column_vectors() == transpose(m)
 
 
 def test_boundary_matrix_errors(sample14):
@@ -175,7 +185,7 @@ def test_augmentation_cases(sample14):
     # indicator of the 4-edge cycle on nodes (3,6,7,8): edge ids 8,9,11,13
     cycle = (1 << 8) | (1 << 9) | (1 << 11) | (1 << 13)
     # a face boundary is already in the column space
-    face_boundary = b2.column_vectors()[7]
+    face_boundary = transpose(b2)[7]
     for extra, rank in ((cycle, r2 + 1), (face_boundary, r2), (0, r2)):
         basis = dict(column_space_basis(b2))
         basis_insert(basis, extra)
@@ -191,6 +201,17 @@ def test_augmenting_a_column_space_basis_leaves_the_next_one_unchanged(sample14)
     assert basis_insert(augmented, cycle)
     assert len(augmented) == len(before) + 1
     assert column_space_basis(b2) == before
+
+
+def test_boundaries_keep_one_column_basis_per_order(sample14):
+    complexes = [enumerate_cliques(sample14)]
+    complexes += [enumerate_cliques(cocktail_party_network(k)) for k in range(1, 5)]
+    for cx in complexes:
+        boundaries = Boundaries(cx)
+        for k in range(1, cx.top_order + 1):
+            basis = boundaries.basis(k)
+            assert basis == column_space_basis(boundaries.matrix(k + 1)), (cx.counts, k)
+            assert boundaries.basis(k) is basis
 
 
 def test_boundary_of_boundary_is_zero(sample14):
