@@ -10,9 +10,11 @@ finds minimal representatives. A certificate holds clique indices only,
 and cert.nodes(cx) reads its nodes off the complex.
 
 find_cavities and verify_certificate both read B_k and a basis of
-B_{k+1}'s column space, gf2.Boundaries.basis(k), whose docstring states
-who copies it and who extends it. A re-check returns the name of the
-constraint the certificate failed, or None.
+B_{k+1}'s column space, as gf2.Boundaries.basis(k) returns it, new on
+every call. The basis rule: each certificate either function accepts
+joins the basis it was given, so the next one on that basis must be
+independent of it too. A re-check returns the name of the constraint
+the certificate failed, or None.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def select_spanning_and_generators(order: int, boundaries: Boundaries) -> Spanni
     return SpanningSelection(order, tuple(sorted(generators)))
 
 
-def length_schedule(k: int, ceiling: int):
+def length_schedule(k: int, ceiling: int) -> range:
     """Candidate lengths from 2^(k+1) up to ceiling.
 
     Each of a k-cycle's L cliques has k + 1 faces, and each face lies in
@@ -95,11 +97,7 @@ def length_schedule(k: int, ceiling: int):
     an even L, while odd k allows any L (the join of two 5-cycles has one
     order-3 cycle, of length 25): the step is 2 for even k, 1 for odd k.
     """
-    step = 2 if k % 2 == 0 else 1
-    length = 2 ** (k + 1)
-    while length <= ceiling:
-        yield length
-        length += step
+    return range(2 ** (k + 1), ceiling + 1, 2 if k % 2 == 0 else 1)
 
 
 def find_cavities(
@@ -111,12 +109,12 @@ def find_cavities(
     """One minimal independent certificate per generator clique of sel.
 
     basis spans the column space of B_{k+1}, as Boundaries.basis(k)
-    returns it; see Boundaries for the copy this search extends. Generators
-    are processed in ascending index order. For each length on the
-    schedule, which runs up to the number of k-cliques, the cycles through
-    the generator with exactly that many ones are enumerated in
-    lexicographic order, and the first one that raises the rank of
-    (accepted certificates | B_{k+1} columns) is accepted. node_limit caps
+    returns it, and each certificate found joins it (the basis rule in
+    the module docstring). Generators are processed in ascending index
+    order. For each length on the schedule, which runs up to the number
+    of k-cliques, the cycles through the generator with exactly that many
+    ones are enumerated in lexicographic order, and the first one that
+    raises the rank of basis is accepted. node_limit caps
     the solver's decision nodes per program (default:
     solver.DEFAULT_NODE_LIMIT). Raises CavitySearchError if a generator
     has no such cycle on the schedule.
@@ -126,10 +124,9 @@ def find_cavities(
 
     if node_limit is None:
         node_limit = DEFAULT_NODE_LIMIT
-    basis = dict(basis)
-    lengths = list(length_schedule(sel.order, bk.cols))
+    lengths = length_schedule(sel.order, bk.cols)
     # one program, and one row incidence, for every generator and length
-    program = ZeroOneProgram(bk.cols, [row for row in bk.bits if row])
+    program = ZeroOneProgram(bk.cols, bk.bits)
     accepted: list[CavityCertificate] = []
     for v in sel.generator_cliques:
         mask = next(
@@ -142,9 +139,9 @@ def find_cavities(
             None,
         )
         if mask is None:
-            longest = max(lengths, default=0)
             raise CavitySearchError(
-                f"no independent cycle through generator {v} up to length {longest} "
+                f"no independent cycle through generator {v} "
+                f"up to length {max(lengths, default=0)} "
                 f"({len(accepted)} certificates of that order found)"
             )
         accepted.append(CavityCertificate(sel.order, mask, v))
@@ -155,13 +152,10 @@ def verify_certificate(
     cert: CavityCertificate, bk: Gf2Matrix, basis: dict[int, int]
 ) -> str | None:
     """Re-check cert against B_k and basis: the name of the first
-    constraint it fails, or None for a pass, which joins basis as
-    basis_insert inserts it.
+    constraint it fails, or None for a pass, which joins basis (the basis
+    rule in the module docstring).
 
-    basis starts as column_space_basis(B_{k+1}); to re-check a list,
-    pass the same basis to each call in turn, so that each certificate is
-    checked against the boundaries and the certificates that passed
-    before it. Checks, in order: "dimension", the indicator fits B_k;
+    Checks, in order: "dimension", the indicator fits B_k;
     "generator-membership", the generator bit is set; "cycle", the
     indicator is a GF(2) cycle of B_k; "independence", it is independent
     of basis; "length", its length is at least the order-k minimum

@@ -217,10 +217,10 @@ def _pipeline(args):
     every order with beta_k > 0, self-check (--verify) and write DOT files
     (--emit-dot). With cavities, the profile, selection, search and
     self-check share one Boundaries, so each B_k is built at most once and
-    ranked at most once: selection reads the profile's ranks. Search
-    (find_cavities) and self-check (verify_certificate) of order k read
-    B_k and boundaries.basis(k); every search copies it before the
-    self-check extends it.
+    ranked at most once: selection reads the profile's ranks. Each order
+    is searched (find_cavities) and then self-checked (verify_certificate)
+    on B_k, each on a new boundaries.basis(k) (the basis rule in the
+    cavities module docstring).
 
     Returns (profile, docs): docs is the certificates as
     certificates_to_json exports them, which every output format renders,
@@ -251,16 +251,18 @@ def _pipeline(args):
     for k in range(1, len(beta)):
         if beta[k]:
             sel = select_spanning_and_generators(k, boundaries)
+            bk = boundaries.matrix(k)
             # positional, as the benchmark's tracer reads sel from the third argument
-            certs.extend(find_cavities(boundaries.matrix(k), boundaries.basis(k), sel))
-    if args.verify:
-        for cert in certs:
-            k = cert.order
-            if failed := verify_certificate(cert, boundaries.matrix(k), boundaries.basis(k)):
-                raise SelfCheckError(
-                    f"internal check failed: order-{k} certificate "
-                    f"violates the {failed} constraint"
-                )
+            found = find_cavities(bk, boundaries.basis(k), sel)
+            if args.verify:
+                basis = boundaries.basis(k)
+                for cert in found:
+                    if failed := verify_certificate(cert, bk, basis):
+                        raise SelfCheckError(
+                            f"internal check failed: order-{k} certificate "
+                            f"violates the {failed} constraint"
+                        )
+            certs.extend(found)
     if args.emit_dot:
         _emit_dot_files(certs, cx, net.node_labels, args.emit_dot)
     return profile, certificates_to_json(certs, cx, net.node_labels)
@@ -360,7 +362,8 @@ def cmd_random_er(args, parser) -> int:
     """Write a seeded uniform G(n, m) edge list."""
     net = random_er(args.n, args.m, args.seed)
     _write(args.dest, to_edge_text(net).encode())
-    print(f"wrote {net.node_count} nodes, {net.edge_count} edges to {args.dest} (seed {args.seed})")
+    nodes = sum(map(bool, net.adjacency))  # an edge list holds no isolated node
+    print(f"wrote {nodes} nodes, {net.edge_count} edges to {args.dest} (seed {args.seed})")
     return EXIT_OK
 
 
@@ -425,6 +428,7 @@ def cmd_verify(args, parser) -> int:
     cx = _build_complex(net, args.cache, args.budget)
     index = net.label_index()
     boundaries = Boundaries(cx)
+    bases: dict[int, dict[int, int]] = {}  # one per order, for the whole file
     failures = 0
     for i, entry in enumerate(doc, 1):
         try:
@@ -434,7 +438,9 @@ def cmd_verify(args, parser) -> int:
             failures += 1
             continue
         k = cert.order
-        if failed := verify_certificate(cert, boundaries.matrix(k), boundaries.basis(k)):
+        if k not in bases:
+            bases[k] = boundaries.basis(k)
+        if failed := verify_certificate(cert, boundaries.matrix(k), bases[k]):
             print(f"cert {i}: FAIL ({failed})")
             failures += 1
         else:

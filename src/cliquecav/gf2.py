@@ -179,9 +179,9 @@ class Boundaries:
     rows x 0 matrix. With keep_matrices=False a matrix is dropped once it
     is ranked, so the profile alone holds one B_k at a time.
 
-    basis(k), column_space_basis(matrix(k + 1)), is kept per order:
-    find_cavities searches a copy, and each certificate that
-    verify_certificate passes joins it.
+    basis(k) reduces the columns of matrix(k + 1) once per order and
+    returns a new copy of that basis on every call, for the cavity stage
+    to extend (the basis rule in the cavities module docstring).
     """
 
     __slots__ = ("cx", "keep_matrices", "_matrices", "_ranks", "_bases")
@@ -218,7 +218,7 @@ class Boundaries:
     def basis(self, k: int) -> dict[int, int]:
         if k not in self._bases:
             self._bases[k] = column_space_basis(self.matrix(k + 1))
-        return self._bases[k]
+        return dict(self._bases[k])
 
 
 def homology_profile(boundaries: Boundaries) -> HomologyProfile:

@@ -49,11 +49,11 @@ class NodeLimitExceeded(RuntimeError):
 class ZeroOneProgram:
     """Parity rows over binary variables x_0 .. x_{num_vars-1}.
 
-    parity_rows: nonzero bitmasks, bit v for variable v, each required to
-    hold an even number of ones: the nonzero rows of a boundary matrix B_k
-    as Gf2Matrix.bits holds them. The row incidence the search reads, the
-    rows' transpose, is built here once; no search changes the program,
-    so one program serves every pin and length.
+    parity_rows: bitmasks, bit v for variable v, each required to hold an
+    even number of ones: the rows of a boundary matrix B_k as
+    Gf2Matrix.bits holds them (a zero row always holds). The row incidence
+    the search reads, the rows' transpose, is built here once; no search
+    changes the program, so one program serves every pin and length.
     """
 
     __slots__ = ("num_vars", "parity_rows", "_rows_of", "_var_rows", "_maxr", "_pairable")
@@ -62,8 +62,6 @@ class ZeroOneProgram:
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         for r, row in enumerate(parity_rows):
-            if not row:
-                raise ValueError("parity rows must be non-empty")
             if row >> num_vars:
                 raise ValueError(f"parity row {r} has a variable out of range")
         self.num_vars = num_vars

@@ -106,8 +106,8 @@ def _selection(cx, k):
 
 
 def _program(matrix):
-    """The 0-1 program of a boundary matrix: its nonzero rows."""
-    return ZeroOneProgram(matrix.cols, [row for row in matrix.bits if row])
+    """The 0-1 program of a boundary matrix: its rows."""
+    return ZeroOneProgram(matrix.cols, matrix.bits)
 
 
 def _edge_labels(net, cx, mask):

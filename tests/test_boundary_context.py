@@ -154,18 +154,44 @@ def test_a_certificate_that_fails_on_length_does_not_join_the_basis():
     assert basis == column_space_basis(b2)
 
 
-def test_the_search_copies_its_basis_and_a_pass_extends_it(sample14):
+def test_the_search_and_a_pass_extend_the_basis_they_are_given(sample14):
     cx = enumerate_cliques(sample14)
     boundaries = Boundaries(cx)
     b1, b2 = boundaries.matrix(1), boundaries.matrix(2)
     basis = boundaries.basis(1)
     certs = find_cavities(b1, basis, select_spanning_and_generators(1, boundaries))
+    extended = column_space_basis(b2)
+    assert all(basis_insert(extended, cert.indicator) for cert in certs)
+    assert basis == extended
+    assert verify_certificate(certs[0], b1, basis) == "independence"
+    basis = boundaries.basis(1)
     assert basis == column_space_basis(b2)
     assert verify_certificate(certs[0], b1, basis) is None
-    extended = column_space_basis(b2)
-    assert basis_insert(extended, certs[0].indicator)
-    assert boundaries.basis(1) == extended
     assert verify_certificate(certs[0], b1, basis) == "independence"
+    assert boundaries.basis(1) == column_space_basis(b2)
+
+
+def test_results_do_not_depend_on_call_history(sample14):
+    # search, re-check, search again: each step on a new basis(k) sees the
+    # boundaries alone, whatever ran on the bases before it
+    complexes = [enumerate_cliques(sample14)]
+    complexes += [enumerate_cliques(cocktail_party_network(k)) for k in range(1, 5)]
+    for cx in complexes:
+        boundaries = Boundaries(cx)
+        beta = homology_profile(boundaries).beta
+        for k in range(1, cx.top_order + 1):
+            basis = boundaries.basis(k)
+            assert basis == column_space_basis(boundaries.matrix(k + 1)), (cx.counts, k)
+            assert boundaries.basis(k) is not basis
+            if not beta[k]:
+                continue
+            bk, sel = boundaries.matrix(k), select_spanning_and_generators(k, boundaries)
+            certs = find_cavities(bk, basis, sel)
+            recheck = boundaries.basis(k)
+            assert [verify_certificate(c, bk, recheck) for c in certs] == [None] * len(certs)
+            assert find_cavities(bk, boundaries.basis(k), sel) == certs, (cx.counts, k)
+            recheck = boundaries.basis(k)
+            assert [verify_certificate(c, bk, recheck) for c in certs] == [None] * len(certs)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

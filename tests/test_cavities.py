@@ -228,7 +228,7 @@ def test_minimality_no_shorter_independent_cycle(sample14):
     b1, b2 = _pair(cx, 1)
     sel = select_oracle(b1, b2).selection
     certs = find_cavities(b1, column_space_basis(b2), sel)
-    program = ZeroOneProgram(b1.cols, [row for row in b1.bits if row])
+    program = ZeroOneProgram(b1.cols, b1.bits)
     accepted: list[int] = []
     for cert in certs:
         for shorter in range(4, cert.length):

@@ -681,6 +681,16 @@ def test_random_er_cli_deterministic(tmp_path, capsys):
     assert not (tmp_path / "no.edges").exists()
 
 
+@pytest.mark.parametrize("n, m, seed", [(40, 60, 1), (3, 0, 0)])
+def test_random_er_prints_the_node_count_its_file_holds(tmp_path, capsys, n, m, seed):
+    # an edge list holds no isolated node, and each of these graphs has some
+    dest = tmp_path / "g.edges"
+    rc, out, _ = run(capsys, "random-er", str(n), str(m), str(dest), "--seed", str(seed))
+    nodes = load_edge_list(dest).node_count
+    assert (rc, out) == (0, f"wrote {nodes} nodes, {m} edges to {dest} (seed {seed})\n")
+    assert nodes < n
+
+
 # every option each subcommand takes besides -h/--help; a flag that no
 # command path reads must not come back
 OPTIONS = {
@@ -1123,6 +1133,19 @@ def test_failed_self_check_exits_1_with_message(monkeypatch, capsys):
     rc, out, err = run(capsys, "cavities", "--verify", "--input", SAMPLE14)
     assert rc == 1
     assert out == ""
+    assert err == (
+        "error: internal check failed: order-1 certificate violates the "
+        "independence constraint\n"
+    )
+
+
+def test_the_self_check_tests_each_certificate_against_the_earlier_ones(monkeypatch, capsys):
+    # every certificate listed twice: the self-check keeps one basis per
+    # order, so the second copy of the first order-1 certificate is dependent
+    find = cavities.find_cavities
+    monkeypatch.setattr(cavities, "find_cavities", lambda *args: find(*args) * 2)
+    rc, out, err = run(capsys, "analyze", "--cavities", "--verify", "--input", SAMPLE14)
+    assert (rc, out) == (1, "")
     assert err == (
         "error: internal check failed: order-1 certificate violates the "
         "independence constraint\n"

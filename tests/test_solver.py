@@ -34,9 +34,9 @@ def _solutions(p, pin, length, limit, node_limit=DEFAULT_NODE_LIMIT):
 
 
 def _boundary_program(cx, order):
-    """The program of B_order of a clique complex: its nonzero rows."""
+    """The program of B_order of a clique complex: its rows."""
     bk = build_boundary_matrix(cx, order)
-    return ZeroOneProgram(bk.cols, [row for row in bk.bits if row])
+    return ZeroOneProgram(bk.cols, bk.bits)
 
 
 def _edge_cycle_program(net):
@@ -63,11 +63,11 @@ def test_pinned_pair():
 def test_validation_rejects_bad_programs():
     with pytest.raises(ValueError, match="nonnegative"):
         ZeroOneProgram(-1, [])
-    with pytest.raises(ValueError, match="non-empty"):
-        ZeroOneProgram(3, [0])
     for row in (0b1001, -1):
         with pytest.raises(ValueError, match="out of range"):
             ZeroOneProgram(3, [0b011, row])
+    # a zero row, as B_k has for a (k-1)-clique in no k-clique, always holds
+    assert _first(ZeroOneProgram(2, [0, 0b11, 0]), 0, 2) == 0b11
 
 
 def test_validation_rejects_a_bad_pin_or_length():
@@ -170,7 +170,7 @@ def _even_row_count_program(rng, n):
     for v in range(n):
         for r in rng.sample(range(len(rows)), rng.choice((2, 4))):
             rows[r].append(v)
-    program = ZeroOneProgram(n, [_mask(row) for row in rows if row])
+    program = ZeroOneProgram(n, [_mask(row) for row in rows])
     return program, rng.randrange(n), rng.randrange(0, n + 1)
 
 
@@ -232,8 +232,8 @@ def test_the_pairing_bound_stays_on():
 @st.composite
 def _small_searches(draw):
     """(program, pin, length) with 1 <= n <= 12. About half put every
-    variable in 0, 2 or 4 rows, so the pairing bound applies; the rest draw
-    their rows freely."""
+    variable in 0, 2 or 4 rows, so the pairing bound applies and a row may
+    be zero; the rest draw their rows freely."""
     n = draw(st.integers(1, 12))
     if draw(st.booleans()):
         nrows = draw(st.integers(2, 6))
@@ -242,7 +242,6 @@ def _small_searches(draw):
             count = draw(st.sampled_from([c for c in (0, 2, 4) if c <= nrows]))
             for r in draw(st.permutations(range(nrows)))[:count]:
                 rows[r].append(v)
-        rows = [row for row in rows if row]
     else:
         rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True),
                              max_size=6))
