@@ -19,6 +19,7 @@ the certificate failed, or None.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
@@ -215,19 +216,25 @@ def certificate_from_json(
     if type(entry) is not dict:
         raise ValueError(f"an entry must be a JSON object, got {entry!r}")
     order = _cavity_order(_field(entry, "order", int), cx)
-    position = {c: j for j, c in enumerate(cx.levels[order])}
+    level = cx.levels[order]
+
+    def position(key: tuple[int, ...]) -> int | None:
+        """key's index in the sorted level, or None if the level lacks it."""
+        j = bisect_left(level, key)
+        return j if j < len(level) and level[j] == key else None
+
     mask = 0
     for clique in _field(entry, "cliques", list):
         if type(clique) is not list:
             raise ValueError(f"a clique must be a list, got {clique!r}")
         key, name = _node_ids(clique, index)
-        if (j := position.get(key)) is None:
+        if (j := position(key)) is None:
             raise ValueError(f"{name} is not an order-{order} clique of the complex")
         if mask >> j & 1:
             raise ValueError(f"clique {name} is listed twice")
         mask |= 1 << j
     key, name = _node_ids(_field(entry, "generator", list), index)
-    if (generator := position.get(key)) is None:
+    if (generator := position(key)) is None:
         raise ValueError(f"generator {name} is not an order-{order} clique")
     cert = CavityCertificate(order, mask, generator)
     if cert.length != _field(entry, "length", int):

@@ -40,9 +40,7 @@ class CliqueComplex(NamedTuple):
         return len(self.levels) - 1
 
 
-def enumerate_cliques(
-    net: Network, budget: int = DEFAULT_BUDGET, max_order: int | None = None
-) -> CliqueComplex:
+def enumerate_cliques(net: Network, budget: int = DEFAULT_BUDGET) -> CliqueComplex:
     """Enumerate all cliques per order by common-neighbor extension.
 
     Every clique carries a bitmask of the common neighbors of its nodes
@@ -58,14 +56,10 @@ def enumerate_cliques(
         before it; no partial complex is ever returned. The count is
         checked after each parent clique's children, so a level is never
         built more than n - 1 cliques past the budget.
-    max_order : stop after this order even if higher cliques exist. The
-        result is then the max_order-skeleton, whose top Betti number is
-        the skeleton's, not the full complex's.
 
     Returns
     -------
-    CliqueComplex with levels [0..K] where K is the last nonempty order
-    (or max_order).
+    CliqueComplex with levels [0..K] where K is the last nonempty order.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -76,9 +70,7 @@ def enumerate_cliques(
     # above its maximum id; level 0 is the children of the empty clique, whose mask is all nodes
     cliques: list[Clique] = [()]
     exts = [(1 << n) - 1]
-    order = -1
-    while max_order is None or order < max_order:
-        order += 1
+    while True:
         nxt_cliques: list[Clique] = []
         nxt_exts: list[int] = []
         add_clique, add_ext = nxt_cliques.append, nxt_exts.append
@@ -93,10 +85,9 @@ def enumerate_cliques(
             if len(nxt_cliques) > budget:
                 raise BudgetExceeded(budget, tuple(len(l) for l in levels))
         if not nxt_cliques:
-            break
+            return CliqueComplex(tuple(levels))
         levels.append(tuple(nxt_cliques))
         cliques, exts = nxt_cliques, nxt_exts
-    return CliqueComplex(tuple(levels))
 
 
 def clique_counts(net: Network) -> tuple[int, ...]:

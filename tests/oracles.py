@@ -247,9 +247,7 @@ def edge_rank_oracle(cx: CliqueComplex) -> int:
     return rank
 
 
-def enumerate_cliques_oracle(
-    net: Network, budget: int, max_order: int | None = None
-) -> CliqueComplex:
+def enumerate_cliques_oracle(net: Network, budget: int) -> CliqueComplex:
     """Clique levels by a tuple scan over sorted candidate tuples.
 
     Each clique carries the tuple of its common neighbors above its
@@ -265,13 +263,9 @@ def enumerate_cliques_oracle(
     if n == 0:
         return CliqueComplex(())
     levels.append(tuple((u,) for u in range(n)))
-    if max_order == 0:
-        return CliqueComplex(tuple(levels))
     adj_sets = [set(ns) for ns in net.adjacency]
     current = [((u,), tuple(v for v in net.adjacency[u] if v > u)) for u in range(n)]
-    order = 0
-    while max_order is None or order < max_order:
-        order += 1
+    while True:
         nxt = []
         for clique, ext in current:
             for i, w in enumerate(ext):
@@ -280,10 +274,9 @@ def enumerate_cliques_oracle(
                 if len(nxt) > budget:
                     raise BudgetExceeded(budget, tuple(len(l) for l in levels))
         if not nxt:
-            break
+            return CliqueComplex(tuple(levels))
         levels.append(tuple(c for c, _ in nxt))
         current = nxt
-    return CliqueComplex(tuple(levels))
 
 
 def maximal_cliques(net: Network) -> list[Clique]:
@@ -325,6 +318,12 @@ def expand_maximal_cliques(maximal: list[Clique]) -> list[tuple[Clique, ...]]:
     if not by_order:
         return []
     return [tuple(sorted(by_order[k])) for k in range(max(by_order) + 1)]
+
+
+def triangle_count(net: Network) -> int:
+    """m_2: for each edge u < v, the common neighbours above v."""
+    adj = [set(ns) for ns in net.adjacency]
+    return sum(1 for u, v in net.edges() for w in adj[u] & adj[v] if w > v)
 
 
 def max_clique_order(net: Network) -> int:

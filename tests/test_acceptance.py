@@ -14,6 +14,7 @@ from cliquecav import (
     ZeroOneProgram,
     build_boundary_matrix,
     certificate_from_json,
+    clique_counts,
     cocktail_party_network,
     column_space_basis,
     enumerate_cliques,
@@ -246,22 +247,19 @@ def test_acceptance_4_cross_polytope_census():
 def test_acceptance_5_usair_spot_checks():
     net = load_dataset("usair")
     assert k_core_decomposition(net).k_max == 26
-    cx = enumerate_cliques(net, max_order=2)
-    assert cx.counts[2] == 12181
+    assert clique_counts(net)[2] == 12181
 
 
 def test_acceptance_5_jazz_spot_checks():
     net = load_dataset("jazz")
     assert k_core_decomposition(net).k_max == 29
-    cx = enumerate_cliques(net, max_order=2)
-    assert cx.counts[2] == 17899
+    assert clique_counts(net)[2] == 17899
     assert max_clique_order(net) == 29  # a maximum clique on 30 nodes
 
 
 def test_acceptance_5_yeast_spot_check():
     net = load_dataset("yeast")
-    cx = enumerate_cliques(net, max_order=2)
-    assert cx.counts[2] == 60689
+    assert clique_counts(net)[2] == 60689
 
 
 def test_acceptance_6_property_suites(sample14):

@@ -379,6 +379,30 @@ def test_certificate_from_json_rejects_bad_entries(sample14):
             certificate_from_json(bad, cx, index)
 
 
+@pytest.mark.parametrize(
+    "field, clique, message",
+    [
+        ("cliques", ["1"], r"^\(1\) is not an order-1 clique of the complex$"),
+        ("cliques", ["14"], r"^\(14\) is not an order-1 clique of the complex$"),
+        ("generator", ["1"], r"^generator \(1\) is not an order-1 clique$"),
+        ("generator", ["14"], r"^generator \(14\) is not an order-1 clique$"),
+    ],
+    ids=["clique-before-first", "clique-after-last", "generator-before-first", "generator-after-last"],
+)
+def test_certificate_from_json_rejects_cliques_outside_the_level(sample14, field, clique, message):
+    cx = enumerate_cliques(sample14)
+    b1, b2 = _pair(cx, 1)
+    sel = select_oracle(b1, b2).selection
+    cert = find_cavities(b1, column_space_basis(b2), sel)[0]
+    entry = certificates_to_json([cert], cx, sample14.node_labels)[0]
+    index = sample14.label_index()
+    # (1) sorts before the level's first edge and (14) after its last
+    assert (index["1"],) < cx.levels[1][0] and (index["14"],) > cx.levels[1][-1]
+    bad = {**entry, field: [clique] if field == "cliques" else clique}
+    with pytest.raises(ValueError, match=message):
+        certificate_from_json(bad, cx, index)
+
+
 def test_dot_output(sample14):
     cx = enumerate_cliques(sample14)
     b1, b2 = _pair(cx, 1)

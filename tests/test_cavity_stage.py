@@ -1,15 +1,16 @@
-"""The selection read off the cleared ranks, and find_cavities and
-verify_certificate on a basis of B_{k+1}'s column space, against the
-cavity stage they replaced.
+"""The cavity stage: the selection read off the cleared ranks, and
+find_cavities and verify_certificate on a basis of B_{k+1}'s column
+space, against the former implementations in oracles.py.
 
-Selections, certificates and verdicts must match the former
-implementations in oracles.py bit for bit, on the matrices of the one
-Boundaries the CLI shares; the CLI searches and re-checks through the
-same two public functions. A sequence of re-checks on one basis must give
-the oracle's verdicts when each certificate is checked against those
-that passed before it. The oracle's tree and covered sets must equal the
-pivot columns of B_k and the pivot rows of B_{k+1} reduced with the tree
-cleared, which the selection reads.
+Selections, certificates and verdicts must match the oracles bit for
+bit, on the matrices of the one Boundaries the CLI shares; the CLI
+searches and re-checks through the same two public functions. A sequence
+of re-checks on one basis must give the oracle's verdicts when each
+certificate is checked against those that passed before it, and a new
+basis(k) must give the same results whatever ran on the bases before it.
+The oracle's tree and covered sets must equal the pivot columns of B_k
+and the pivot rows of B_{k+1} reduced with the tree cleared, which the
+selection reads.
 """
 
 from pathlib import Path

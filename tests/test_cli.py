@@ -3,17 +3,22 @@ import errno
 import functools
 import hashlib
 import http.server
+import io
 import json
 import os
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 from cliquecav import cavities, cli
@@ -1150,3 +1155,52 @@ def test_the_self_check_tests_each_certificate_against_the_earlier_ones(monkeypa
         "error: internal check failed: order-1 certificate violates the "
         "independence constraint\n"
     )
+
+
+def mutated(data: bytes, alphabet: bytes):
+    """Strategy: data with up to four bytes replaced, inserted or deleted.
+
+    About half the new bytes come from alphabet, the characters of the file's
+    syntax, so that not every mutated file fails on its first bad byte.
+    """
+    byte = st.one_of(st.sampled_from(alphabet), st.integers(0, 255))
+    edit = st.tuples(st.sampled_from("rid"), st.integers(0, len(data)), byte)
+
+    def apply(edits) -> bytes:
+        out = bytearray(data)
+        for kind, at, value in edits:
+            if kind == "i":
+                out.insert(at, value)
+            elif at < len(out):
+                if kind == "r":
+                    out[at] = value
+                else:
+                    del out[at]
+        return bytes(out)
+
+    return st.lists(edit, max_size=4).map(apply)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    mutated(Path(SAMPLE14).read_bytes(), b"0123456789 \n#"),
+    mutated((GOLDEN / "cavities.json").read_bytes(), b'0123456789 \n[]{},:"'),
+)
+def test_mutated_inputs_exit_with_a_code_and_at_most_one_error_line(edges, certs):
+    # in-process runs on byte-mutated inputs; a tmp_path fixture would be
+    # shared by every example, so each makes its own directory
+    with tempfile.TemporaryDirectory() as tmp:
+        edge_path, cert_path = os.path.join(tmp, "g.edges"), os.path.join(tmp, "certs.json")
+        Path(edge_path).write_bytes(edges)
+        Path(cert_path).write_bytes(certs)
+        for argv in (
+            ["kcore", "--input", edge_path],
+            ["analyze", "--cavities", "--verify", "--force", "--input", edge_path],
+            ["verify", "--input", edge_path, cert_path],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                rc = main(argv)
+            assert rc in (0, 1, 2, 3), (argv, rc, err.getvalue())
+            assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+            assert "Traceback" not in out.getvalue() + err.getvalue(), argv

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 
@@ -26,6 +27,7 @@ from oracles import (
     max_clique_order,
     maximal_cliques,
     small_graphs,
+    triangle_count,
 )
 
 TRIANGLES_14 = [
@@ -105,12 +107,6 @@ def test_budget_truncation_at_level_zero(sample14):
     assert str(exc.value) == "level 0 exceeds budget (10); enumeration stopped (counts so far: [])"
 
 
-def test_max_order_stops_cleanly(sample14):
-    cx = enumerate_cliques(sample14, max_order=1)
-    assert cx.counts == (14, 26)
-    assert euler_characteristic(cx.counts) == 14 - 26
-
-
 def test_max_clique_order(sample14):
     assert max_clique_order(sample14) == 3
     path = network_from_edges(["1", "2", "3"], [("1", "2"), ("2", "3")])
@@ -166,18 +162,18 @@ def test_cocktail_party_rejects_out_of_range():
         cocktail_party_network(13)
 
 
-def _outcome(enumerate_fn, net, budget, max_order):
+def _outcome(enumerate_fn, net, budget):
     """The complex, or the message and counts of the budget overflow."""
     try:
-        return enumerate_fn(net, budget=budget, max_order=max_order)
+        return enumerate_fn(net, budget=budget)
     except BudgetExceeded as exc:
         return str(exc), exc.counts
 
 
-def _assert_matches_oracle(name, net, budget=DEFAULT_BUDGET, max_order=None):
-    got = _outcome(enumerate_cliques, net, budget, max_order)
-    want = _outcome(enumerate_cliques_oracle, net, budget, max_order)
-    assert got == want, (name, budget, max_order)
+def _assert_matches_oracle(name, net, budget=DEFAULT_BUDGET):
+    got = _outcome(enumerate_cliques, net, budget)
+    want = _outcome(enumerate_cliques_oracle, net, budget)
+    assert got == want, (name, budget)
     return got
 
 
@@ -196,11 +192,6 @@ def _differential_networks(sample14):
 def test_bitset_enumeration_matches_tuple_scan_oracle(sample14):
     for name, net in _differential_networks(sample14):
         _assert_matches_oracle(name, net)
-
-
-def test_bitset_enumeration_matches_oracle_at_every_max_order(sample14):
-    for max_order in range(enumerate_cliques(sample14).top_order + 1):
-        _assert_matches_oracle("sample14", sample14, max_order=max_order)
 
 
 @pytest.mark.parametrize("which", ["sample14", "cocktail k=4"])
@@ -233,3 +224,17 @@ def test_clique_counts_of_cross_polytopes_up_to_the_largest_order():
 @given(small_graphs())
 def test_clique_counts_equal_enumeration_on_small_graphs(net):
     assert clique_counts(net) == enumerate_cliques(net).counts
+
+
+def test_clique_counts_read_the_dataset_spot_checks_of_a_planted_clique_graph():
+    # jazz-sized G(n, m) with a 30- and a 25-clique planted: too many
+    # cliques to list, so the dataset spot checks read m_2 off clique_counts
+    base = random_er(198, 2300, 3)
+    rng = random.Random(1)
+    pairs = [(base.node_labels[u], base.node_labels[v]) for u, v in base.edges()]
+    for size in (30, 25):
+        pairs += combinations(rng.sample(base.node_labels, size), 2)
+    net = network_from_edges(base.node_labels, pairs)
+    counts = clique_counts(net)
+    assert counts[2] == triangle_count(net) == 10091
+    assert len(counts) - 1 == max_clique_order(net) == 29

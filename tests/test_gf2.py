@@ -203,17 +203,6 @@ def test_augmenting_a_column_space_basis_leaves_the_next_one_unchanged(sample14)
     assert column_space_basis(b2) == before
 
 
-def test_boundaries_keep_one_column_basis_per_order(sample14):
-    complexes = [enumerate_cliques(sample14)]
-    complexes += [enumerate_cliques(cocktail_party_network(k)) for k in range(1, 5)]
-    for cx in complexes:
-        boundaries = Boundaries(cx)
-        for k in range(1, cx.top_order + 1):
-            basis = boundaries.basis(k)
-            assert basis == column_space_basis(boundaries.matrix(k + 1)), (cx.counts, k)
-            assert boundaries.basis(k) is not basis  # a new copy, for its caller to extend
-
-
 def test_boundary_of_boundary_is_zero(sample14):
     nets = [sample14] + [bernoulli_graph(18, 0.4, s) for s in range(5)]
     for net in nets:
